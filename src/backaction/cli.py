@@ -14,7 +14,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -434,7 +433,7 @@ def _run_command(args):
     for target in args.targets:
         scenario = _load_target(target)
         if args.seed is not None:
-            scenario = replace(scenario, seed=args.seed)
+            scenario = scenarios.with_seed(scenario, args.seed)
         report, writers = run_scenario(scenario, overrides)
         all_passed = all_passed and report["passed"]
         if args.fmt == "json":

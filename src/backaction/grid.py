@@ -2,7 +2,7 @@
 
 The moment engine computes epsilon and eta from closed-form symplectic
 maps.  This module recomputes them with none of that machinery: the joint
-wavefunction psi(x, y) lives on a periodic square grid, the coupling
+wavefunction psi(x, y) lives on a periodic grid, the coupling
 window is applied as a sequence of shear unitaries (each one exact up to
 rounding, implemented as an FFT phase ramp), and the error fields
 
@@ -11,6 +11,14 @@ rounding, implemented as an FFT phase ramp), and the error fields
 
 are integrated directly.  Agreement between the two routes is the
 acceptance evidence that the symplectic bookkeeping means what it claims.
+
+psi, x psi and p_x psi go through the window together, as one (3, nx, ny)
+stack sheared in place: one ramp and one FFT pair along the shear axis per
+step.  Each ramp exp(-i theta q k) is factored over a split of the q index
+into ~sqrt(n) coarse and fine parts, so it costs O(n^1.5) complex exps
+instead of n^2.  The disturbance field is integrated in k_x space
+(Parseval), where p_x is a multiplication, and ``grid_moments`` reads every
+first and second moment off one real Gram matrix of a (5, nx, ny) stack.
 
 Everything here works in hbar = 1 units; rescale momenta on the way in
 (``unit_hbar_spec``) and multiply eta by hbar on the way out.
@@ -96,11 +104,7 @@ class GridState:
         if arr.shape != (self.nx, self.ny):
             raise ValueError(
                 f"amplitudes must have shape ({self.nx}, {self.ny}), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("amplitudes contain non-finite entries")
-        norm = math.sqrt(float(np.sum(np.abs(arr) ** 2)) * self.cell_area)
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"amplitudes must be normalized, got norm {norm!r}")
+        _check_amplitudes(arr, self.cell_area)
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
@@ -133,6 +137,16 @@ class GridState:
         return 2.0 * math.pi * scipy.fft.fftfreq(self.ny, d=self.dy)
 
 
+def _check_amplitudes(raw, cell_area):
+    """Refuse non-finite or unnormalized amplitudes without copying them."""
+    norm_sq = float(np.vdot(raw, raw).real)
+    if not math.isfinite(norm_sq) and not np.all(np.isfinite(raw)):
+        raise ValueError("amplitudes contain non-finite entries")
+    norm = math.sqrt(norm_sq * cell_area)
+    if not abs(norm - 1.0) <= _NORM_TOL:
+        raise ValueError(f"amplitudes must be normalized, got norm {norm!r}")
+
+
 def unit_hbar_spec(spec, hbar):
     """Rescale a Gaussian spec into the grid's hbar = 1 units (p -> p/hbar)."""
     return GaussianSpec(
@@ -163,13 +177,20 @@ def _boundary_mask(n):
     return mask
 
 
+def _density(raw, grid):
+    """Probability mass per grid cell, |raw|^2 dA, in one buffer."""
+    density = np.abs(raw)
+    density *= density
+    density *= grid.cell_area
+    return density
+
+
 def boundary_mass(state):
     """Probability mass inside the guard shell along either axis."""
-    return _raw_boundary_mass(state.amplitudes, state)
+    return _shell_mass(_density(state.amplitudes, state), state)
 
 
-def _raw_boundary_mass(raw, grid):
-    density = np.abs(raw) ** 2 * grid.cell_area
+def _shell_mass(density, grid):
     in_x = _boundary_mask(grid.nx)
     in_y = _boundary_mask(grid.ny)
     shell = in_x[:, None] | in_y[None, :]
@@ -255,22 +276,42 @@ def init_gaussian_grid(object_spec, probe_spec, **kwargs):
     return init_grid([(1.0, object_spec)], probe_spec, **kwargs)
 
 
-def _raw_shear(raw, grid, step):
-    """Apply one shear to a bare amplitude array, no guards."""
+def _phase_ramp(scale, start, spacing, n, k, q_axis):
+    """Phase ramp exp(1j * scale * q k) on q = start + spacing * arange(n).
+
+    n must be a power of two, as GridState guarantees.  q runs along ``q_axis`` of the C-ordered result, k along the other.
+    Writing the index of q as a * block + b with block ~ sqrt(n) factors
+    the ramp into coarse[a] * fine[b] for each k: 2 sqrt(n) complex exps
+    per wavenumber instead of n, plus one multiply over the whole ramp.
+    """
+    block = 1 << (n.bit_length() // 2)
+    sk = scale * k
+    coarse_q = start + spacing * np.arange(0, n, block)
+    fine_q = spacing * np.arange(block)
+    if q_axis == 0:
+        ramp = (np.exp(1j * np.multiply.outer(coarse_q, sk))[:, None, :]
+                * np.exp(1j * np.multiply.outer(fine_q, sk))[None, :, :])
+        return ramp.reshape(n, -1)
+    ramp = (np.exp(1j * np.multiply.outer(sk, coarse_q))[:, :, None]
+            * np.exp(1j * np.multiply.outer(sk, fine_q))[:, None, :])
+    return ramp.reshape(-1, n)
+
+
+def _shear_ramp(grid, step):
+    """(FFT axis, phase ramp of shape (nx, ny)) of one shear."""
     if step.kind == "x_py":
         # psi(x, y) -> psi(x, y - theta x): translate along y by theta * x.
-        phase = np.exp(-1j * step.theta * np.outer(grid.x, grid.ky))
-        return scipy.fft.ifft(phase * scipy.fft.fft(raw, axis=1), axis=1)
+        return -1, _phase_ramp(-step.theta, -grid.lx, grid.dx, grid.nx,
+                               grid.ky, q_axis=0)
     if step.kind == "px_y":
         # psi(x, y) -> psi(x + theta y, y): translate along x by -theta * y.
-        phase = np.exp(1j * step.theta * np.outer(grid.kx, grid.y))
-        return scipy.fft.ifft(phase * scipy.fft.fft(raw, axis=0), axis=0)
+        return -2, _phase_ramp(step.theta, -grid.ly, grid.dy, grid.ny,
+                               grid.kx, q_axis=1)
     raise ValueError(f"unknown shear kind {step.kind!r}")
 
 
-def _wrap_guard(raw, grid, step):
+def _wrap_guard(density, grid, step):
     """Refuse shears that translate occupied columns across the box."""
-    density = np.abs(raw) ** 2 * grid.cell_area
     if step.kind == "x_py":
         occupied = density.sum(axis=1) > 1e-14
         reach = float(np.max(np.abs(grid.x[occupied]), initial=0.0))
@@ -285,18 +326,37 @@ def _wrap_guard(raw, grid, step):
             f"{abs(step.theta) * reach:.3g} across a box of span {span:.3g}")
 
 
-def apply_steps(state, steps, boundary_threshold=DEFAULT_BOUNDARY_THRESHOLD):
-    """Apply a shear sequence with wrap and boundary guards at every step."""
-    raw = state.amplitudes
+def _shear_stack(fields, grid, steps, boundary_threshold):
+    """Shear a writable (m, nx, ny) stack in place, step by step.
+
+    Every field goes through the same ramp and one FFT pair per step.  The
+    guards read fields[0] alone, which must be psi: the wrap guard before
+    each step, the boundary-mass guard after it.  scipy.fft transforms a
+    complex stack in place, so only the ramp and psi's density are
+    allocated per step; use the returned stack, not the argument.
+    """
+    density = _density(fields[0], grid)
     for step in steps:
-        _wrap_guard(raw, state, step)
-        raw = _raw_shear(raw, state, step)
-        mass = _raw_boundary_mass(raw, state)
+        axis, ramp = _shear_ramp(grid, step)
+        _wrap_guard(density, grid, step)
+        fields = scipy.fft.fft(fields, axis=axis, overwrite_x=True)
+        fields *= ramp
+        del ramp  # free it before the next step builds its own
+        fields = scipy.fft.ifft(fields, axis=axis, overwrite_x=True)
+        density = _density(fields[0], grid)
+        mass = _shell_mass(density, grid)
         if mass > boundary_threshold:
             raise BoundaryMassError(
                 f"after shear {step.kind} theta={step.theta}: boundary mass "
                 f"{mass:.3e} exceeds {boundary_threshold:.3e}")
-    return GridState(state.nx, state.ny, state.lx, state.ly, raw)
+    return fields
+
+
+def apply_steps(state, steps, boundary_threshold=DEFAULT_BOUNDARY_THRESHOLD):
+    """Apply a shear sequence with wrap and boundary guards at every step."""
+    fields = _shear_stack(state.amplitudes[None].copy(), state, steps,
+                          boundary_threshold)
+    return GridState(state.nx, state.ny, state.lx, state.ly, fields[0])
 
 
 def apply_shear_x_py(state, theta, **kwargs):
@@ -317,12 +377,21 @@ def noiseless_unitary(state, **kwargs):
     return apply_steps(state, NOISELESS_STEPS, **kwargs)
 
 
-def _spectral_px(raw, grid):
-    return scipy.fft.ifft(grid.kx[:, None] * scipy.fft.fft(raw, axis=0), axis=0)
+def _spectral_p(raw, k, axis):
+    """Momentum operator -i d/dq along ``axis``; k broadcasts against raw."""
+    spec = scipy.fft.fft(raw, axis=axis)
+    spec *= k
+    return scipy.fft.ifft(spec, axis=axis, overwrite_x=True)
 
 
-def _spectral_py(raw, grid):
-    return scipy.fft.ifft(grid.ky[None, :] * scipy.fft.fft(raw, axis=1), axis=1)
+def _sq_norm(raw):
+    """Sum of |raw|^2 over a 2-D field without an n^2 temporary.
+
+    Rows are summed first and the row sums pairwise, which keeps the
+    rounding at the level of np.sum(np.abs(raw) ** 2).
+    """
+    flat = raw.view(float)
+    return float(np.sum(np.einsum("ij,ij->i", flat, flat)))
 
 
 def grid_noise_disturbance(state, steps,
@@ -331,26 +400,30 @@ def grid_noise_disturbance(state, steps,
 
     epsilon^2 integrates |y U psi - U x psi|^2: the pointer readout after
     the window against the position it was meant to record.  eta^2
-    integrates |p_x U psi - U p_x psi|^2.  The auxiliary fields x psi and
-    p_x psi ride through the same shears as psi itself.
+    integrates |p_x U psi - U p_x psi|^2, evaluated along k_x by Parseval.
+    The auxiliary fields x psi and p_x psi ride through the same shears as
+    psi itself, as one stack.
     """
-    final = apply_steps(state, steps, boundary_threshold)
-    u_psi = final.amplitudes
-
     raw = state.amplitudes
-    x_psi = state.x[:, None] * raw
-    px_psi = _spectral_px(raw, state)
-    u_x_psi = x_psi
-    u_px_psi = px_psi
-    for step in steps:
-        u_x_psi = _raw_shear(u_x_psi, state, step)
-        u_px_psi = _raw_shear(u_px_psi, state, step)
+    # p_x psi sits next to psi so that fields[:2] is one block for the
+    # final transform along x.
+    fields = np.empty((3, state.nx, state.ny), dtype=complex)
+    fields[0] = raw
+    fields[1] = _spectral_p(raw, state.kx[:, None], axis=0)
+    np.multiply(state.x[:, None], raw, out=fields[2])
+    fields = _shear_stack(fields, state, steps, boundary_threshold)
+    u_psi = fields[0]
+    _check_amplitudes(u_psi, state.cell_area)
 
-    noise_field = state.y[None, :] * u_psi - u_x_psi
-    dist_field = _spectral_px(u_psi, state) - u_px_psi
-    area = state.cell_area
-    epsilon = math.sqrt(float(np.sum(np.abs(noise_field) ** 2)) * area)
-    eta = math.sqrt(float(np.sum(np.abs(dist_field) ** 2)) * area)
+    noise_field = fields[2]
+    noise_field -= state.y[None, :] * u_psi
+    epsilon = math.sqrt(_sq_norm(noise_field) * state.cell_area)
+
+    spectra = scipy.fft.fft(fields[:2], axis=1, overwrite_x=True)
+    dist_spectrum = spectra[0]
+    dist_spectrum *= state.kx[:, None]
+    dist_spectrum -= spectra[1]
+    eta = math.sqrt(_sq_norm(dist_spectrum) / state.nx * state.cell_area)
     return epsilon, eta
 
 
@@ -365,25 +438,23 @@ def grid_disturbance(state, steps, **kwargs):
 def grid_moments(state):
     """Mean vector and covariance over (x, p_x, y, p_y), hbar = 1.
 
-    Second moments come from the Gram matrix of the four centered fields,
-    whose real part is exactly the symmetrized covariance.
+    psi, x psi, p_x psi, y psi and p_y psi share one stack; the real Gram
+    matrix of its float view is Re <f_i, f_j> exactly.  Row 0 gives the means, and
+    centering is algebraic: Re <f_i - m_i psi, f_j - m_j psi>
+    = G_ij - m_i m_j (2 - G_00) once G is scaled by the cell area.
     """
     raw = state.amplitudes
-    area = state.cell_area
-    fields = [
-        state.x[:, None] * raw,
-        _spectral_px(raw, state),
-        state.y[None, :] * raw,
-        _spectral_py(raw, state),
-    ]
-    mean = np.array([float(np.real(np.vdot(raw, f))) * area for f in fields])
-    centered = [f - m * raw for f, m in zip(fields, mean)]
-    cov = np.empty((4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            val = float(np.real(np.vdot(centered[i], centered[j]))) * area
-            cov[i, j] = val
-            cov[j, i] = val
+    fields = np.empty((5, state.nx, state.ny), dtype=complex)
+    fields[0] = raw
+    np.multiply(state.x[:, None], raw, out=fields[1])
+    fields[2] = _spectral_p(raw, state.kx[:, None], axis=0)
+    np.multiply(state.y[None, :], raw, out=fields[3])
+    fields[4] = _spectral_p(raw, state.ky[None, :], axis=1)
+    flat = fields.view(float).reshape(5, -1)
+    gram = flat @ flat.T
+    gram = 0.5 * (gram + gram.T) * state.cell_area
+    mean = gram[0, 1:]
+    cov = gram[1:, 1:] - (2.0 - gram[0, 0]) * np.outer(mean, mean)
     return mean, cov
 
 
@@ -391,8 +462,7 @@ def position_marginal(state, axis=0):
     """(coordinates, probability masses) along x (axis 0) or y (axis 1)."""
     if axis not in (0, 1):
         raise ValueError("axis must be 0 (x) or 1 (y)")
-    density = np.abs(state.amplitudes) ** 2 * state.cell_area
-    masses = density.sum(axis=1 - axis)
+    masses = _density(state.amplitudes, state).sum(axis=1 - axis)
     coords = state.x if axis == 0 else state.y
     return coords, masses
 
@@ -400,9 +470,11 @@ def position_marginal(state, axis=0):
 def output_histogram(state, steps, edges,
                      boundary_threshold=DEFAULT_BOUNDARY_THRESHOLD):
     """Pointer-readout histogram after the window, on given bin edges."""
-    final = apply_steps(state, steps, boundary_threshold)
-    coords, masses = position_marginal(final, axis=1)
-    hist, _ = np.histogram(coords, bins=edges, weights=masses)
+    fields = _shear_stack(state.amplitudes[None].copy(), state, steps,
+                          boundary_threshold)
+    _check_amplitudes(fields[0], state.cell_area)
+    masses = _density(fields[0], state).sum(axis=0)
+    hist, _ = np.histogram(state.y, bins=edges, weights=masses)
     return hist
 
 

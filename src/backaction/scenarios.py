@@ -12,7 +12,8 @@ The package ships a gallery of ready-made scenarios; ``bundled_names`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import NamedTuple
 
@@ -419,11 +420,25 @@ def parse_scenario(mapping, source="scenario"):
     )
 
 
+class _ScenarioLoader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats such as 1e6 and 3e-1.
+
+    PyYAML follows YAML 1.1, whose float rule needs a dot and a signed
+    exponent, so plain 1e6 would come back as a string.
+    """
+
+
+_ScenarioLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+0123456789."))
+
+
 def load_scenario(path):
     """Parse one scenario from a YAML file."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            raw = yaml.safe_load(handle)
+            raw = yaml.load(handle, Loader=_ScenarioLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
     return parse_scenario(raw, source=str(path))
@@ -448,8 +463,14 @@ def load_bundled(name):
         raise ConfigError(
             f"no bundled scenario {name!r}; available: "
             f"{', '.join(bundled_names())}")
-    raw = yaml.safe_load(entry.read_text(encoding="utf-8"))
+    raw = yaml.load(entry.read_text(encoding="utf-8"), Loader=_ScenarioLoader)
     return parse_scenario(raw, source=f"bundled:{name}")
+
+
+def with_seed(scenario, seed):
+    """Copy of a scenario with its sampling seed replaced, validated as in YAML."""
+    value = _integer({"seed": seed}, "seed", "--seed", minimum=0)
+    return replace(scenario, seed=value)
 
 
 def build_model(scenario):

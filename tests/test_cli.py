@@ -68,6 +68,13 @@ class TestRunCommand:
         assert main(["run", path]) == 2
         assert "model" in capsys.readouterr().err
 
+    def test_negative_seed_exits_two(self, capsys):
+        assert main(["run", "noiseless-violation", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--seed" in captured.err and ">= 0" in captured.err
+
     def test_bad_tol_exits_two(self, capsys):
         assert main(["run", "noiseless-violation", "--tol", "nope=1"]) == 2
         assert "unknown key" in capsys.readouterr().err

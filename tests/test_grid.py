@@ -215,6 +215,100 @@ class TestShears:
         assert boundary_mass(state) <= 1e-10
 
 
+def _flat_grid(nx, ny, lx, ly):
+    amp = np.full((nx, ny), 1.0 / math.sqrt(4.0 * lx * ly), dtype=complex)
+    return GridState(nx, ny, lx, ly, amp)
+
+
+def _product_grid(ospec, pspec, nx, ny, lx, ly):
+    """Product packet on a box whose axes differ in size and extent."""
+    box = _flat_grid(nx, ny, lx, ly)
+    amp = np.outer(grid._pure_packet(box.x, ospec),
+                   grid._pure_packet(box.y, pspec))
+    amp /= math.sqrt(float(np.sum(np.abs(amp) ** 2)) * box.cell_area)
+    return GridState(nx, ny, lx, ly, amp)
+
+
+class TestStackedEngine:
+    @pytest.mark.parametrize("shape", [
+        (64, 64, 5.0, 5.0), (64, 128, 7.5, 3.0), (128, 32, 2.0, 9.0),
+        (256, 512, 12.0, 20.0)])
+    @pytest.mark.parametrize("theta", [1.0, 0.37, -2.5])
+    def test_factored_ramp_matches_direct_exp(self, shape, theta):
+        box = _flat_grid(*shape)
+        axis, ramp = grid._shear_ramp(box, ShearStep("x_py", theta))
+        direct = np.exp(-1j * theta * np.outer(box.x, box.ky))
+        assert axis == -1
+        assert np.max(np.abs(ramp - direct)) <= 1e-12
+        axis, ramp = grid._shear_ramp(box, ShearStep("px_y", theta))
+        direct = np.exp(1j * theta * np.outer(box.kx, box.y))
+        assert axis == -2
+        assert np.max(np.abs(ramp - direct)) <= 1e-12
+
+    def test_input_amplitudes_untouched(self):
+        rng = np.random.default_rng(50)
+        state = _default_grid(rng)
+        before = state.amplitudes.tobytes()
+        edges = np.linspace(-state.lx, state.lx, 65)
+        for steps in (VON_NEUMANN_STEPS, NOISELESS_STEPS):
+            grid_noise_disturbance(state, steps)
+            output_histogram(state, steps, edges)
+            apply_steps(state, steps)
+        grid_moments(state)
+        assert state.amplitudes.tobytes() == before
+        assert not state.amplitudes.flags.writeable
+
+    @pytest.mark.parametrize("steps, message", [
+        ((ShearStep("px_y", 1.0), ShearStep("x_py", 50.0)),
+         "shear x_py theta=50.0 would translate"),
+        ((ShearStep("x_py", 2.0), ShearStep("px_y", 1.0)),
+         "after shear x_py theta=2.0: boundary mass"),
+        ((ShearStep("px_y", 1.0), ShearStep("x_py", 2.0)),
+         "after shear x_py theta=2.0: boundary mass"),
+    ])
+    def test_guards_trip_at_the_same_step_with_the_stack(self, steps,
+                                                          message):
+        # A box of half-width 10 holds the packets but not a shear that
+        # pushes the pointer by twice the object's position.
+        state = init_gaussian_grid(GaussianSpec(1.0, 0.5),
+                                   GaussianSpec(0.5, 1.0),
+                                   nx=N, ny=N, half_width=10.0)
+        with pytest.raises(BoundaryMassError) as alone:
+            apply_steps(state, steps)
+        with pytest.raises(BoundaryMassError) as stacked:
+            grid_noise_disturbance(state, steps)
+        assert str(stacked.value) == str(alone.value)
+        assert message in str(stacked.value)
+
+    def test_unknown_kind_rejected_with_the_stack(self):
+        rng = np.random.default_rng(51)
+        state = _default_grid(rng)
+        with pytest.raises(ValueError, match="unknown shear"):
+            grid_noise_disturbance(state, (ShearStep("y_px", 1.0),))
+
+    def test_non_square_grid_matches_moment_route(self):
+        ospec = GaussianSpec(0.9, 0.5 / 0.9, mean_x=0.4, mean_p=-0.3)
+        pspec = GaussianSpec(0.7, 0.5 / (0.7 * math.sqrt(1.0 - 0.09)),
+                             mean_x=-0.2, mean_p=0.5, correlation=0.3)
+        state = _product_grid(ospec, pspec, 256, 128, 12.0, 9.0)
+        mean, cov = grid_moments(state)
+        for spec, base in ((ospec, 0), (pspec, 2)):
+            assert mean[base] == pytest.approx(spec.mean_x, abs=1e-10)
+            assert mean[base + 1] == pytest.approx(spec.mean_p, abs=1e-10)
+            assert cov[base, base] == pytest.approx(spec.sigma_x ** 2,
+                                                    abs=1e-10)
+            assert cov[base + 1, base + 1] == pytest.approx(
+                spec.sigma_p ** 2, abs=1e-10)
+        for steps, model in ((VON_NEUMANN_STEPS,
+                              measurement.von_neumann_model()),
+                             (NOISELESS_STEPS, measurement.noiseless_model())):
+            eps_g, eta_g = grid_noise_disturbance(state, steps)
+            eps_m, eta_m = TestNoiseDisturbanceRoutes._moment_route(
+                model, ospec, pspec)
+            assert eps_g == pytest.approx(eps_m, abs=1e-9)
+            assert eta_g == pytest.approx(eta_m, abs=1e-9)
+
+
 class TestNoiseDisturbanceRoutes:
     @staticmethod
     def _moment_route(model, ospec, pspec):

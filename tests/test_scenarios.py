@@ -317,3 +317,38 @@ class TestLoadScenario:
         path.write_text("just a string", encoding="utf-8")
         with pytest.raises(ConfigError, match="mapping"):
             load_scenario(path)
+
+
+class TestYamlNumbers:
+    BODY = """\
+        name: case
+        model: noiseless
+        checks: [verdict]
+        object: {{sigma_x: 1.0, sigma_p: 0.5, mean_x: {value}}}
+        probe: {{sigma_x: 0.5, sigma_p: 1.0}}
+        """
+
+    def _load(self, tmp_path, value):
+        path = tmp_path / "case.yaml"
+        path.write_text(textwrap.dedent(self.BODY.format(value=value)),
+                        encoding="utf-8")
+        return load_scenario(path)
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e6", 1e6), ("3e-1", 0.3), ("-2.5E+3", -2500.0)])
+    def test_exponent_floats_are_numbers(self, tmp_path, text, value):
+        # YAML 1.1 would read these as strings; scenarios use YAML 1.2.
+        scenario = self._load(tmp_path, text)
+        assert scenario.object_prep.spec.mean_x == value
+
+    @pytest.mark.parametrize("text", [".inf", "-.inf", ".nan"])
+    def test_non_finite_floats_still_rejected(self, tmp_path, text):
+        with pytest.raises(ConfigError, match="finite"):
+            self._load(tmp_path, text)
+
+    def test_with_seed_validates_like_yaml(self):
+        scenario = parse_scenario(_base())
+        assert scenarios.with_seed(scenario, 12).seed == 12
+        for bad in (-1, 1.5, True):
+            with pytest.raises(ConfigError, match="seed"):
+                scenarios.with_seed(scenario, bad)
