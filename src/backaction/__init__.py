@@ -36,8 +36,6 @@ from .grid import (
     grid_noise_disturbance,
     init_gaussian_grid,
     init_grid,
-    noiseless_unitary,
-    von_neumann_unitary,
 )
 from .measurement import (
     MeasurementModel,

@@ -20,9 +20,10 @@ import numpy as np
 
 from . import numerics
 
-# Construction-time guard for user-supplied symplectic matrices.  Matrices
-# produced by propagate() land many orders below this; tests pin those at
-# 1e-12.
+# Construction-time guard for user-supplied symplectic matrices, relative
+# to max(1, |S|_F^2): the defect S Omega S^T - Omega carries rounding of
+# that size.  Matrices produced by propagate() land many orders below it;
+# tests pin those at 1e-12.
 SYMPLECTIC_TOL = 1e-9
 
 _COEFF_TOL = 1e-12
@@ -187,7 +188,7 @@ class QuadraticHamiltonian:
                 f"got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("form contains non-finite entries")
-        if not numerics.is_symmetric(arr, tol=0):
+        if not np.array_equal(arr, arr.T):
             raise ValueError("form must be exactly symmetric")
         arr.setflags(write=False)
         object.__setattr__(self, "form", arr)
@@ -258,8 +259,8 @@ class SymplecticPropagation:
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix contains non-finite entries")
         omega = self.system.omega()
-        defect = numerics.frobenius_distance(arr @ omega @ arr.T, omega)
-        if defect > SYMPLECTIC_TOL:
+        defect = float(np.linalg.norm(arr @ omega @ arr.T - omega))
+        if defect > SYMPLECTIC_TOL * max(1.0, float(np.sum(arr * arr))):
             raise ValueError(f"matrix is not symplectic (defect {defect:.3e})")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
@@ -275,7 +276,10 @@ def propagate(hamiltonian, duration):
     tau = float(duration)
     if not np.isfinite(tau):
         raise ValueError("duration must be finite")
-    matrix = numerics.mat_exp(hamiltonian.generator() * tau)
+    # An exponential that overflows comes back non-finite, and
+    # SymplecticPropagation refuses it with a ValueError, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = numerics.mat_exp(hamiltonian.generator() * tau)
     return SymplecticPropagation(hamiltonian.system, matrix)
 
 

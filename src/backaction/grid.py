@@ -77,6 +77,7 @@ VON_NEUMANN_STEPS = (ShearStep("x_py", 1.0),)
 # factoring identity demands.
 NOISELESS_STEPS = (ShearStep("px_y", 1.0), ShearStep("x_py", 1.0))
 
+# Read by the benchmark only; models carry their own ``steps``.
 MODEL_STEPS = {
     "von_neumann": VON_NEUMANN_STEPS,
     "noiseless": NOISELESS_STEPS,
@@ -359,24 +360,6 @@ def apply_steps(state, steps, boundary_threshold=DEFAULT_BOUNDARY_THRESHOLD):
     return GridState(state.nx, state.ny, state.lx, state.ly, fields[0])
 
 
-def apply_shear_x_py(state, theta, **kwargs):
-    """Stretch-coupling window of strength theta, guarded."""
-    return apply_steps(state, (ShearStep("x_py", float(theta)),), **kwargs)
-
-
-def apply_shear_px_y(state, theta, **kwargs):
-    """Back-action-evading window of strength theta, guarded."""
-    return apply_steps(state, (ShearStep("px_y", float(theta)),), **kwargs)
-
-
-def von_neumann_unitary(state, **kwargs):
-    return apply_steps(state, VON_NEUMANN_STEPS, **kwargs)
-
-
-def noiseless_unitary(state, **kwargs):
-    return apply_steps(state, NOISELESS_STEPS, **kwargs)
-
-
 def _spectral_p(raw, k, axis):
     """Momentum operator -i d/dq along ``axis``; k broadcasts against raw."""
     spec = scipy.fft.fft(raw, axis=axis)
@@ -425,14 +408,6 @@ def grid_noise_disturbance(state, steps,
     dist_spectrum -= spectra[1]
     eta = math.sqrt(_sq_norm(dist_spectrum) / state.nx * state.cell_area)
     return epsilon, eta
-
-
-def grid_noise(state, steps, **kwargs):
-    return grid_noise_disturbance(state, steps, **kwargs)[0]
-
-
-def grid_disturbance(state, steps, **kwargs):
-    return grid_noise_disturbance(state, steps, **kwargs)[1]
 
 
 def grid_moments(state):

@@ -27,13 +27,13 @@ operator fails to commute with position by i*hbar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from . import canonical, numerics, states
+from . import canonical, grid, states
 from .canonical import ModeSystem, build_quadratic
 
 # One-sided slack for assertions that an exact quantity vanished; the
@@ -58,7 +58,10 @@ class MeasurementModel:
     form downstream assumes the window completes exactly one transcription.
     ``measured`` must live on the object mode; ``probe_obs`` may be any
     linear observable so that deliberately misconfigured readouts remain
-    constructible in tests.
+    constructible in tests.  ``steps`` is the window's factorization into
+    grid shears, which the grid cross-check and the realization check
+    read; it is empty for custom models.  The endpoint map is built with
+    the model, so a window that is not symplectic fails construction.
     """
 
     name: str
@@ -68,6 +71,8 @@ class MeasurementModel:
     dt: float
     measured: canonical.LinearObservable
     probe_obs: canonical.LinearObservable
+    steps: tuple = ()
+    endpoint: canonical.SymplecticPropagation = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.system.n != 2:
@@ -84,11 +89,9 @@ class MeasurementModel:
             if not self.system.compatible(other):
                 raise ValueError(f"{field_name} built on an incompatible system")
         _object_supported(self.measured, "measured")
-
-    @cached_property
-    def endpoint(self):
-        """Symplectic map across the full window (t, t + dt)."""
-        return canonical.propagate(self.hamiltonian, self.dt)
+        # Symplectic map across the full window (t, t + dt).
+        object.__setattr__(
+            self, "endpoint", canonical.propagate(self.hamiltonian, self.dt))
 
     def propagation(self, tau):
         """Symplectic map across (t, t + tau) for any finite tau."""
@@ -109,6 +112,7 @@ def von_neumann_model(coupling=1.0, hbar=1.0):
         dt=1.0 / coupling,
         measured=canonical.position(system, OBJECT_MODE),
         probe_obs=canonical.position(system, PROBE_MODE),
+        steps=grid.VON_NEUMANN_STEPS,
     )
 
 
@@ -143,7 +147,26 @@ def noiseless_model(coupling=1.0, hbar=1.0):
         dt=1.0 / coupling,
         measured=canonical.position(system, OBJECT_MODE),
         probe_obs=canonical.position(system, PROBE_MODE),
+        steps=grid.NOISELESS_STEPS,
     )
+
+
+def shear_propagation(system, step):
+    """Symplectic map of one grid shear on object + probe.
+
+    A 'x_py' step of strength theta is the window of theta x p_y, a 'px_y'
+    step that of -theta p_x y, each over unit time: the maps the grid
+    shears apply to the wavefunction.
+    """
+    x, px = system.position_index(0), system.momentum_index(0)
+    y, py = system.position_index(1), system.momentum_index(1)
+    if step.kind == "x_py":
+        term = (step.theta, x, py)
+    elif step.kind == "px_y":
+        term = (-step.theta, px, y)
+    else:
+        raise ValueError(f"unknown shear kind {step.kind!r}")
+    return canonical.propagate(build_quadratic(system, [term]), 1.0)
 
 
 def noise_operator(model):
@@ -244,26 +267,23 @@ def heisenberg_verdict(model, object_state, probe_state, tol=ONE_SIDED_TOL):
     )
 
 
-def realization_residual(coupling=1.0, hbar=1.0, swapped=False):
-    """Frobenius gap between the rotated coupling and its two-shear factoring.
+def realization_residual(model=None, swapped=False):
+    """Frobenius gap between a model's window and its shear factorization.
 
-    The rotated window factors exactly into the back-action-evading pair:
-    first the momentum-pointer shear generated by -K p_x y, then the
-    stretch shear generated by K x p_y.  With ``swapped=True`` the factors
-    are composed in the wrong order, which should miss by an O(1) amount;
-    tests use that to show the factoring order is load-bearing.
+    The window should equal the composition of ``model.steps``, first step
+    first; the default is the rotated coupling, which factors into the
+    back-action-evading shear and then the stretch shear.  With
+    ``swapped=True`` the steps are composed in reverse order, which should
+    miss by an O(1) amount whenever the order is load-bearing.
     """
-    model = noiseless_model(coupling, hbar)
-    system = model.system
-    x, px = system.position_index(0), system.momentum_index(0)
-    y, py = system.position_index(1), system.momentum_index(1)
-    stretch = canonical.propagate(
-        build_quadratic(system, [(coupling, x, py)]), model.dt)
-    evading = canonical.propagate(
-        build_quadratic(system, [(-coupling, px, y)]), model.dt)
-    first, second = (stretch, evading) if swapped else (evading, stretch)
-    composed = first.then(second)
-    return numerics.frobenius_distance(composed.matrix, model.endpoint.matrix)
+    if model is None:
+        model = noiseless_model()
+    if not model.steps:
+        raise ValueError(f"model {model.name!r} has no shear factorization")
+    steps = model.steps[::-1] if swapped else model.steps
+    composed = reduce(lambda first, second: first.then(second),
+                      (shear_propagation(model.system, step) for step in steps))
+    return float(np.linalg.norm(composed.matrix - model.endpoint.matrix))
 
 
 class SweepPoint(NamedTuple):

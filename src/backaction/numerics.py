@@ -1,10 +1,9 @@
-"""Dense-matrix helpers sized for small canonical systems.
+"""Matrix exponential sized for small canonical systems.
 
-Everything here operates on plain ndarrays a few rows across (the largest
-matrix in the package is 6x6), so dense direct algorithms are used
-throughout.  The matrix exponential is the scaling-and-squaring method with
-diagonal Pade approximants; its degree table and theta bounds follow the
-standard double-precision backward-error analysis.
+It operates on plain ndarrays a few rows across (the largest matrix in the
+package is 6x6).  The method is scaling and squaring with diagonal Pade
+approximants; its degree table and theta bounds follow the standard
+double-precision backward-error analysis.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-DEFAULT_TOL = 1e-12
 
 # Pade numerator coefficients b_0..b_m for the diagonal [m/m] approximant
 # of exp(x).  Denominator coefficients are the same with alternating signs,
@@ -40,13 +37,13 @@ _PADE_THETA = {
 }
 
 
-def _square(matrix, name="matrix"):
+def _square(matrix):
     """Coerce to a square 2-D float array, rejecting NaN/Inf entries."""
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {arr.shape}")
+        raise ValueError(f"matrix must be square, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError("matrix contains non-finite entries")
     return arr
 
 
@@ -102,44 +99,3 @@ def mat_exp(matrix):
     for _ in range(squarings):
         result = result @ result
     return result
-
-
-def is_symmetric(matrix, tol=DEFAULT_TOL):
-    """Whether ``matrix`` equals its transpose within absolute tolerance.
-
-    ``tol=0`` demands exact equality, which construction code uses to pin
-    down generators assembled entry by entry.
-    """
-    arr = _square(matrix)
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    if tol == 0:
-        return bool(np.array_equal(arr, arr.T))
-    return bool(np.max(np.abs(arr - arr.T)) <= tol)
-
-
-def frobenius_distance(a, b):
-    """Frobenius norm of ``a - b`` for same-shaped square matrices."""
-    left = _square(a, "a")
-    right = _square(b, "b")
-    if left.shape != right.shape:
-        raise ValueError(f"shape mismatch: {left.shape} vs {right.shape}")
-    return float(np.linalg.norm(left - right, "fro"))
-
-
-def min_hermitian_eigenvalue(matrix, tol=1e-10):
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    Accepts real-symmetric or complex-Hermitian input; deviation from
-    Hermiticity beyond ``tol`` (relative to the largest entry) is an error
-    rather than something to be silently symmetrized away.
-    """
-    arr = np.asarray(matrix)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix contains non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(arr))))
-    if np.max(np.abs(arr - arr.conj().T)) > tol * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return float(np.linalg.eigvalsh(arr)[0])

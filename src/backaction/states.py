@@ -23,7 +23,7 @@ import numpy as np
 import scipy.special
 import scipy.stats
 
-from . import canonical, numerics
+from . import canonical
 from .canonical import ModeSystem, _check_compatible, _frozen_vector
 
 # Slack allowed on the least eigenvalue of cov + i (hbar/2) Omega.
@@ -93,11 +93,11 @@ class MomentState:
         if not np.all(np.isfinite(cov)):
             raise ValueError("cov contains non-finite entries")
         scale = max(1.0, float(np.max(np.abs(cov))))
-        if not numerics.is_symmetric(cov, tol=PHYSICALITY_TOL * scale):
+        if np.max(np.abs(cov - cov.T)) > PHYSICALITY_TOL * scale:
             raise ValueError("cov must be symmetric")
         cov = (cov + cov.T) / 2.0
-        lowest = numerics.min_hermitian_eigenvalue(
-            cov + 0.5j * self.system.hbar * self.system.omega())
+        lowest = float(np.linalg.eigvalsh(
+            cov + 0.5j * self.system.hbar * self.system.omega())[0])
         if lowest < -PHYSICALITY_TOL * scale:
             raise PhysicalityError(
                 f"cov + i(hbar/2)Omega has eigenvalue {lowest:.3e} < 0; "

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import helpers
-from backaction import canonical, numerics
+from backaction import canonical
 from backaction.canonical import (
     LinearObservable,
     ModeSystem,
@@ -143,6 +143,13 @@ class TestBuildQuadratic:
         with pytest.raises(ValueError, match="symmetric"):
             QuadraticHamiltonian(ModeSystem(1), form)
 
+    def test_one_ulp_asymmetry_rejected(self):
+        form = np.array([[1.0, 2.0], [2.0, 3.0]])
+        QuadraticHamiltonian(ModeSystem(1), form)
+        form[0, 1] += 5e-16  # one ulp at this magnitude
+        with pytest.raises(ValueError, match="symmetric"):
+            QuadraticHamiltonian(ModeSystem(1), form)
+
 
 class TestPropagate:
     def test_nilpotent_generator_closed_form(self):
@@ -168,7 +175,7 @@ class TestPropagate:
         for _ in range(200):
             h = QuadraticHamiltonian(system, helpers.random_symmetric(rng, 4))
             s = propagate(h, rng.uniform(-2.0, 2.0)).matrix
-            assert numerics.frobenius_distance(s @ omega @ s.T, omega) <= 1e-12
+            assert np.linalg.norm(s @ omega @ s.T - omega) <= 1e-12
             assert abs(np.linalg.det(s) - 1.0) <= 1e-12
 
     def test_duration_additivity(self):
@@ -247,3 +254,12 @@ class TestComposeAndEmbed:
     def test_non_symplectic_rejected(self):
         with pytest.raises(ValueError, match="symplectic"):
             SymplecticPropagation(ModeSystem(1), np.diag([2.0, 2.0]))
+
+    def test_symplectic_guard_scales_with_the_matrix(self):
+        # Squeezing 6 x^2 - 6 p_x^2 gives entries near e^12/2; the defect
+        # of S Omega S^T is then ~1e-6 of pure rounding.
+        s = propagate(build_quadratic(ModeSystem(2), [(6.0, 0, 0),
+                                                      (-6.0, 1, 1)]), 1.0)
+        assert np.max(np.abs(s.matrix)) > 8e4
+        omega = s.system.omega()
+        assert np.linalg.norm(s.matrix @ omega @ s.matrix.T - omega) > 1e-9

@@ -33,6 +33,30 @@ FAILING_BORN = """\
     """
 
 
+# A pointer centred a million widths away: the moment-route epsilon and
+# the cascade deviation carry rounding of that size.
+FAR_POINTER = """\
+    name: far-pointer
+    model: noiseless
+    checks: [{check}]
+    object: {{sigma_x: 1.0, sigma_p: 0.5}}
+    probe: {{sigma_x: 0.5, sigma_p: 1.0, mean_x: 1e6}}
+    """
+
+# Squeezing 6 x^2 - 6 p_x^2 over one window: entries near e^12 / 2.
+LARGE_SQUEEZE = """\
+    name: large-squeeze
+    model: custom
+    checks: [verdict, robertson, repeatability]
+    interaction:
+      terms:
+        - {{coefficient: {c}, first: x, second: x}}
+        - {{coefficient: -{c}, first: px, second: px}}
+    object: {{sigma_x: 1.0, sigma_p: 0.5}}
+    probe: {{sigma_x: 0.5, sigma_p: 1.0}}
+    """
+
+
 class TestListCommand:
     def test_lists_bundled_names(self, capsys):
         assert main(["list"]) == 0
@@ -74,6 +98,39 @@ class TestRunCommand:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert "--seed" in captured.err and ">= 0" in captured.err
+
+    @pytest.mark.parametrize("check", ["verdict", "repeatability"])
+    def test_far_pointer_passes_exact_checks(self, tmp_path, capsys, check):
+        path = _write(tmp_path, FAR_POINTER.format(check=check))
+        assert main(["run", path]) == 0
+        out = capsys.readouterr().out
+        assert f"{check:<17} PASS" in out
+
+    def test_far_momenta_pass_the_noiseless_product(self, tmp_path, capsys):
+        # eta ~ 2e6 times epsilon ~ 1e-10: the product's slack is second
+        # order in the preparation's size.
+        body = FAR_POINTER.format(check="verdict").replace(
+            "sigma_p: 0.5}", "sigma_p: 0.5, mean_p: 1e6}").replace(
+            "mean_x: 1e6}", "mean_x: 1e6, mean_p: 1e6}")
+        path = _write(tmp_path, body)
+        assert main(["run", path, "--format", "json"]) == 0
+        values = json.loads(capsys.readouterr().out)["checks"]["verdict"]["values"]
+        assert values["eta"] > 1e6 and values["product"] > 1e-6
+
+    def test_large_custom_window_runs(self, tmp_path, capsys):
+        path = _write(tmp_path, LARGE_SQUEEZE.format(c=6))
+        assert main(["run", path]) == 0
+        assert "overall           PASS" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error")
+    def test_model_build_error_exits_two(self, tmp_path, capsys):
+        # 400 x^2 - 400 p_x^2 overflows the window's exponential.
+        path = _write(tmp_path, LARGE_SQUEEZE.format(c=400))
+        assert main(["run", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "large-squeeze" in captured.err and "non-finite" in captured.err
 
     def test_bad_tol_exits_two(self, capsys):
         assert main(["run", "noiseless-violation", "--tol", "nope=1"]) == 2

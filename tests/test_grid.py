@@ -11,8 +11,6 @@ from backaction.grid import (
     NOISELESS_STEPS,
     VON_NEUMANN_STEPS,
     ShearStep,
-    apply_shear_px_y,
-    apply_shear_x_py,
     apply_steps,
     auto_half_width,
     boundary_mass,
@@ -177,10 +175,10 @@ class TestShears:
     def test_shear_round_trip(self):
         rng = np.random.default_rng(21)
         state = _default_grid(rng)
-        back = apply_shear_x_py(apply_shear_x_py(state, 0.7), -0.7)
-        assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12
-        back = apply_shear_px_y(apply_shear_px_y(state, 0.7), -0.7)
-        assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12
+        for kind in ("x_py", "px_y"):
+            back = apply_steps(
+                state, (ShearStep(kind, 0.7), ShearStep(kind, -0.7)))
+            assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12
 
     def test_moment_transport_matches_symplectic_map(self):
         rng = np.random.default_rng(22)
@@ -201,7 +199,7 @@ class TestShears:
         rng = np.random.default_rng(23)
         state = _default_grid(rng)
         with pytest.raises(BoundaryMassError, match="translate"):
-            apply_shear_x_py(state, 50.0)
+            apply_steps(state, (ShearStep("x_py", 50.0),))
 
     def test_unknown_kind_rejected(self):
         rng = np.random.default_rng(24)

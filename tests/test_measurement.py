@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from backaction import canonical, measurement, states
+from backaction import canonical, grid, measurement, states
 from backaction.canonical import ModeSystem, momentum, position
 from backaction.measurement import (
     MeasurementModel,
@@ -133,6 +133,32 @@ class TestModelType:
         n = noise_operator(model)
         # p_y(t+dt) - x(t) = p_y - x for the stretch coupling
         np.testing.assert_allclose(n.coeffs, [-1.0, 0.0, 0.0, 1.0], atol=1e-15)
+
+    def test_built_in_models_carry_their_shears(self):
+        assert von_neumann_model().steps == grid.VON_NEUMANN_STEPS
+        assert noiseless_model(2.0, 3.0).steps == grid.NOISELESS_STEPS
+
+    def test_custom_model_has_no_shears(self):
+        template = von_neumann_model()
+        model = MeasurementModel(
+            name="custom", system=template.system,
+            hamiltonian=template.hamiltonian, coupling=1.0, dt=1.0,
+            measured=template.measured, probe_obs=template.probe_obs)
+        assert model.steps == ()
+        with pytest.raises(ValueError, match="no shear factorization"):
+            realization_residual(model)
+
+    def test_endpoint_is_built_with_the_model(self):
+        # Squeezing 400 x^2 - 400 p_x^2 overflows the exponential: the
+        # constructor refuses it instead of a later endpoint lookup.
+        system = ModeSystem(2)
+        hamiltonian = canonical.build_quadratic(
+            system, [(400.0, 0, 0), (-400.0, 1, 1)])
+        with pytest.raises(ValueError, match="non-finite"):
+            MeasurementModel(
+                name="custom", system=system, hamiltonian=hamiltonian,
+                coupling=1.0, dt=1.0, measured=position(system, 0),
+                probe_obs=position(system, 1))
 
 
 class TestOperators:
@@ -283,7 +309,33 @@ class TestRealization:
         assert realization_residual(swapped=True) > 0.5
 
     def test_independent_of_scale(self):
-        assert realization_residual(coupling=3.0, hbar=2.0) <= 1e-12
+        assert realization_residual(noiseless_model(3.0, 2.0)) <= 1e-12
+
+    def test_von_neumann_single_step_has_no_order(self):
+        model = von_neumann_model()
+        residual = realization_residual(model)
+        assert residual <= 1e-12
+        assert realization_residual(model, swapped=True) == residual
+
+    def test_shear_maps_match_the_grid_convention(self):
+        # x_py theta: y -> y + theta x, p_x -> p_x - theta p_y.
+        # px_y theta: x -> x - theta y, p_y -> p_y + theta p_x.
+        system = ModeSystem(2)
+        theta = 0.37
+        stretch = measurement.shear_propagation(
+            system, grid.ShearStep("x_py", theta)).matrix
+        evading = measurement.shear_propagation(
+            system, grid.ShearStep("px_y", theta)).matrix
+        expected_stretch = np.eye(4)
+        expected_stretch[2, 0] = theta
+        expected_stretch[1, 3] = -theta
+        expected_evading = np.eye(4)
+        expected_evading[0, 2] = -theta
+        expected_evading[3, 1] = theta
+        assert np.max(np.abs(stretch - expected_stretch)) <= 1e-15
+        assert np.max(np.abs(evading - expected_evading)) <= 1e-15
+        with pytest.raises(ValueError, match="unknown shear"):
+            measurement.shear_propagation(system, grid.ShearStep("y_px", 1.0))
 
 
 class TestLimitSweep:

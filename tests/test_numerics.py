@@ -51,56 +51,3 @@ class TestMatExp:
         bad[1, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             numerics.mat_exp(bad)
-
-
-class TestSymmetryChecks:
-    def test_exact_mode(self):
-        m = np.array([[1.0, 2.0], [2.0, 3.0]])
-        assert numerics.is_symmetric(m, tol=0)
-        m[0, 1] += 5e-16  # one ulp at this magnitude
-        assert not numerics.is_symmetric(m, tol=0)
-        assert numerics.is_symmetric(m, tol=1e-15)
-
-    def test_tolerance_boundary(self):
-        m = np.array([[0.0, 1.0], [1.0 + 5e-10, 0.0]])
-        assert numerics.is_symmetric(m, tol=1e-9)
-        assert not numerics.is_symmetric(m, tol=1e-10)
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            numerics.is_symmetric(np.eye(2), tol=-1e-9)
-
-
-class TestFrobeniusDistance:
-    def test_known_value(self):
-        a = np.array([[3.0, 0.0], [0.0, 4.0]])
-        assert numerics.frobenius_distance(a, np.zeros((2, 2))) == pytest.approx(5.0)
-
-    def test_symmetry_property(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            a = rng.standard_normal((3, 3))
-            b = rng.standard_normal((3, 3))
-            d_ab = numerics.frobenius_distance(a, b)
-            d_ba = numerics.frobenius_distance(b, a)
-            assert d_ab == pytest.approx(d_ba, rel=1e-15)
-            assert d_ab >= 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            numerics.frobenius_distance(np.eye(2), np.eye(3))
-
-
-class TestMinHermitianEigenvalue:
-    def test_real_symmetric(self):
-        m = np.diag([2.0, -0.5, 1.0])
-        assert numerics.min_hermitian_eigenvalue(m) == pytest.approx(-0.5)
-
-    def test_complex_hermitian(self):
-        m = np.array([[1.0, 1j], [-1j, 1.0]])
-        assert numerics.min_hermitian_eigenvalue(m) == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        m = np.array([[0.0, 1.0], [0.5, 0.0]])
-        with pytest.raises(ValueError, match="Hermitian"):
-            numerics.min_hermitian_eigenvalue(m)

@@ -82,6 +82,18 @@ class TestMomentState:
         with pytest.raises(ValueError, match="symmetric"):
             MomentState(ModeSystem(1), np.zeros(2), cov)
 
+    def test_symmetry_slack_scales_with_cov(self):
+        for scale in (1.0, 1e4):
+            slack = 1e-10 * scale
+            for gap, ok in ((0.5 * slack, True), (5.0 * slack, False)):
+                cov = np.array([[scale, 0.0], [gap, scale]])
+                if ok:
+                    state = MomentState(ModeSystem(1), np.zeros(2), cov)
+                    assert state.cov[0, 1] == state.cov[1, 0] == gap / 2.0
+                else:
+                    with pytest.raises(ValueError, match="symmetric"):
+                        MomentState(ModeSystem(1), np.zeros(2), cov)
+
     def test_physicality_enforced(self):
         with pytest.raises(PhysicalityError):
             MomentState(ModeSystem(1), np.zeros(2), np.diag([0.04, 0.04]))
