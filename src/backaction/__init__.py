@@ -17,7 +17,6 @@ from .canonical import (
     SymplecticPropagation,
     build_quadratic,
     commutator_constant,
-    embed,
     heisenberg_apply,
     momentum,
     position,

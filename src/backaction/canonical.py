@@ -1,11 +1,11 @@
 """Canonical phase-space bookkeeping for small mode systems.
 
 A system of n modes carries coordinates ordered (x1, p1, x2, p2, ...).
-Linear observables are coefficient vectors over those coordinates plus a
-constant offset; quadratic Hamiltonians are symmetric forms.  Heisenberg
-evolution under a quadratic Hamiltonian is linear, so a propagation is a
-symplectic matrix S acting as r(t + tau) = S r(t); the same matrix pushes
-observables forward via the transpose.
+Linear observables are coefficient vectors over those coordinates;
+quadratic Hamiltonians are symmetric forms.  Heisenberg evolution under a
+quadratic Hamiltonian is linear, so a propagation is a symplectic matrix S
+acting as r(t + tau) = S r(t); the same matrix pushes observables forward
+via the transpose.
 
 Sign conventions are pinned by the tests: evolving under the stretch
 coupling K x p_y for unit K dt must send y -> x + y and p_x -> p_x - p_y,
@@ -98,44 +98,22 @@ def _frozen_vector(values, dim, name):
 
 @dataclass(frozen=True, eq=False)
 class LinearObservable:
-    """First-degree polynomial in the canonical coordinates.
+    """Linear combination of the canonical coordinates.
 
     ``coeffs[i]`` multiplies coordinate i in the (x1, p1, x2, p2, ...)
-    ordering; ``offset`` is the scalar part.
+    ordering.
     """
 
     system: ModeSystem
     coeffs: np.ndarray
-    offset: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(
             self, "coeffs", _frozen_vector(self.coeffs, self.system.dim, "coeffs"))
-        offset = float(self.offset)
-        if not np.isfinite(offset):
-            raise ValueError("offset must be finite")
-        object.__setattr__(self, "offset", offset)
-
-    def __add__(self, other):
-        if isinstance(other, LinearObservable):
-            _check_compatible(self.system, other.system, "add")
-            return LinearObservable(
-                self.system, self.coeffs + other.coeffs, self.offset + other.offset)
-        return LinearObservable(self.system, self.coeffs, self.offset + float(other))
-
-    __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LinearObservable(self.system, -self.coeffs, -self.offset)
-
-    def __mul__(self, scalar):
-        s = float(scalar)
-        return LinearObservable(self.system, s * self.coeffs, s * self.offset)
-
-    __rmul__ = __mul__
+        _check_compatible(self.system, other.system, "subtract")
+        return LinearObservable(self.system, self.coeffs - other.coeffs)
 
 
 def position(system, mode=0):
@@ -150,11 +128,6 @@ def momentum(system, mode=0):
     coeffs = np.zeros(system.dim)
     coeffs[system.momentum_index(mode)] = 1.0
     return LinearObservable(system, coeffs)
-
-
-def constant(system, value):
-    """Scalar multiple of the identity as a degenerate linear observable."""
-    return LinearObservable(system, np.zeros(system.dim), value)
 
 
 def commutator_constant(a, b):
@@ -286,51 +259,10 @@ def propagate(hamiltonian, duration):
 def heisenberg_apply(propagation, observable):
     """Push a linear observable through a propagation.
 
-    With r(t + tau) = S r(t), the observable u . r(t + tau) + c equals
-    (S^T u) . r(t) + c, so coefficient vectors transform by S^T and offsets
-    are untouched.
+    With r(t + tau) = S r(t), the observable u . r(t + tau) equals
+    (S^T u) . r(t), so coefficient vectors transform by S^T.
     """
     _check_compatible(propagation.system, observable.system, "heisenberg_apply")
     return LinearObservable(
-        observable.system,
-        propagation.matrix.T @ observable.coeffs,
-        observable.offset)
+        observable.system, propagation.matrix.T @ observable.coeffs)
 
-
-def embed(propagation, mode_map, target):
-    """Lift a propagation into a larger system, acting as identity elsewhere.
-
-    Parameters
-    ----------
-    propagation : SymplecticPropagation
-        Map on a small system of m modes.
-    mode_map : sequence of int
-        ``mode_map[k]`` is the target-system mode that source mode k lands
-        on.  Must be injective and in range.
-    target : ModeSystem
-        The larger system; must share hbar with the source.
-
-    Returns
-    -------
-    SymplecticPropagation on ``target``.
-    """
-    source = propagation.system
-    if target.hbar != source.hbar:
-        raise ValueError(
-            f"hbar mismatch: source {source.hbar} vs target {target.hbar}")
-    modes = list(mode_map)
-    if len(modes) != source.n:
-        raise ValueError(f"mode_map must list {source.n} modes, got {len(modes)}")
-    if len(set(modes)) != len(modes):
-        raise ValueError("mode_map must be injective")
-    for m in modes:
-        if not isinstance(m, (int, np.integer)) or not 0 <= m < target.n:
-            raise ValueError(f"mode_map entry {m!r} out of range for {target.n} modes")
-
-    out = np.eye(target.dim)
-    # Scatter the 2x2 blocks of the source matrix to the mapped coordinates.
-    for a, ma in enumerate(modes):
-        for b, mb in enumerate(modes):
-            block = propagation.matrix[2 * a:2 * a + 2, 2 * b:2 * b + 2]
-            out[2 * ma:2 * ma + 2, 2 * mb:2 * mb + 2] = block
-    return SymplecticPropagation(target, out)

@@ -10,11 +10,11 @@ Heisenberg-picture observables,
 over the object x probe1 x probe2 product state.  A model is
 alpha-repeatable on a preparation when the deviation is at most alpha.
 
-The composite maps are assembled by embedding the single-window symplectic
-into a three-mode system twice (object + probe1, then object + probe2) and
-composing, so the same endpoint map that defines noise and disturbance
-also drives the cascade; there is no second implementation to drift out of
-sync.
+Each window acts on the three-mode system as the single-window endpoint
+map on object + probe1 (then object + probe2) and as the identity on the
+probe it leaves alone; the cascade composes the two.  So the same
+endpoint map that defines noise and disturbance also drives the cascade;
+there is no second implementation to drift out of sync.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from . import canonical, measurement, states
 from .canonical import ModeSystem
@@ -33,18 +35,18 @@ SECOND_PROBE_MODE = 2
 
 @dataclass(frozen=True, eq=False)
 class CascadeScenario:
-    """One object, two identically-coupled probes, consumed in order."""
+    """One object, two identically-coupled probes, consumed in order.
+
+    Both probes start in ``probe_state``.
+    """
 
     model: measurement.MeasurementModel
     object_state: states.MomentState
     probe_state: states.MomentState
-    second_probe_state: states.MomentState | None = None
 
     def __post_init__(self):
-        if self.second_probe_state is None:
-            object.__setattr__(self, "second_probe_state", self.probe_state)
         hbar = self.model.system.hbar
-        for name in ("object_state", "probe_state", "second_probe_state"):
+        for name in ("object_state", "probe_state"):
             state = getattr(self, name)
             if state.system.n != 1:
                 raise ValueError(f"{name} must be single-mode")
@@ -59,16 +61,20 @@ class CascadeScenario:
     def joint_state(self):
         return states.product(
             states.product(self.object_state, self.probe_state),
-            self.second_probe_state)
+            self.probe_state)
 
 
 def _windows(scenario):
-    """Embedded propagations for window 1 and window 2."""
+    """Propagations of window 1 and window 2 on object + probe1 + probe2."""
     system = scenario.composite_system()
-    endpoint = scenario.model.endpoint
-    first = canonical.embed(endpoint, (OBJECT_MODE, FIRST_PROBE_MODE), system)
-    second = canonical.embed(endpoint, (OBJECT_MODE, SECOND_PROBE_MODE), system)
-    return first, second
+    endpoint = scenario.model.endpoint.matrix
+    windows = []
+    for probe in (FIRST_PROBE_MODE, SECOND_PROBE_MODE):
+        coords = [2 * OBJECT_MODE, 2 * OBJECT_MODE + 1, 2 * probe, 2 * probe + 1]
+        matrix = np.eye(system.dim)
+        matrix[np.ix_(coords, coords)] = endpoint
+        windows.append(canonical.SymplecticPropagation(system, matrix))
+    return windows
 
 
 def first_readout(scenario):
@@ -104,18 +110,19 @@ class RepeatabilityPoint(NamedTuple):
     report: measurement.NoiseReport
 
 
-def repeatability_sweep(model, sigma_ys, object_spec=None):
+def repeatability_sweep(model, sigma_ys):
     """Sharpen the probe pointer and track the cascade deviation.
 
+    The object is a zero-mean packet with sigma_x = 1 and sigma_p = hbar/2.
     Probes are zero-mean minimum-uncertainty packets with position spread
     sigma_y (both windows use the same preparation).  Each point also
     carries the single-window noise report, so a sweep shows deviation and
     epsilon shrinking together while eta pays for it.
     """
     hbar = model.system.hbar
-    if object_spec is None:
-        object_spec = states.GaussianSpec(sigma_x=1.0, sigma_p=hbar / 2.0)
-    obj = states.from_gaussian(object_spec, hbar=hbar, labels=("object",))
+    obj = states.from_gaussian(
+        states.GaussianSpec(sigma_x=1.0, sigma_p=hbar / 2.0),
+        hbar=hbar, labels=("object",))
     points = []
     for sigma_y in sigma_ys:
         sy = float(sigma_y)

@@ -40,6 +40,8 @@ import scipy.fft
 
 from .states import GaussianSpec
 
+DEFAULT_POINTS = 512
+
 DEFAULT_BOUNDARY_THRESHOLD = 1e-8
 
 # Fraction of each axis, per side, treated as the guard shell.
@@ -52,7 +54,10 @@ _WRAP_FRACTION = 0.9
 _NORM_TOL = 1e-9
 
 # Pure single packets force sigma_x sigma_p sqrt(1 - rho^2) = 1/2 exactly.
-_PURITY_TOL = 1e-9
+PURITY_TOL = 1e-9
+
+# Smallest box half-width ``auto_half_width`` returns.
+MIN_HALF_WIDTH = 10.0
 
 
 class BoundaryMassError(RuntimeError):
@@ -160,7 +165,7 @@ def unit_hbar_spec(spec, hbar):
 
 def _pure_packet(coords, spec):
     """Minimum-uncertainty 1-D packet with x-p correlation, hbar = 1."""
-    if abs(spec.uncertainty_product() - 0.5) > _PURITY_TOL:
+    if abs(spec.uncertainty_product() - 0.5) > PURITY_TOL:
         raise ValueError(
             "grid packets are pure states: need sigma_x * sigma_p * "
             f"sqrt(1 - rho^2) = 1/2, got {spec.uncertainty_product():.6g}")
@@ -198,21 +203,22 @@ def _shell_mass(density, grid):
     return float(np.sum(density[shell]))
 
 
-def auto_half_width(object_specs, probe_spec, n, floor=10.0):
+def auto_half_width(object_specs, probe_spec, n):
     """Box half-width covering both packets and their sheared images.
 
     The window maps each coordinate into a sum of the two input
     coordinates, so the needed position extent is bounded by the summed
-    centers plus summed 8-sigma tails, padded by a quarter.  The same
-    budget applies in momentum: n grid points over a box of half-width L
-    resolve wavenumbers up to pi n / (2 L), and that ceiling must clear
-    the summed momentum content or the shears alias.  When no L satisfies
+    centers plus summed 8-sigma tails, padded by a quarter, and never less
+    than ``MIN_HALF_WIDTH``.  The same budget applies in momentum: n grid
+    points over a box of half-width L resolve wavenumbers up to
+    pi n / (2 L), and that ceiling must clear the summed momentum content
+    or the shears alias.  When no L satisfies
     both, the grid is too coarse and this raises rather than silently
     degrading.
     """
     reach_x = max(abs(s.mean_x) for s in object_specs) + abs(probe_spec.mean_x)
     spread_x = max(s.sigma_x for s in object_specs) + probe_spec.sigma_x
-    half_width = max(floor, 1.25 * (reach_x + 8.0 * spread_x))
+    half_width = max(MIN_HALF_WIDTH, 1.25 * (reach_x + 8.0 * spread_x))
     reach_k = max(abs(s.mean_p) for s in object_specs) + abs(probe_spec.mean_p)
     spread_k = max(s.sigma_p for s in object_specs) + probe_spec.sigma_p
     k_ceiling = math.pi * n / (2.0 * half_width)
@@ -225,7 +231,8 @@ def auto_half_width(object_specs, probe_spec, n, floor=10.0):
     return half_width
 
 
-def init_grid(object_components, probe_spec, nx=512, ny=512, half_width=None,
+def init_grid(object_components, probe_spec, nx=DEFAULT_POINTS,
+              ny=DEFAULT_POINTS, half_width=None,
               boundary_threshold=DEFAULT_BOUNDARY_THRESHOLD):
     """Build psi(x, y) = object(x) * probe(y) on a square periodic box.
 

@@ -8,10 +8,10 @@ picture across the window:
     noise operator       N = M(t + dt) - A(t)      epsilon = <N^2>^(1/2)
     disturbance operator D = B(t + dt) - B(t)      eta     = <D^2>^(1/2)
 
-with A the measured object observable and B the object observable being
-disturbed (momentum, unless stated otherwise).  Both are linear in the
-canonical coordinates here, so the figures come out of moment states
-exactly, with no discretization anywhere.
+with M the pointer position, A the object position it measures and B the
+object momentum it disturbs.  The window is one transcription, K dt = 1.
+Both operators are linear in the canonical coordinates, so the figures
+come out of moment states exactly, with no discretization anywhere.
 
 Two couplings are built in.  The stretch coupling K x p_y is the textbook
 von Neumann interaction: it transcribes x onto the pointer but kicks
@@ -45,33 +45,27 @@ OBJECT_MODE = 0
 PROBE_MODE = 1
 
 
-def _object_supported(observable, name):
-    if np.any(observable.coeffs[2:] != 0.0):
-        raise ValueError(f"{name} must be supported on the object mode only")
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurementModel:
     """A bilinear coupling window with its readout bookkeeping.
 
-    The normalization coupling * dt = 1 is part of the type: every closed
-    form downstream assumes the window completes exactly one transcription.
-    ``measured`` must live on the object mode; ``probe_obs`` may be any
-    linear observable so that deliberately misconfigured readouts remain
-    constructible in tests.  ``steps`` is the window's factorization into
-    grid shears, which the grid cross-check and the realization check
-    read; it is empty for custom models.  The endpoint map is built with
-    the model, so a window that is not symplectic fails construction.
+    The window lasts dt = 1 / coupling, one transcription: every closed
+    form downstream assumes it.  The pointer position ``probe_obs`` reads
+    the object position ``measured``.  ``steps`` is the window's
+    factorization into grid shears, which the grid cross-check and the
+    realization check read; it is empty for custom models.  The endpoint
+    map is built with the model, so a window that is not symplectic fails
+    construction.
     """
 
     name: str
     system: ModeSystem
     hamiltonian: canonical.QuadraticHamiltonian
     coupling: float
-    dt: float
-    measured: canonical.LinearObservable
-    probe_obs: canonical.LinearObservable
     steps: tuple = ()
+    dt: float = field(init=False)
+    measured: canonical.LinearObservable = field(init=False, repr=False)
+    probe_obs: canonical.LinearObservable = field(init=False, repr=False)
     endpoint: canonical.SymplecticPropagation = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -79,16 +73,13 @@ class MeasurementModel:
             raise ValueError("measurement models live on object + probe (2 modes)")
         if not (math.isfinite(self.coupling) and self.coupling > 0):
             raise ValueError(f"coupling must be positive, got {self.coupling!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if abs(self.coupling * self.dt - 1.0) > 1e-9:
-            raise ValueError(
-                f"coupling * dt must equal 1, got {self.coupling * self.dt!r}")
-        for field_name in ("hamiltonian", "measured", "probe_obs"):
-            other = getattr(self, field_name).system
-            if not self.system.compatible(other):
-                raise ValueError(f"{field_name} built on an incompatible system")
-        _object_supported(self.measured, "measured")
+        if not self.system.compatible(self.hamiltonian.system):
+            raise ValueError("hamiltonian built on an incompatible system")
+        object.__setattr__(self, "dt", 1.0 / self.coupling)
+        object.__setattr__(
+            self, "measured", canonical.position(self.system, OBJECT_MODE))
+        object.__setattr__(
+            self, "probe_obs", canonical.position(self.system, PROBE_MODE))
         # Symplectic map across the full window (t, t + dt).
         object.__setattr__(
             self, "endpoint", canonical.propagate(self.hamiltonian, self.dt))
@@ -109,9 +100,6 @@ def von_neumann_model(coupling=1.0, hbar=1.0):
         system=system,
         hamiltonian=hamiltonian,
         coupling=coupling,
-        dt=1.0 / coupling,
-        measured=canonical.position(system, OBJECT_MODE),
-        probe_obs=canonical.position(system, PROBE_MODE),
         steps=grid.VON_NEUMANN_STEPS,
     )
 
@@ -144,9 +132,6 @@ def noiseless_model(coupling=1.0, hbar=1.0):
         system=system,
         hamiltonian=hamiltonian,
         coupling=coupling,
-        dt=1.0 / coupling,
-        measured=canonical.position(system, OBJECT_MODE),
-        probe_obs=canonical.position(system, PROBE_MODE),
         steps=grid.NOISELESS_STEPS,
     )
 
@@ -175,15 +160,10 @@ def noise_operator(model):
     return readout - model.measured
 
 
-def disturbance_operator(model, observable=None):
-    """D = B(t + dt) - B(t) for an object observable B (default momentum)."""
-    if observable is None:
-        observable = canonical.momentum(model.system, OBJECT_MODE)
-    else:
-        canonical._check_compatible(
-            model.system, observable.system, "disturbance_operator")
-        _object_supported(observable, "disturbed observable")
-    return canonical.heisenberg_apply(model.endpoint, observable) - observable
+def disturbance_operator(model):
+    """D = p_x(t + dt) - p_x(t) as a linear observable at time t."""
+    px = canonical.momentum(model.system, OBJECT_MODE)
+    return canonical.heisenberg_apply(model.endpoint, px) - px
 
 
 def joint_noise(model, joint_state):
@@ -191,10 +171,9 @@ def joint_noise(model, joint_state):
     return math.sqrt(states.second_moment(joint_state, noise_operator(model)))
 
 
-def joint_disturbance(model, joint_state, observable=None):
+def joint_disturbance(model, joint_state):
     """eta on an already-assembled object + probe state."""
-    return math.sqrt(
-        states.second_moment(joint_state, disturbance_operator(model, observable)))
+    return math.sqrt(states.second_moment(joint_state, disturbance_operator(model)))
 
 
 def _joint(model, object_state, probe_state):
@@ -211,10 +190,9 @@ def noise(model, object_state, probe_state):
     return joint_noise(model, _joint(model, object_state, probe_state))
 
 
-def disturbance(model, object_state, probe_state, observable=None):
-    """Root-mean-square change eta of an object observable over the window."""
-    return joint_disturbance(
-        model, _joint(model, object_state, probe_state), observable)
+def disturbance(model, object_state, probe_state):
+    """Root-mean-square change eta of the object momentum over the window."""
+    return joint_disturbance(model, _joint(model, object_state, probe_state))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import yaml
 
-from . import canonical, measurement, states
+from . import canonical, grid, measurement, states
 from .states import GaussianSpec
 
 MODELS = ("von_neumann", "noiseless", "custom")
@@ -58,8 +58,6 @@ DEFAULT_TOLERANCES = {
     "ks_alpha": 0.01,
 }
 
-_PURITY_TOL = 1e-9
-
 
 class ConfigError(ValueError):
     """Scenario file failed validation."""
@@ -79,10 +77,10 @@ class ObjectPrep(NamedTuple):
 
 
 class GridParams(NamedTuple):
-    nx: int = 512
-    ny: int = 512
+    nx: int = grid.DEFAULT_POINTS
+    ny: int = grid.DEFAULT_POINTS
     half_width: float | None = None
-    boundary_threshold: float = 1e-8
+    boundary_threshold: float = grid.DEFAULT_BOUNDARY_THRESHOLD
 
 
 class SweepParams(NamedTuple):
@@ -214,13 +212,13 @@ def _object_prep(node, context, hbar):
 
 
 def _is_pure(spec, hbar):
-    return abs(spec.uncertainty_product() - hbar / 2.0) <= _PURITY_TOL * hbar
+    return abs(spec.uncertainty_product() - hbar / 2.0) <= grid.PURITY_TOL * hbar
 
 
 def _interaction(node, context):
     node = _require_mapping(node, context)
     _check_keys(node, ("coupling", "terms"), context)
-    coupling = _positive(node, "coupling", context, default=1.0)
+    coupling = _positive(node, "coupling", context, default=Scenario.coupling)
     raw = node.get("terms")
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{context}: 'terms' must be a non-empty list")
@@ -244,29 +242,32 @@ def _interaction(node, context):
 
 def _grid_params(node, context):
     node = _require_mapping(node, context)
-    _check_keys(node, ("nx", "ny", "half_width", "boundary_threshold"), context)
-    nx = _integer(node, "nx", context, default=512, minimum=16)
-    ny = _integer(node, "ny", context, default=512, minimum=16)
+    _check_keys(node, GridParams._fields, context)
+    defaults = GridParams()
+    nx = _integer(node, "nx", context, default=defaults.nx, minimum=16)
+    ny = _integer(node, "ny", context, default=defaults.ny, minimum=16)
     for n, name in ((nx, "nx"), (ny, "ny")):
         if n & (n - 1):
             raise ConfigError(f"{context}: {name} must be a power of two, got {n}")
     return GridParams(
         nx=nx,
         ny=ny,
-        half_width=_positive(node, "half_width", context, default=None),
+        half_width=_positive(node, "half_width", context),
         boundary_threshold=_positive(
-            node, "boundary_threshold", context, default=1e-8))
+            node, "boundary_threshold", context,
+            default=defaults.boundary_threshold))
 
 
 def _sweep_params(node, context):
     node = _require_mapping(node, context)
-    _check_keys(node, ("kind", "k_min", "k_max"), context)
+    _check_keys(node, SweepParams._fields, context)
     kind = node.get("kind")
     if kind not in SWEEP_KINDS:
         raise ConfigError(
             f"{context}: kind must be one of {', '.join(SWEEP_KINDS)}, got {kind!r}")
-    k_min = _integer(node, "k_min", context, default=0, minimum=0)
-    k_max = _integer(node, "k_max", context, default=10, minimum=0)
+    defaults = SweepParams(kind)
+    k_min = _integer(node, "k_min", context, default=defaults.k_min, minimum=0)
+    k_max = _integer(node, "k_max", context, default=defaults.k_max, minimum=0)
     if k_max < k_min:
         raise ConfigError(f"{context}: k_max must be >= k_min")
     return SweepParams(kind=kind, k_min=k_min, k_max=k_max)
@@ -303,8 +304,8 @@ def parse_scenario(mapping, source="scenario"):
         raise ConfigError(
             f"{source}: 'model' must be one of {', '.join(MODELS)}, got {model!r}")
 
-    hbar = _positive(mapping, "hbar", source, default=1.0)
-    seed = _integer(mapping, "seed", source, default=0, minimum=0)
+    hbar = _positive(mapping, "hbar", source, default=Scenario.hbar)
+    seed = _integer(mapping, "seed", source, default=Scenario.seed, minimum=0)
 
     raw_checks = mapping.get("checks")
     if not isinstance(raw_checks, list) or not raw_checks:
@@ -329,7 +330,7 @@ def parse_scenario(mapping, source="scenario"):
             _require_mapping(mapping["probe"], f"{source}.probe"),
             f"{source}.probe", hbar)
 
-    coupling, interaction = 1.0, ()
+    coupling, interaction = Scenario.coupling, Scenario.interaction
     if model == "custom":
         if "interaction" not in mapping:
             raise ConfigError(f"{source}: model 'custom' requires 'interaction'")
@@ -347,12 +348,13 @@ def parse_scenario(mapping, source="scenario"):
     if "sweep" in mapping:
         sweep = _sweep_params(mapping["sweep"], f"{source}.sweep")
 
-    born_samples = 100000
+    born_samples = Scenario.born_samples
     if "born" in mapping:
         born_node = _require_mapping(mapping["born"], f"{source}.born")
         _check_keys(born_node, ("samples",), f"{source}.born")
         born_samples = _integer(
-            born_node, "samples", f"{source}.born", default=100000, minimum=10)
+            born_node, "samples", f"{source}.born", default=born_samples,
+            minimum=10)
 
     tolerances = {}
     if "tolerances" in mapping:
@@ -399,9 +401,11 @@ def parse_scenario(mapping, source="scenario"):
             raise ConfigError(
                 f"{source}.probe: grid_crosscheck needs a pure packet; got "
                 f"product {probe_spec.uncertainty_product():.6g}")
-    if "born" in checks and object_prep is not None \
-            and object_prep.kind != "gaussian":
-        raise ConfigError(f"{source}: the born check needs a gaussian object")
+    # The born reference is the object's position distribution, which only
+    # an exact (epsilon = 0) readout reproduces.
+    if "born" in checks and model != "noiseless":
+        raise ConfigError(
+            f"{source}: the born check applies to model 'noiseless'")
 
     return Scenario(
         name=name,
@@ -490,9 +494,6 @@ def build_model(scenario):
         system=system,
         hamiltonian=hamiltonian,
         coupling=scenario.coupling,
-        dt=1.0 / scenario.coupling,
-        measured=canonical.position(system, 0),
-        probe_obs=canonical.position(system, 1),
     )
 
 

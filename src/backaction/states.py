@@ -107,26 +107,22 @@ class MomentState:
         object.__setattr__(self, "gaussian", bool(self.gaussian))
 
 
-def from_gaussian(specs, system=None, hbar=1.0, labels=()):
+def from_gaussian(specs, hbar=1.0, labels=()):
     """Build the moment state of a product of per-mode Gaussians.
 
     Parameters
     ----------
     specs : GaussianSpec or sequence of GaussianSpec
         One entry per mode.
-    system : ModeSystem, optional
-        Reuse an existing system (its hbar wins); otherwise one is created
-        with ``hbar`` and ``labels``.
+    hbar, labels
+        Passed to the ``ModeSystem`` the state lives on.
     """
     if isinstance(specs, GaussianSpec):
         specs = (specs,)
     specs = tuple(specs)
     if not specs:
         raise ValueError("need at least one mode spec")
-    if system is None:
-        system = ModeSystem(len(specs), hbar=hbar, labels=labels)
-    elif system.n != len(specs):
-        raise ValueError(f"system has {system.n} modes but got {len(specs)} specs")
+    system = ModeSystem(len(specs), hbar=hbar, labels=labels)
     for k, spec in enumerate(specs):
         if not spec.admissible(system.hbar):
             raise PhysicalityError(
@@ -157,7 +153,7 @@ def product(a, b):
 def expectation(state, observable):
     """<A> for a linear observable A."""
     _check_compatible(state.system, observable.system, "expectation")
-    return float(observable.coeffs @ state.mean + observable.offset)
+    return float(observable.coeffs @ state.mean)
 
 
 def variance(state, observable):

@@ -46,8 +46,7 @@ def random_state(rng, hbar=1.0, labels=("mode0",)):
 
 
 def random_observable(system, rng):
-    return canonical.LinearObservable(
-        system, rng.standard_normal(system.dim), rng.uniform(-1.0, 1.0))
+    return canonical.LinearObservable(system, rng.standard_normal(system.dim))
 
 
 def random_symmetric(rng, dim, scale=1.0):

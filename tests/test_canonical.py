@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import helpers
-from backaction import canonical
+from backaction import cascade, measurement, states
 from backaction.canonical import (
     LinearObservable,
     ModeSystem,
@@ -10,7 +10,6 @@ from backaction.canonical import (
     SymplecticPropagation,
     build_quadratic,
     commutator_constant,
-    embed,
     heisenberg_apply,
     momentum,
     position,
@@ -62,17 +61,13 @@ class TestLinearObservable:
         system = ModeSystem(2)
         np.testing.assert_array_equal(position(system, 1).coeffs, [0, 0, 1, 0])
         np.testing.assert_array_equal(momentum(system, 0).coeffs, [0, 1, 0, 0])
-        const = canonical.constant(system, 2.5)
-        assert const.offset == 2.5 and np.all(const.coeffs == 0)
 
     def test_arithmetic(self):
         system = ModeSystem(1)
-        combo = 2.0 * position(system) - momentum(system) + 3.0
-        np.testing.assert_array_equal(combo.coeffs, [2.0, -1.0])
-        assert combo.offset == 3.0
-        neg = -combo
-        np.testing.assert_array_equal(neg.coeffs, [-2.0, 1.0])
-        assert neg.offset == -3.0
+        diff = position(system) - momentum(system)
+        np.testing.assert_array_equal(diff.coeffs, [1.0, -1.0])
+        with pytest.raises(ValueError, match="systems differ"):
+            position(system) - position(ModeSystem(1, hbar=2.0))
 
     def test_coeffs_are_read_only(self):
         obs = position(ModeSystem(1))
@@ -198,7 +193,6 @@ class TestHeisenbergApply:
             out = heisenberg_apply(s, obs)
             np.testing.assert_allclose(out.coeffs, s.matrix.T @ obs.coeffs,
                                        atol=1e-14)
-            assert out.offset == obs.offset
 
     def test_commutator_preserved(self):
         # Symplectic maps are canonical: commutators survive evolution.
@@ -225,31 +219,22 @@ class TestComposeAndEmbed:
             stretch.then(rot).matrix, rot.matrix @ stretch.matrix)
 
     def test_embed_identity_elsewhere(self):
-        small = ModeSystem(2)
-        big = ModeSystem(3)
-        h = build_quadratic(small, [(1.0, 0, 3)])
-        s = propagate(h, 1.0)
-        lifted = embed(s, (0, 2), big)
-        # mode 1 of the big system is untouched
+        # On (object, probe1, probe2), the cascade's second window is the
+        # two-mode window on object + probe2 and leaves probe1 untouched.
+        model = measurement.noiseless_model()
+        spec = states.GaussianSpec(1.0, 0.5)
+        scenario = cascade.CascadeScenario(
+            model, states.from_gaussian(spec), states.from_gaussian(spec))
+        _, lifted = cascade._windows(scenario)
+        s = model.endpoint.matrix
         np.testing.assert_array_equal(lifted.matrix[2:4, 2:4], np.eye(2))
-        assert np.all(lifted.matrix[2:4, :2] == 0)
-        # the mapped blocks carry the small matrix
-        np.testing.assert_array_equal(lifted.matrix[0:2, 0:2], s.matrix[0:2, 0:2])
-        np.testing.assert_array_equal(lifted.matrix[4:6, 0:2], s.matrix[2:4, 0:2])
-        np.testing.assert_array_equal(lifted.matrix[4:6, 4:6], s.matrix[2:4, 2:4])
-
-    def test_embed_validation(self):
-        small = ModeSystem(2)
-        big = ModeSystem(3)
-        s = propagate(build_quadratic(small, [(1.0, 0, 3)]), 1.0)
-        with pytest.raises(ValueError, match="injective"):
-            embed(s, (1, 1), big)
-        with pytest.raises(ValueError, match="out of range"):
-            embed(s, (0, 3), big)
-        with pytest.raises(ValueError, match="must list"):
-            embed(s, (0,), big)
-        with pytest.raises(ValueError, match="hbar"):
-            embed(s, (0, 1), ModeSystem(3, hbar=2.0))
+        assert np.all(lifted.matrix[2:4, [0, 1, 4, 5]] == 0)
+        assert np.all(lifted.matrix[[0, 1, 4, 5], 2:4] == 0)
+        # the mapped blocks carry the two-mode matrix
+        np.testing.assert_array_equal(lifted.matrix[0:2, 0:2], s[0:2, 0:2])
+        np.testing.assert_array_equal(lifted.matrix[0:2, 4:6], s[0:2, 2:4])
+        np.testing.assert_array_equal(lifted.matrix[4:6, 0:2], s[2:4, 0:2])
+        np.testing.assert_array_equal(lifted.matrix[4:6, 4:6], s[2:4, 2:4])
 
     def test_non_symplectic_rejected(self):
         with pytest.raises(ValueError, match="symplectic"):

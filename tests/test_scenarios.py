@@ -189,6 +189,17 @@ class TestCrossFieldRules:
         with pytest.raises(ConfigError, match="noiseless"):
             parse_scenario(_base(checks=["verdict", "realization"]))
 
+    def test_born_requires_noiseless(self):
+        # Only an exact readout reproduces the object's position
+        # distribution, the born check's reference.
+        custom = {"terms": [{"coefficient": 1.0, "first": "x",
+                             "second": "py"}]}
+        for overrides in ({"model": "von_neumann"},
+                          {"model": "custom", "interaction": custom}):
+            with pytest.raises(ConfigError, match="born.*noiseless"):
+                parse_scenario(_base(checks=["born"], **overrides))
+        parse_scenario(_base(model="noiseless", checks=["born"]))
+
     def test_sweep_requires_limit_sweep_check(self):
         with pytest.raises(ConfigError, match="limit_sweep"):
             parse_scenario(_base(sweep={"kind": "sharpen_momentum"}))

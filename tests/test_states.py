@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from backaction import canonical, states
-from backaction.canonical import ModeSystem, momentum, position
+from backaction.canonical import LinearObservable, ModeSystem, momentum, position
 from backaction.states import (
     GaussianSpec,
     MomentState,
@@ -72,8 +72,8 @@ class TestFromGaussian:
         assert state.system.hbar == 1.2
 
     def test_spec_count_must_match_system(self):
-        with pytest.raises(ValueError, match="specs"):
-            from_gaussian(GaussianSpec(1.0, 1.0), system=ModeSystem(2))
+        with pytest.raises(ValueError, match="labels"):
+            from_gaussian(GaussianSpec(1.0, 1.0), labels=("object", "probe"))
 
 
 class TestMomentState:
@@ -138,24 +138,21 @@ class TestMomentQueries:
         x, p = position(system), momentum(system)
         assert expectation(state, x) == pytest.approx(0.7)
         assert std_dev(state, p) == pytest.approx(0.8)
-        combo = x + p
+        combo = LinearObservable(system, [1.0, 1.0])
         expected_var = 1.5 ** 2 + 0.8 ** 2 + 2 * 0.4 * 1.5 * 0.8
         assert variance(state, combo) == pytest.approx(expected_var, rel=1e-14)
         assert second_moment(state, combo) == pytest.approx(
             expected_var + 0.5 ** 2, rel=1e-14)
 
     def test_offset_enters_second_moment_only(self):
-        state = from_gaussian(GaussianSpec(1.0, 0.5, mean_x=1.0))
-        shifted = position(state.system) + 2.0
-        assert expectation(state, shifted) == pytest.approx(3.0)
-        assert variance(state, shifted) == pytest.approx(1.0)
-        assert second_moment(state, shifted) == pytest.approx(10.0)
-
-    def test_constant_observable(self):
-        state = from_gaussian(GaussianSpec(1.0, 0.5))
-        const = canonical.constant(state.system, 4.0)
-        assert variance(state, const) == 0.0
-        assert second_moment(state, const) == pytest.approx(16.0)
+        # Shifting the state's mean moves <A> and <A^2>, never Var(A).
+        x = position(ModeSystem(1))
+        centred = from_gaussian(GaussianSpec(1.0, 0.5, mean_x=1.0))
+        shifted = from_gaussian(GaussianSpec(1.0, 0.5, mean_x=3.0))
+        assert expectation(shifted, x) == pytest.approx(3.0)
+        assert variance(shifted, x) == variance(centred, x) == pytest.approx(1.0)
+        assert second_moment(centred, x) == pytest.approx(2.0)
+        assert second_moment(shifted, x) == pytest.approx(10.0)
 
 
 class TestRobertson:
@@ -180,13 +177,12 @@ class TestRobertson:
 class TestEvolve:
     def test_moment_transform(self):
         rng = np.random.default_rng(21)
-        system = ModeSystem(2)
         for _ in range(50):
             spec0 = helpers.random_admissible_spec(rng)
             spec1 = helpers.random_admissible_spec(rng)
-            state = from_gaussian((spec0, spec1), system=system)
+            state = from_gaussian((spec0, spec1))
             h = canonical.QuadraticHamiltonian(
-                system, helpers.random_symmetric(rng, 4))
+                state.system, helpers.random_symmetric(rng, 4))
             prop = canonical.propagate(h, rng.uniform(-1, 1))
             out = evolve(state, prop)
             s = prop.matrix
@@ -198,10 +194,10 @@ class TestEvolve:
         # <A^2> on the evolved state equals <(S^T A)^2> on the input state:
         # the Schrodinger and Heisenberg accounts must agree.
         rng = np.random.default_rng(22)
-        system = ModeSystem(2)
         state = from_gaussian(
             (helpers.random_admissible_spec(rng),
-             helpers.random_admissible_spec(rng)), system=system)
+             helpers.random_admissible_spec(rng)))
+        system = state.system
         h = canonical.QuadraticHamiltonian(
             system, helpers.random_symmetric(rng, 4))
         prop = canonical.propagate(h, 0.8)
