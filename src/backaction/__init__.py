@@ -24,7 +24,7 @@ from .canonical import (
 )
 from .cascade import (
     CascadeScenario,
-    is_alpha_repeatable,
+    gap_observable,
     repeatability_deviation,
     repeatability_sweep,
 )

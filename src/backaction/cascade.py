@@ -10,98 +10,59 @@ Heisenberg-picture observables,
 over the object x probe1 x probe2 product state.  A model is
 alpha-repeatable on a preparation when the deviation is at most alpha.
 
-Each window acts on the three-mode system as the single-window endpoint
-map on object + probe1 (then object + probe2) and as the identity on the
-probe it leaves alone; the cascade composes the two.  So the same
-endpoint map that defines noise and disturbance also drives the cascade;
+Both outputs are read off the single-window endpoint map S on
+(x, p_x, y, p_y).  With row = S[2], the pointer row, window 1 gives
+y(t + dt) = row . (x, p_x, y, p_y).  Window 2 meets the object as window 1
+left it, (x, p_x)(t + dt) = S[:2] (x, p_x, y, p_y), and a fresh probe, so
+z(t + 2 dt) = row[:2] . S[:2] (x, p_x, y, p_y) + row[2:] . (z, p_z).  The
+same endpoint map that defines noise and disturbance thus fixes the gap;
 there is no second implementation to drift out of sync.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import canonical, measurement, states
-from .canonical import ModeSystem
-
-OBJECT_MODE = 0
-FIRST_PROBE_MODE = 1
-SECOND_PROBE_MODE = 2
 
 
 @dataclass(frozen=True, eq=False)
 class CascadeScenario:
     """One object, two identically-coupled probes, consumed in order.
 
-    Both probes start in ``probe_state``.
+    Both probes start in ``probe_state``.  The object x probe1 x probe2
+    product state ``joint`` is built with the scenario.
     """
 
     model: measurement.MeasurementModel
     object_state: states.MomentState
     probe_state: states.MomentState
+    joint: states.MomentState = field(init=False, repr=False)
 
     def __post_init__(self):
-        hbar = self.model.system.hbar
-        for name in ("object_state", "probe_state"):
-            state = getattr(self, name)
-            if state.system.n != 1:
-                raise ValueError(f"{name} must be single-mode")
-            if state.system.hbar != hbar:
-                raise ValueError(f"{name} hbar differs from the model's")
-
-    def composite_system(self):
-        return ModeSystem(
-            3, hbar=self.model.system.hbar,
-            labels=("object", "probe1", "probe2"))
-
-    def joint_state(self):
-        return states.product(
-            states.product(self.object_state, self.probe_state),
-            self.probe_state)
+        first = measurement._joint(self.model, self.object_state, self.probe_state)
+        object.__setattr__(self, "joint", states.product(first, self.probe_state))
 
 
-def _windows(scenario):
-    """Propagations of window 1 and window 2 on object + probe1 + probe2."""
-    system = scenario.composite_system()
-    endpoint = scenario.model.endpoint.matrix
-    windows = []
-    for probe in (FIRST_PROBE_MODE, SECOND_PROBE_MODE):
-        coords = [2 * OBJECT_MODE, 2 * OBJECT_MODE + 1, 2 * probe, 2 * probe + 1]
-        matrix = np.eye(system.dim)
-        matrix[np.ix_(coords, coords)] = endpoint
-        windows.append(canonical.SymplecticPropagation(system, matrix))
-    return windows
+def gap_observable(scenario):
+    """z(t + 2 dt) - y(t + dt) as a linear observable at time t.
 
-
-def first_readout(scenario):
-    """Pointer 1 output y(t + dt), written as an observable at time t."""
-    first, _ = _windows(scenario)
-    pointer = canonical.position(scenario.composite_system(), FIRST_PROBE_MODE)
-    return canonical.heisenberg_apply(first, pointer)
-
-
-def second_readout(scenario):
-    """Pointer 2 output z(t + 2 dt), written as an observable at time t."""
-    first, second = _windows(scenario)
-    pointer = canonical.position(scenario.composite_system(), SECOND_PROBE_MODE)
-    return canonical.heisenberg_apply(first.then(second), pointer)
+    Coefficients over (x, p_x, y, p_y, z, p_z): S[:2]^T row[:2] - row over
+    object + probe1 and row[2:] over probe2, with row = S[2].
+    """
+    s = scenario.model.endpoint.matrix
+    row = s[2]
+    coeffs = np.concatenate([s[:2].T @ row[:2] - row, row[2:]])
+    return canonical.LinearObservable(scenario.joint.system, coeffs)
 
 
 def repeatability_deviation(scenario):
     """Root mean square gap between the two pointer outputs."""
-    gap = second_readout(scenario) - first_readout(scenario)
-    return math.sqrt(states.second_moment(scenario.joint_state(), gap))
-
-
-def is_alpha_repeatable(scenario, alpha):
-    """Whether the repeated readout agrees to within alpha."""
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be finite and non-negative, got {alpha!r}")
-    return repeatability_deviation(scenario) <= alpha
+    return math.sqrt(states.second_moment(scenario.joint, gap_observable(scenario)))
 
 
 class RepeatabilityPoint(NamedTuple):

@@ -118,24 +118,22 @@ def _born_check(sc, model, tols):
 
 
 def _repeatability_check(sc, model, tols):
-    obj = scenarios.object_state(sc)
-    probe = scenarios.probe_state(sc)
-    scenario = cascade.CascadeScenario(model, obj, probe)
-    deviation = cascade.repeatability_deviation(scenario)
+    deviation = cascade.repeatability_deviation(cascade.CascadeScenario(
+        model, scenarios.object_state(sc), scenarios.probe_state(sc)))
     spec = sc.probe_spec
     values = {"deviation": deviation, "sigma_y": spec.sigma_x}
     exact = tols["exact"] * _prep_size(sc)
     if model.name == "noiseless":
         closed = math.hypot(spec.sigma_x, spec.mean_x)
         alpha = closed + exact
-        repeatable = cascade.is_alpha_repeatable(scenario, alpha)
+        repeatable = deviation <= alpha
         passed = abs(deviation - closed) <= exact and repeatable
         note = ("second readout reproduces the first within the pointer "
                 "spread: sigma(y)-approximate repeatability")
     elif model.name == "von_neumann":
         closed = math.sqrt(2.0) * spec.sigma_x
         alpha = closed + exact
-        repeatable = cascade.is_alpha_repeatable(scenario, alpha)
+        repeatable = deviation <= alpha
         passed = abs(deviation - closed) <= exact
         note = ("deviation carries both pointer spreads; no better than "
                 "sqrt(2) sigma(y)")
@@ -415,18 +413,11 @@ def _parse_tol_overrides(pairs):
         key, sep, raw = pair.partition("=")
         if not sep:
             raise ConfigError(f"--tol expects KEY=VALUE, got {pair!r}")
-        if key not in DEFAULT_TOLERANCES:
-            raise ConfigError(
-                f"--tol: unknown key {key!r}; known: "
-                f"{', '.join(sorted(DEFAULT_TOLERANCES))}")
         try:
-            value = float(raw)
+            overrides[key] = float(raw)
         except ValueError:
             raise ConfigError(f"--tol {key}: {raw!r} is not a number") from None
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"--tol {key}: value must be positive and finite")
-        overrides[key] = value
-    return overrides
+    return scenarios._tolerances(overrides, "--tol")
 
 
 def _load_target(target):
@@ -441,7 +432,10 @@ def _run_command(args):
     out_dir = args.out_dir
     if out_dir is not None:
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out-dir: {exc}") from exc
     all_passed = True
     outputs = []
     for target in args.targets:
@@ -455,14 +449,17 @@ def _run_command(args):
         else:
             outputs.append(render_text(report, verbose=args.verbose > 0))
         if out_dir is not None:
-            if args.fmt in ("json", "both"):
-                (out_dir / f"{scenario.name}.report.json").write_text(
-                    render_json(report), encoding="utf-8")
-            if args.fmt in ("text", "both"):
-                (out_dir / f"{scenario.name}.report.txt").write_text(
-                    render_text(report, verbose=True), encoding="utf-8")
-            for filename, write in writers.items():
-                write(out_dir / filename)
+            try:
+                if args.fmt in ("json", "both"):
+                    (out_dir / f"{scenario.name}.report.json").write_text(
+                        render_json(report), encoding="utf-8")
+                if args.fmt in ("text", "both"):
+                    (out_dir / f"{scenario.name}.report.txt").write_text(
+                        render_text(report, verbose=True), encoding="utf-8")
+                for filename, write in writers.items():
+                    write(out_dir / filename)
+            except OSError as exc:
+                raise ConfigError(f"--out-dir: {exc}") from exc
     sys.stdout.write("".join(outputs))
     return 0 if all_passed else 1
 

@@ -440,11 +440,13 @@ _ScenarioLoader.add_implicit_resolver(
 
 def load_scenario(path):
     """Parse one scenario from a YAML file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             raw = yaml.load(handle, Loader=_ScenarioLoader)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read ({exc})") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
     return parse_scenario(raw, source=str(path))
 
 

@@ -233,11 +233,6 @@ class ScalarDistribution:
             return (x >= self.mean).astype(float)
         return scipy.special.ndtr((x - self.mean) / self.std)
 
-    def interval_probability(self, lo, hi):
-        if not lo <= hi:
-            raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
-        return float(self.cdf(hi) - self.cdf(lo))
-
 
 def observable_distribution(state, observable):
     """Outcome distribution of a linear observable on a Gaussian state.

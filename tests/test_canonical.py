@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import helpers
-from backaction import cascade, measurement, states
 from backaction.canonical import (
     LinearObservable,
     ModeSystem,
@@ -217,24 +216,6 @@ class TestComposeAndEmbed:
         rot = SymplecticPropagation(system, np.array([[0.0, 1.0], [-1.0, 0.0]]))
         np.testing.assert_array_equal(
             stretch.then(rot).matrix, rot.matrix @ stretch.matrix)
-
-    def test_embed_identity_elsewhere(self):
-        # On (object, probe1, probe2), the cascade's second window is the
-        # two-mode window on object + probe2 and leaves probe1 untouched.
-        model = measurement.noiseless_model()
-        spec = states.GaussianSpec(1.0, 0.5)
-        scenario = cascade.CascadeScenario(
-            model, states.from_gaussian(spec), states.from_gaussian(spec))
-        _, lifted = cascade._windows(scenario)
-        s = model.endpoint.matrix
-        np.testing.assert_array_equal(lifted.matrix[2:4, 2:4], np.eye(2))
-        assert np.all(lifted.matrix[2:4, [0, 1, 4, 5]] == 0)
-        assert np.all(lifted.matrix[[0, 1, 4, 5], 2:4] == 0)
-        # the mapped blocks carry the two-mode matrix
-        np.testing.assert_array_equal(lifted.matrix[0:2, 0:2], s[0:2, 0:2])
-        np.testing.assert_array_equal(lifted.matrix[0:2, 4:6], s[0:2, 2:4])
-        np.testing.assert_array_equal(lifted.matrix[4:6, 0:2], s[2:4, 0:2])
-        np.testing.assert_array_equal(lifted.matrix[4:6, 4:6], s[2:4, 2:4])
 
     def test_non_symplectic_rejected(self):
         with pytest.raises(ValueError, match="symplectic"):

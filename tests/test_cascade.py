@@ -4,48 +4,43 @@ import numpy as np
 import pytest
 
 import helpers
-from backaction import states
+from backaction import canonical, states
 from backaction.cascade import (
     CascadeScenario,
-    first_readout,
-    is_alpha_repeatable,
+    gap_observable,
     repeatability_deviation,
     repeatability_sweep,
-    second_readout,
 )
 from backaction.measurement import noiseless_model, von_neumann_model
 from backaction.states import GaussianSpec, from_gaussian
 
 
-def _scenario(model, rng):
-    obj = helpers.random_state(rng, labels=("object",))
-    probe = helpers.random_state(rng, labels=("probe",))
+def _scenario(model, rng, hbar=1.0):
+    obj = helpers.random_state(rng, hbar, labels=("object",))
+    probe = helpers.random_state(rng, hbar, labels=("probe",))
     return CascadeScenario(model, obj, probe)
 
 
 class TestReadoutObservables:
     # Coefficient order on the composite: (x, px, y, py, z, pz).
 
-    def test_noiseless_first_readout_is_object_position(self):
+    @pytest.mark.parametrize("coupling, hbar", [(1.0, 1.0), (0.5, 2.0),
+                                                (3.0, 0.25)])
+    def test_noiseless_gap(self, coupling, hbar):
+        # y(t + dt) = x and z(t + 2 dt) = x - y: the gap is -y(t).
         rng = np.random.default_rng(0)
-        scenario = _scenario(noiseless_model(), rng)
-        obs = first_readout(scenario)
-        np.testing.assert_allclose(obs.coeffs, [1, 0, 0, 0, 0, 0], atol=1e-12)
+        scenario = _scenario(noiseless_model(coupling, hbar), rng, hbar)
+        np.testing.assert_allclose(
+            gap_observable(scenario).coeffs, [0, 0, -1, 0, 0, 0], atol=1e-12)
 
-    def test_noiseless_second_readout(self):
-        # Window 1 swaps x into -y territory, so probe 2 reads x - y.
-        rng = np.random.default_rng(1)
-        scenario = _scenario(noiseless_model(), rng)
-        obs = second_readout(scenario)
-        np.testing.assert_allclose(obs.coeffs, [1, 0, -1, 0, 0, 0], atol=1e-12)
-
-    def test_von_neumann_readouts(self):
+    @pytest.mark.parametrize("coupling, hbar", [(1.0, 1.0), (0.5, 2.0),
+                                                (3.0, 0.25)])
+    def test_von_neumann_gap(self, coupling, hbar):
+        # y(t + dt) = x + y and z(t + 2 dt) = x + z: the gap is z - y.
         rng = np.random.default_rng(2)
-        scenario = _scenario(von_neumann_model(), rng)
+        scenario = _scenario(von_neumann_model(coupling, hbar), rng, hbar)
         np.testing.assert_allclose(
-            first_readout(scenario).coeffs, [1, 0, 1, 0, 0, 0], atol=1e-12)
-        np.testing.assert_allclose(
-            second_readout(scenario).coeffs, [1, 0, 0, 0, 1, 0], atol=1e-12)
+            gap_observable(scenario).coeffs, [0, 0, -1, 0, 1, 0], atol=1e-12)
 
 
 class TestDeviation:
@@ -76,11 +71,16 @@ class TestDeviation:
                 math.hypot(spec.sigma_x, spec.mean_x), abs=1e-12)
 
     def test_second_probe_never_enters_the_noiseless_gap(self):
-        # The noiseless gap observable is -y(t): probe 2 drops out entirely.
+        # The noiseless gap observable is -y(t): probe 2 drops out entirely,
+        # so object + probe 1 alone give the deviation.
         rng = np.random.default_rng(12)
         scenario = _scenario(noiseless_model(), rng)
-        gap = second_readout(scenario) - first_readout(scenario)
-        np.testing.assert_allclose(gap.coeffs, [0, 0, -1, 0, 0, 0], atol=1e-12)
+        gap = gap_observable(scenario)
+        np.testing.assert_allclose(gap.coeffs[4:], [0, 0], atol=1e-12)
+        pair = states.product(scenario.object_state, scenario.probe_state)
+        y = canonical.position(pair.system, 1)
+        assert repeatability_deviation(scenario) == pytest.approx(
+            math.sqrt(states.second_moment(pair, y)), abs=1e-12)
 
     def test_object_independence(self):
         # The gap observable has no object support, so wildly different
@@ -108,24 +108,6 @@ class TestDeviation:
             math.sqrt(2.0) * sy, abs=1e-12)
 
 
-class TestAlphaRepeatable:
-    def test_threshold_is_sharp(self):
-        sy = 0.125
-        probe = from_gaussian(GaussianSpec(sy, 0.5 / sy), labels=("probe",))
-        obj = from_gaussian(GaussianSpec(1.0, 0.5), labels=("object",))
-        scenario = CascadeScenario(noiseless_model(), obj, probe)
-        assert is_alpha_repeatable(scenario, sy)
-        assert not is_alpha_repeatable(scenario, sy * (1.0 - 1e-6))
-
-    def test_alpha_validation(self):
-        rng = np.random.default_rng(20)
-        scenario = _scenario(noiseless_model(), rng)
-        with pytest.raises(ValueError, match="alpha"):
-            is_alpha_repeatable(scenario, -0.1)
-        with pytest.raises(ValueError, match="alpha"):
-            is_alpha_repeatable(scenario, math.inf)
-
-
 class TestScenarioValidation:
     def test_multimode_states_rejected(self):
         rng = np.random.default_rng(30)
@@ -143,7 +125,7 @@ class TestScenarioValidation:
     def test_second_probe_defaults_to_first(self):
         rng = np.random.default_rng(31)
         scenario = _scenario(noiseless_model(), rng)
-        joint = scenario.joint_state()
+        joint = scenario.joint
         probe = scenario.probe_state
         np.testing.assert_array_equal(joint.mean[4:], probe.mean)
         np.testing.assert_array_equal(joint.cov[4:, 4:], probe.cov)

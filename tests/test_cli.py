@@ -13,6 +13,22 @@ def _write(tmp_path, body, name="case.yaml"):
     return str(path)
 
 
+def _exits_two(capsys, argv):
+    """Run argv and check the bad-input contract; return the error line.
+
+    Exit 2, nothing on stdout, and exactly one stderr line, starting
+    ``error:``, with no traceback.
+    """
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.err.endswith("\n")
+    assert lines[0].startswith("error:")
+    return lines[0]
+
+
 FAST_VERDICT = """\
     name: fast-verdict
     model: noiseless
@@ -81,21 +97,34 @@ class TestRunCommand:
         assert "FAIL" in out
 
     def test_unknown_name_exits_two(self, capsys):
-        assert main(["run", "no-such-scenario"]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err
+        err = _exits_two(capsys, ["run", "no-such-scenario"])
+        assert "no-such-scenario" in err
 
     def test_invalid_file_exits_two(self, tmp_path, capsys):
         path = _write(tmp_path, "name: bad\nmodel: nope\nchecks: [verdict]\n")
-        assert main(["run", path]) == 2
-        assert "model" in capsys.readouterr().err
+        assert "model" in _exits_two(capsys, ["run", path])
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_file_exits_two(self, tmp_path, capsys, kind):
+        path = tmp_path / "case.yaml"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"\xff\xfe")
+        err = _exits_two(capsys, ["run", str(path)])
+        assert str(path) in err and "cannot read" in err
+
+    def test_out_dir_over_a_file_exits_two(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        for out_dir in (taken, taken / "sub"):
+            err = _exits_two(capsys, ["run", "noiseless-violation",
+                                      "--out-dir", str(out_dir)])
+            assert "--out-dir" in err and str(taken) in err
 
     def test_negative_seed_exits_two(self, capsys):
-        assert main(["run", "noiseless-violation", "--seed", "-1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert "--seed" in captured.err and ">= 0" in captured.err
+        err = _exits_two(capsys, ["run", "noiseless-violation", "--seed", "-1"])
+        assert "--seed" in err and ">= 0" in err
 
     @pytest.mark.parametrize("check", ["verdict", "repeatability"])
     def test_far_pointer_passes_exact_checks(self, tmp_path, capsys, check):
@@ -123,11 +152,8 @@ class TestRunCommand:
     def test_model_build_error_exits_two(self, tmp_path, capsys):
         # 400 x^2 - 400 p_x^2 overflows the window's exponential.
         path = _write(tmp_path, LARGE_SQUEEZE.format(c=400))
-        assert main(["run", path]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert "large-squeeze" in captured.err and "non-finite" in captured.err
+        err = _exits_two(capsys, ["run", path])
+        assert "large-squeeze" in err and "non-finite" in err
 
     @pytest.mark.parametrize("model", [
         "von_neumann",
@@ -140,21 +166,18 @@ class TestRunCommand:
                 "object: {sigma_x: 1.0, sigma_p: 0.5}\n"
                 "probe: {sigma_x: 0.5, sigma_p: 1.0}\n")
         path = _write(tmp_path, body)
-        assert main(["run", path]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert "born" in captured.err and "noiseless" in captured.err
+        err = _exits_two(capsys, ["run", path])
+        assert "born" in err and "noiseless" in err
 
     def test_bad_tol_exits_two(self, capsys):
-        assert main(["run", "noiseless-violation", "--tol", "nope=1"]) == 2
-        assert "unknown key" in capsys.readouterr().err
+        err = _exits_two(capsys, ["run", "noiseless-violation", "--tol", "nope=1"])
+        assert "unknown key" in err
 
     def test_tol_value_validated(self, capsys):
-        assert main(["run", "noiseless-violation", "--tol", "exact=zero"]) == 2
-        capsys.readouterr()
-        assert main(["run", "noiseless-violation", "--tol", "exact=-1"]) == 2
-        capsys.readouterr()
+        # --tol goes through the same validator as a scenario's tolerances.
+        for pair in ("exact=zero", "exact=-1", "ks_alpha=1", "ks_alpha=2"):
+            err = _exits_two(capsys, ["run", "noiseless-violation", "--tol", pair])
+            assert pair.partition("=")[0] in err
 
     def test_tightened_tolerance_can_fail_a_passing_check(self, tmp_path,
                                                           capsys):

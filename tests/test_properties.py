@@ -1,5 +1,6 @@
 """Property tests: shear maps against the grid, the shear factorization,
-and the uncertainty relations that hold for every measurement.
+the cascade gap against two composed windows, and the uncertainty
+relations that hold for every measurement.
 
 Hypothesis draws the inputs; every identity is checked at the tolerance
 its fixed-seed counterpart uses, every inequality at 1e-12 of its scale.
@@ -11,7 +12,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from backaction import canonical, grid, measurement, states
+from backaction import canonical, cascade, grid, measurement, states
 from backaction.canonical import ModeSystem
 from backaction.states import GaussianSpec
 
@@ -122,11 +123,11 @@ def symmetric_forms(draw, dim):
 
 
 @st.composite
-def models(draw):
+def models(draw, kinds=("von_neumann", "noiseless", "custom")):
     """A built-in model, or a custom one from a random quadratic form."""
     hbar = draw(st.floats(0.3, 3.0))
     coupling = draw(st.floats(0.5, 2.0))
-    kind = draw(st.sampled_from(["von_neumann", "noiseless", "custom"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "von_neumann":
         return measurement.von_neumann_model(coupling, hbar)
     if kind == "noiseless":
@@ -153,6 +154,35 @@ def test_ozawa_relation_holds_for_every_model(data, model):
     sigma_p = states.std_dev(obj, canonical.momentum(obj.system))
     lhs = epsilon * eta + epsilon * sigma_p + sigma_x * eta
     assert lhs >= hbar / 2.0 - 1e-12 * max(hbar, lhs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), model=models(kinds=("custom",)))
+def test_cascade_gap_matches_two_composed_windows(data, model):
+    # Reference: each window as a 6 x 6 map on (object, probe1, probe2),
+    # the endpoint scattered onto its two modes and the identity elsewhere.
+    hbar = model.system.hbar
+    obj = states.from_gaussian(data.draw(admissible_specs(hbar)), hbar=hbar)
+    probe = states.from_gaussian(data.draw(admissible_specs(hbar)), hbar=hbar)
+    scenario = cascade.CascadeScenario(model, obj, probe)
+    s = model.endpoint.matrix
+    first, second = np.eye(6), np.eye(6)
+    first[np.ix_((0, 1, 2, 3), (0, 1, 2, 3))] = s
+    second[np.ix_((0, 1, 4, 5), (0, 1, 4, 5))] = s
+    e_y, e_z = np.eye(6)[2], np.eye(6)[4]
+    reference = (second @ first).T @ e_z - first.T @ e_y
+    gap = cascade.gap_observable(scenario).coeffs
+    scale = max(1.0, float(np.sum(s * s)))
+    assert np.max(np.abs(gap - reference)) <= 1e-12 * scale
+    mean = np.concatenate([obj.mean, probe.mean, probe.mean])
+    cov = np.zeros((6, 6))
+    for k, block in enumerate((obj.cov, probe.cov, probe.cov)):
+        cov[2 * k:2 * k + 2, 2 * k:2 * k + 2] = block
+    moment = reference @ cov @ reference + (reference @ mean) ** 2
+    size = float(reference @ reference) * max(
+        1.0, np.max(np.abs(cov)) + np.max(np.abs(mean)) ** 2)
+    deviation = cascade.repeatability_deviation(scenario)
+    assert abs(deviation ** 2 - moment) <= 1e-12 * max(1.0, size)
 
 
 @settings(max_examples=200, deadline=None)

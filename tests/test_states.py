@@ -214,7 +214,6 @@ class TestDistributionAndSampling:
         assert dist.cdf(1.0) == pytest.approx(0.5)
         assert dist.cdf(1.0 + 2.0 * 1.959963984540054) == pytest.approx(
             0.975, abs=1e-9)
-        assert dist.interval_probability(-np.inf, np.inf) == pytest.approx(1.0)
 
     def test_zero_variance_step(self):
         dist = ScalarDistribution(mean=2.0, variance=0.0)
