@@ -53,7 +53,6 @@ from .states import (
     MomentState,
     PhysicalityError,
     born_check,
-    evolve,
     expectation,
     from_gaussian,
     observable_distribution,

@@ -33,8 +33,9 @@ _COEFF_TOL = 1e-12
 class ModeSystem:
     """A register of canonical modes with a shared value of hbar.
 
-    Labels are cosmetic (they surface in reports); two systems are
-    interchangeable whenever mode count and hbar agree.
+    Labels are cosmetic: they name the modes in a system's repr, and
+    nothing in the package reads them.  Two systems are interchangeable
+    whenever mode count and hbar agree.
     """
 
     n: int

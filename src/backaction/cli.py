@@ -33,10 +33,9 @@ def _prep_size(sc):
                       for s in (sc.object_prep.spec, sc.probe_spec)))
 
 
-def _verdict_check(sc, model, tols):
+def _verdict_check(sc, tols):
     report = measurement.heisenberg_verdict(
-        model, scenarios.object_state(sc), scenarios.probe_state(sc),
-        tol=tols["bound"])
+        sc.model, sc.object_state, sc.probe_state, tol=tols["bound"])
     values = {
         "epsilon": report.epsilon,
         "eta": report.eta,
@@ -48,7 +47,7 @@ def _verdict_check(sc, model, tols):
         "tradeoff": report.tradeoff,
         "tradeoff_meets_bound": report.tradeoff_satisfied,
     }
-    if model.name == "noiseless":
+    if sc.model.name == "noiseless":
         expected = {"epsilon": 0.0, "product": 0.0,
                     "tradeoff_at_least": report.bound}
         # epsilon is rounding times the preparation's size, and eta is of
@@ -60,7 +59,7 @@ def _verdict_check(sc, model, tols):
         note = ("readout is exact and the noise-disturbance product sits at "
                 "zero, below the hbar/2 bound; the spread-disturbance "
                 "trade-off holds instead")
-    elif model.name == "von_neumann":
+    elif sc.model.name == "von_neumann":
         expected = {"product_at_least": report.bound}
         passed = report.satisfied
         note = "stretch coupling obeys the hbar/2 noise-disturbance bound"
@@ -72,11 +71,11 @@ def _verdict_check(sc, model, tols):
             "note": note}
 
 
-def _robertson_check(sc, model, tols):
+def _robertson_check(sc, tols):
     values = {}
     passed = True
-    for label, state in (("object", scenarios.object_state(sc)),
-                         ("probe", scenarios.probe_state(sc))):
+    for label, state in (("object", sc.object_state),
+                         ("probe", sc.probe_state)):
         result = states.robertson_check(
             state,
             canonical.position(state.system, 0),
@@ -90,10 +89,10 @@ def _robertson_check(sc, model, tols):
             "note": "preparation spreads obey sigma(x) sigma(p) >= hbar/2"}
 
 
-def _born_check(sc, model, tols):
-    obj = scenarios.object_state(sc)
-    joint = states.product(obj, scenarios.probe_state(sc))
-    readout = canonical.heisenberg_apply(model.endpoint, model.probe_obs)
+def _born_check(sc, tols):
+    obj = sc.object_state
+    joint = states.product(obj, sc.probe_state)
+    readout = canonical.heisenberg_apply(sc.model.endpoint, sc.model.probe_obs)
     outcome = states.observable_distribution(joint, readout)
     reference = states.observable_distribution(
         obj, canonical.position(obj.system, 0))
@@ -117,20 +116,20 @@ def _born_check(sc, model, tols):
     }
 
 
-def _repeatability_check(sc, model, tols):
+def _repeatability_check(sc, tols):
     deviation = cascade.repeatability_deviation(cascade.CascadeScenario(
-        model, scenarios.object_state(sc), scenarios.probe_state(sc)))
+        sc.model, sc.object_state, sc.probe_state))
     spec = sc.probe_spec
     values = {"deviation": deviation, "sigma_y": spec.sigma_x}
     exact = tols["exact"] * _prep_size(sc)
-    if model.name == "noiseless":
+    if sc.model.name == "noiseless":
         closed = math.hypot(spec.sigma_x, spec.mean_x)
         alpha = closed + exact
         repeatable = deviation <= alpha
         passed = abs(deviation - closed) <= exact and repeatable
         note = ("second readout reproduces the first within the pointer "
                 "spread: sigma(y)-approximate repeatability")
-    elif model.name == "von_neumann":
+    elif sc.model.name == "von_neumann":
         closed = math.sqrt(2.0) * spec.sigma_x
         alpha = closed + exact
         repeatable = deviation <= alpha
@@ -150,9 +149,9 @@ def _repeatability_check(sc, model, tols):
             "note": note}
 
 
-def _realization_check(sc, model, tols):
-    residual = measurement.realization_residual(model)
-    swapped = measurement.realization_residual(model, swapped=True)
+def _realization_check(sc, tols):
+    residual = measurement.realization_residual(sc.model)
+    swapped = measurement.realization_residual(sc.model, swapped=True)
     passed = residual <= tols["exact"] and swapped > 0.1
     return {
         "passed": passed,
@@ -170,8 +169,8 @@ def _monotone(xs, decreasing):
     return all(b > a for a, b in pairs)
 
 
-def _sharpen_momentum_sweep(sc, model, tols):
-    hbar = sc.hbar
+def _sharpen_momentum_sweep(sc, tols):
+    hbar, model = sc.hbar, sc.model
     ks = list(range(sc.sweep.k_min, sc.sweep.k_max + 1))
     points = measurement.limit_sweep(model, [2.0 ** -k for k in ks])
     rows = []
@@ -184,8 +183,11 @@ def _sharpen_momentum_sweep(sc, model, tols):
     posts = [row["sigma_x_post"] for row in rows]
     conditions = {}
     if model.name == "noiseless":
+        # Rounding scales with the point's size, sigma_x = hbar / (2 sigma_p).
         conditions["epsilon_zero"] = all(
-            row["epsilon"] <= tols["exact"] for row in rows)
+            row["epsilon"] <= tols["exact"] * max(
+                1.0, hbar / (2.0 * row["sigma_p"]), row["sigma_p"])
+            for row in rows)
         conditions["eta_matches_sqrt2_sigma_p"] = all(
             abs(row["eta"] - math.sqrt(2.0) * row["sigma_p"]) <= tols["exact"]
             for row in rows)
@@ -208,9 +210,9 @@ def _sharpen_momentum_sweep(sc, model, tols):
     return rows, header, conditions, note
 
 
-def _sharpen_pointer_sweep(sc, model, tols):
+def _sharpen_pointer_sweep(sc, tols):
     ks = list(range(sc.sweep.k_min, sc.sweep.k_max + 1))
-    points = cascade.repeatability_sweep(model, [2.0 ** -k for k in ks])
+    points = cascade.repeatability_sweep(sc.model, [2.0 ** -k for k in ks])
     rows = []
     for k, point in zip(ks, points):
         r = point.report
@@ -219,7 +221,7 @@ def _sharpen_pointer_sweep(sc, model, tols):
                      "eta": r.eta})
     devs = [row["deviation"] for row in rows]
     conditions = {"deviation_decreases": _monotone(devs, decreasing=True)}
-    if model.name == "noiseless":
+    if sc.model.name == "noiseless":
         conditions["epsilon_zero"] = all(
             row["epsilon"] <= tols["exact"] for row in rows)
         conditions["deviation_matches_sigma_y"] = all(
@@ -236,11 +238,11 @@ def _sharpen_pointer_sweep(sc, model, tols):
     return rows, header, conditions, note
 
 
-def _limit_sweep_check(sc, model, tols):
+def _limit_sweep_check(sc, tols):
     if sc.sweep.kind == "sharpen_momentum":
-        rows, header, conditions, note = _sharpen_momentum_sweep(sc, model, tols)
+        rows, header, conditions, note = _sharpen_momentum_sweep(sc, tols)
     else:
-        rows, header, conditions, note = _sharpen_pointer_sweep(sc, model, tols)
+        rows, header, conditions, note = _sharpen_pointer_sweep(sc, tols)
     filename = f"{sc.name}.csv"
     table = [[row[key] for key in header] for row in rows]
 
@@ -260,8 +262,8 @@ def _limit_sweep_check(sc, model, tols):
     }
 
 
-def _grid_crosscheck(sc, model, tols):
-    hbar = sc.hbar
+def _grid_crosscheck(sc, tols):
+    hbar, model = sc.hbar, sc.model
     params = sc.grid_params
     components = [(w, grid.unit_hbar_spec(s, hbar))
                   for w, s in sc.object_prep.components]
@@ -275,8 +277,7 @@ def _grid_crosscheck(sc, model, tols):
     eta_grid = hbar * eta_unit
 
     if sc.object_prep.kind == "gaussian":
-        joint = states.product(scenarios.object_state(sc),
-                               scenarios.probe_state(sc))
+        joint = states.product(sc.object_state, sc.probe_state)
     else:
         mean_unit, cov_unit = grid.grid_moments(state)
         scale = np.diag([1.0, hbar, 1.0, hbar])
@@ -344,19 +345,15 @@ def run_scenario(scenario, tol_overrides=None):
     tols = dict(DEFAULT_TOLERANCES)
     tols.update(scenario.tolerances)
     tols.update(tol_overrides or {})
-    try:
-        model = scenarios.build_model(scenario)
-    except ValueError as exc:
-        raise ConfigError(f"scenario {scenario.name}: {exc}") from exc
     checks = {}
     writers = {}
     for kind in scenario.checks:
-        outcome = _RUNNERS[kind](scenario, model, tols)
+        outcome = _RUNNERS[kind](scenario, tols)
         writers.update(outcome.pop("artifact_writers", {}))
         checks[kind] = outcome
     report = {
         "scenario": scenario.name,
-        "model": scenario.model,
+        "model": scenario.model.name,
         "hbar": scenario.hbar,
         "seed": scenario.seed,
         "tolerances": tols,
@@ -505,7 +502,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (states.PhysicalityError, grid.BoundaryMassError) as exc:
+    except (states.PhysicalityError, grid.BoundaryMassError,
+            OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

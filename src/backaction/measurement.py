@@ -225,12 +225,15 @@ def heisenberg_verdict(model, object_state, probe_state, tol=ONE_SIDED_TOL):
     sigma(x, t) * eta, which stays above hbar/2 whenever the disturbance
     operator has the canonical commutator with position.
     """
-    joint = _joint(model, object_state, probe_state)
+    return _joint_verdict(model, _joint(model, object_state, probe_state), tol)
+
+
+def _joint_verdict(model, joint, tol):
+    """heisenberg_verdict on an already-assembled object + probe state."""
     epsilon = joint_noise(model, joint)
     eta = joint_disturbance(model, joint)
     bound = model.system.hbar / 2.0
-    sigma_x = states.std_dev(
-        object_state, canonical.position(object_state.system, 0))
+    sigma_x = states.std_dev(joint, model.measured)
     tradeoff = sigma_x * eta
     return NoiseReport(
         model=model.name,
@@ -280,18 +283,16 @@ def limit_sweep(model, sigma_ps):
     grows.
     """
     hbar = model.system.hbar
+    x_post = canonical.heisenberg_apply(model.endpoint, model.measured)
     points = []
     for sigma_p in sigma_ps:
         sp = float(sigma_p)
         if not (math.isfinite(sp) and sp > 0):
             raise ValueError(f"sigma_p values must be positive, got {sigma_p!r}")
         spec = states.GaussianSpec(sigma_x=hbar / (2.0 * sp), sigma_p=sp)
-        obj = states.from_gaussian(spec, hbar=hbar, labels=("object",))
-        probe = states.from_gaussian(spec, hbar=hbar, labels=("probe",))
-        report = heisenberg_verdict(model, obj, probe)
-        out = states.evolve(states.product(obj, probe), model.endpoint)
-        sigma_x_post = states.std_dev(
-            out, canonical.position(out.system, OBJECT_MODE))
-        points.append(SweepPoint(sigma_p=sp, report=report,
-                                 sigma_x_post=sigma_x_post))
+        joint = states.from_gaussian(
+            (spec, spec), hbar=hbar, labels=("object", "probe"))
+        points.append(SweepPoint(
+            sigma_p=sp, report=_joint_verdict(model, joint, ONE_SIDED_TOL),
+            sigma_x_post=states.std_dev(joint, x_post)))
     return points

@@ -4,6 +4,8 @@ A scenario is one YAML mapping.  Validation is strict: unknown keys are
 rejected with the offending key named, every cross-field requirement
 (e.g. a sweep section without the sweep check) is an error at load time,
 and inadmissible preparations fail here rather than deep inside a run.
+Loading also builds the model, the moment states and the grid box the
+checks read, so an input that cannot be built is refused here too.
 
 The package ships a gallery of ready-made scenarios; ``bundled_names`` and
 ``load_bundled`` expose them by name.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import NamedTuple
@@ -89,23 +92,23 @@ class SweepParams(NamedTuple):
     k_max: int = 10
 
 
-class InteractionTerm(NamedTuple):
-    coefficient: float
-    first: int
-    second: int
-
-
 @dataclass(frozen=True, eq=False)
 class Scenario:
+    """A validated scenario, with its model and moment states built.
+
+    A state is None when its section is absent or, for the object, a
+    superposition.
+    """
+
     name: str
-    model: str
+    model: measurement.MeasurementModel
     hbar: float = 1.0
     seed: int = 0
     checks: tuple = ()
     object_prep: ObjectPrep | None = None
     probe_spec: GaussianSpec | None = None
-    coupling: float = 1.0
-    interaction: tuple = ()  # of InteractionTerm, custom model only
+    object_state: states.MomentState | None = None
+    probe_state: states.MomentState | None = None
     grid_params: GridParams = GridParams()
     sweep: SweepParams | None = None
     born_samples: int = 100000
@@ -215,10 +218,22 @@ def _is_pure(spec, hbar):
     return abs(spec.uncertainty_product() - hbar / 2.0) <= grid.PURITY_TOL * hbar
 
 
-def _interaction(node, context):
+@contextmanager
+def _refused_as(context):
+    """Turn a failure to build a model, state or box into a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+    except ArithmeticError as exc:
+        raise ConfigError(f"{context}: {type(exc).__name__}: {exc}") from exc
+
+
+def _interaction(node, context, hbar):
+    """The custom model of an ``interaction`` section: terms scaled by coupling."""
     node = _require_mapping(node, context)
     _check_keys(node, ("coupling", "terms"), context)
-    coupling = _positive(node, "coupling", context, default=Scenario.coupling)
+    coupling = _positive(node, "coupling", context, default=1.0)
     raw = node.get("terms")
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{context}: 'terms' must be a non-empty list")
@@ -236,8 +251,14 @@ def _interaction(node, context):
                     f"{sub}: {key!r} must be one of {', '.join(_COORDS)}, "
                     f"got {coord!r}")
             indices.append(_COORDS[coord])
-        terms.append(InteractionTerm(coefficient, indices[0], indices[1]))
-    return coupling, tuple(terms)
+        terms.append((coefficient * coupling, *indices))
+    system = canonical.ModeSystem(2, hbar=hbar, labels=("object", "probe"))
+    with _refused_as(context):
+        return measurement.MeasurementModel(
+            name="custom",
+            system=system,
+            hamiltonian=canonical.build_quadratic(system, terms),
+            coupling=coupling)
 
 
 def _grid_params(node, context):
@@ -299,10 +320,11 @@ def parse_scenario(mapping, source="scenario"):
         raise ConfigError(
             f"{source}: 'name' may only contain letters, digits, '.', '_', '-'")
 
-    model = mapping.get("model")
-    if model not in MODELS:
+    model_name = mapping.get("model")
+    if model_name not in MODELS:
         raise ConfigError(
-            f"{source}: 'model' must be one of {', '.join(MODELS)}, got {model!r}")
+            f"{source}: 'model' must be one of {', '.join(MODELS)}, "
+            f"got {model_name!r}")
 
     hbar = _positive(mapping, "hbar", source, default=Scenario.hbar)
     seed = _integer(mapping, "seed", source, default=Scenario.seed, minimum=0)
@@ -321,24 +343,35 @@ def parse_scenario(mapping, source="scenario"):
         seen.add(check)
     checks = tuple(raw_checks)
 
-    object_prep = None
+    object_prep, object_state = None, None
     if "object" in mapping:
-        object_prep = _object_prep(mapping["object"], f"{source}.object", hbar)
-    probe_spec = None
+        context = f"{source}.object"
+        object_prep = _object_prep(mapping["object"], context, hbar)
+        if object_prep.kind == "gaussian":
+            with _refused_as(context):
+                object_state = states.from_gaussian(
+                    object_prep.spec, hbar=hbar, labels=("object",))
+    probe_spec, probe_state = None, None
     if "probe" in mapping:
+        context = f"{source}.probe"
         probe_spec = _gaussian_spec(
-            _require_mapping(mapping["probe"], f"{source}.probe"),
-            f"{source}.probe", hbar)
+            _require_mapping(mapping["probe"], context), context, hbar)
+        with _refused_as(context):
+            probe_state = states.from_gaussian(
+                probe_spec, hbar=hbar, labels=("probe",))
 
-    coupling, interaction = Scenario.coupling, Scenario.interaction
-    if model == "custom":
+    if model_name == "custom":
         if "interaction" not in mapping:
             raise ConfigError(f"{source}: model 'custom' requires 'interaction'")
-        coupling, interaction = _interaction(
-            mapping["interaction"], f"{source}.interaction")
+        model = _interaction(
+            mapping["interaction"], f"{source}.interaction", hbar)
     elif "interaction" in mapping:
         raise ConfigError(
             f"{source}: 'interaction' is only valid for model 'custom'")
+    elif model_name == "von_neumann":
+        model = measurement.von_neumann_model(hbar=hbar)
+    else:
+        model = measurement.noiseless_model(hbar=hbar)
 
     grid_params = GridParams()
     if "grid" in mapping:
@@ -375,35 +408,44 @@ def parse_scenario(mapping, source="scenario"):
             raise ConfigError(
                 f"{source}: a superposition object only supports the "
                 f"grid_crosscheck check, also got {extra}")
-    if "realization" in checks and model != "noiseless":
+    if "realization" in checks and model.name != "noiseless":
         raise ConfigError(
             f"{source}: the realization check applies to model 'noiseless'")
     if "limit_sweep" in checks:
         if sweep is None:
             raise ConfigError(f"{source}: the limit_sweep check needs 'sweep'")
-        if model == "custom":
+        if model.name == "custom":
             raise ConfigError(
                 f"{source}: limit_sweep has no reference behavior for "
                 "custom models")
     elif sweep is not None:
         raise ConfigError(f"{source}: 'sweep' requires the limit_sweep check")
     if "grid_crosscheck" in checks:
-        if model == "custom":
+        if not model.steps:
             raise ConfigError(
-                f"{source}: grid_crosscheck supports built-in models only")
-        for weight, spec in (object_prep.components if object_prep else ()):
+                f"{source}: grid_crosscheck needs a shear factorization, "
+                "which only the built-in models have")
+        for weight, spec in object_prep.components:
             if not _is_pure(spec, hbar):
                 raise ConfigError(
                     f"{source}.object: grid_crosscheck needs pure packets "
                     "(sigma_x * sigma_p * sqrt(1 - rho^2) = hbar/2); got "
                     f"product {spec.uncertainty_product():.6g}")
-        if probe_spec is not None and not _is_pure(probe_spec, hbar):
+        if not _is_pure(probe_spec, hbar):
             raise ConfigError(
                 f"{source}.probe: grid_crosscheck needs a pure packet; got "
                 f"product {probe_spec.uncertainty_product():.6g}")
+        if grid_params.half_width is None:
+            with _refused_as(f"{source}.grid"):
+                grid_params = grid_params._replace(
+                    half_width=grid.auto_half_width(
+                        [grid.unit_hbar_spec(s, hbar)
+                         for _, s in object_prep.components],
+                        grid.unit_hbar_spec(probe_spec, hbar),
+                        min(grid_params.nx, grid_params.ny)))
     # The born reference is the object's position distribution, which only
     # an exact (epsilon = 0) readout reproduces.
-    if "born" in checks and model != "noiseless":
+    if "born" in checks and model.name != "noiseless":
         raise ConfigError(
             f"{source}: the born check applies to model 'noiseless'")
 
@@ -415,8 +457,8 @@ def parse_scenario(mapping, source="scenario"):
         checks=checks,
         object_prep=object_prep,
         probe_spec=probe_spec,
-        coupling=coupling,
-        interaction=interaction,
+        object_state=object_state,
+        probe_state=probe_state,
         grid_params=grid_params,
         sweep=sweep,
         born_samples=born_samples,
@@ -445,8 +487,11 @@ def load_scenario(path):
             raw = yaml.load(handle, Loader=_ScenarioLoader)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read ({exc})") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
+    except yaml.YAMLError as exc:  # one line, not PyYAML's several
+        mark = getattr(exc, "problem_mark", None)
+        problem = (f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+                   if mark else " ".join(str(exc).split()))
+        raise ConfigError(f"{path}: not valid YAML ({problem})") from exc
     return parse_scenario(raw, source=str(path))
 
 
@@ -477,35 +522,3 @@ def with_seed(scenario, seed):
     """Copy of a scenario with its sampling seed replaced, validated as in YAML."""
     value = _integer({"seed": seed}, "seed", "--seed", minimum=0)
     return replace(scenario, seed=value)
-
-
-def build_model(scenario):
-    """Instantiate the measurement model a scenario names."""
-    if scenario.model == "von_neumann":
-        return measurement.von_neumann_model(hbar=scenario.hbar)
-    if scenario.model == "noiseless":
-        return measurement.noiseless_model(hbar=scenario.hbar)
-    system = canonical.ModeSystem(
-        2, hbar=scenario.hbar, labels=("object", "probe"))
-    hamiltonian = canonical.build_quadratic(
-        system,
-        [(term.coefficient * scenario.coupling, term.first, term.second)
-         for term in scenario.interaction])
-    return measurement.MeasurementModel(
-        name="custom",
-        system=system,
-        hamiltonian=hamiltonian,
-        coupling=scenario.coupling,
-    )
-
-
-def object_state(scenario):
-    """Moment state of a gaussian object preparation."""
-    return states.from_gaussian(
-        scenario.object_prep.spec, hbar=scenario.hbar, labels=("object",))
-
-
-def probe_state(scenario):
-    """Moment state of the probe preparation."""
-    return states.from_gaussian(
-        scenario.probe_spec, hbar=scenario.hbar, labels=("probe",))

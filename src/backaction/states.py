@@ -194,19 +194,6 @@ def robertson_check(state, a, b, tol=1e-12):
     return RobertsonResult(lhs, bound, lhs >= bound - tol)
 
 
-def evolve(state, propagation):
-    """Push moments through a symplectic propagation.
-
-    mean -> S mean and cov -> S cov S^T; Gaussianity survives because the
-    map is linear.
-    """
-    _check_compatible(state.system, propagation.system, "evolve")
-    s = propagation.matrix
-    cov = s @ state.cov @ s.T
-    return MomentState(
-        state.system, s @ state.mean, (cov + cov.T) / 2.0, gaussian=state.gaussian)
-
-
 @dataclass(frozen=True)
 class ScalarDistribution:
     """Normal outcome distribution of a linear observable."""

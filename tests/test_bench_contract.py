@@ -1,0 +1,27 @@
+"""The benchmark's contract with the program.
+
+``bench/`` calls the program only through the names listed under ``api``
+in ``bench/spec.json``.  This test resolves that list and runs the first
+op of every workload through the workload's own check, so a refactor that
+drops or reshapes a name the benchmark calls fails here, not only when the
+benchmark runs.  It reads ``bench/`` and changes nothing there.
+"""
+
+import json
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_first_op_of_each_workload_passes_its_check(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import program
+    import workloads
+
+    spec = json.loads((BENCH / "spec.json").read_text(encoding="utf-8"))
+    api = program.resolve(spec["api"])
+    for name, workload_class in workloads.WORKLOADS.items():
+        workload = workload_class(api, 0)
+        op = next(iter(workload.inputs()))
+        out = workload.run(program.Calls(api, traced=False), op)
+        assert workload.check(op, out) == [], name

@@ -70,6 +70,21 @@ LARGE_SQUEEZE = """\
     probe: {{sigma_x: 0.5, sigma_p: 1.0}}
     """
 
+OVERFLOW = """\
+    name: overflow
+    model: noiseless
+    checks: [{check}]
+    object: {obj}
+    probe: {{sigma_x: 1.0, sigma_p: 0.5}}
+    """
+
+SWEEP = """\
+    name: sweep
+    model: noiseless
+    checks: [limit_sweep]
+    sweep: {{kind: {kind}, k_min: {k_min}, k_max: {k_max}}}
+    """
+
 
 class TestListCommand:
     def test_lists_bundled_names(self, capsys):
@@ -150,10 +165,46 @@ class TestRunCommand:
         assert "overall           PASS" in capsys.readouterr().out
 
     def test_model_build_error_exits_two(self, tmp_path, capsys):
-        # 400 x^2 - 400 p_x^2 overflows the window's exponential.
+        # 400 x^2 - 400 p_x^2 overflows the window's exponential, which is
+        # built when the scenario loads.
         path = _write(tmp_path, LARGE_SQUEEZE.format(c=400))
         err = _exits_two(capsys, ["run", path])
-        assert "large-squeeze" in err and "non-finite" in err
+        assert "interaction" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("body, where", [
+        # sigma_x^2 overflows while the object state is built at load.
+        (OVERFLOW.format(check="verdict",
+                         obj="{sigma_x: 1.0e200, sigma_p: 1.0}"),
+         ".object: OverflowError"),
+        # A mean of 1e200 meets the gap's rounding-size coefficients.
+        (OVERFLOW.format(check="repeatability",
+                         obj="{sigma_x: 1, sigma_p: 1, mean_x: 1.0e200}"),
+         "OverflowError"),
+        # No box of 64 points holds a packet 1000 widths off centre.
+        ("name: far-box\nmodel: noiseless\nchecks: [grid_crosscheck]\n"
+         "grid: {nx: 64, ny: 64}\n"
+         "object: {sigma_x: 1, sigma_p: 0.5, mean_x: 1000}\n"
+         "probe: {sigma_x: 1, sigma_p: 0.5}\n", ".grid: grid of 64 points"),
+        # The point's spreads 2^512 overflow when squared.
+        (SWEEP.format(kind="sharpen_momentum", k_min=513, k_max=513),
+         "OverflowError"),
+        (SWEEP.format(kind="sharpen_pointer", k_min=513, k_max=513),
+         "OverflowError"),
+        ("a: [\n", "line 2, column 1"),
+    ], ids=["huge-spread", "huge-mean", "box", "sharpen-momentum-513",
+            "sharpen-pointer-513", "invalid-yaml"])
+    def test_unrunnable_input_exits_two(self, tmp_path, capsys, body, where):
+        path = _write(tmp_path, body)
+        assert where in _exits_two(capsys, ["run", path])
+
+    @pytest.mark.parametrize("k_min, k_max", [(0, 16), (0, 40), (512, 512)])
+    def test_sharp_momentum_sweep_passes(self, tmp_path, capsys, k_min,
+                                         k_max):
+        # epsilon is rounding times the point's sigma_x = hbar 2^(k - 1).
+        path = _write(tmp_path, SWEEP.format(
+            kind="sharpen_momentum", k_min=k_min, k_max=k_max))
+        assert main(["run", path]) == 0
+        assert "overall           PASS" in capsys.readouterr().out
 
     @pytest.mark.parametrize("model", [
         "von_neumann",

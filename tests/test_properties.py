@@ -197,7 +197,9 @@ def test_robertson_relation_holds_on_evolved_states(data, hbar, form,
         hbar=hbar)
     propagation = canonical.propagate(
         canonical.QuadraticHamiltonian(state.system, form), duration)
-    evolved = states.evolve(state, propagation)
+    s = propagation.matrix
+    cov = s @ state.cov @ s.T
+    evolved = states.MomentState(state.system, s @ state.mean, (cov + cov.T) / 2)
     a = canonical.LinearObservable(evolved.system, u)
     b = canonical.LinearObservable(evolved.system, v)
     scale = max(hbar, float(np.linalg.norm(u) * np.linalg.norm(v)

@@ -3,11 +3,10 @@ import textwrap
 import numpy as np
 import pytest
 
-from backaction import measurement, scenarios
+from backaction import grid, measurement, scenarios
 from backaction.scenarios import (
     ConfigError,
     bundled_names,
-    build_model,
     load_bundled,
     load_scenario,
     parse_scenario,
@@ -37,7 +36,7 @@ class TestBundledGallery:
         for name in bundled_names():
             scenario = load_bundled(name)
             assert scenario.name == name
-            build_model(scenario)
+            assert isinstance(scenario.model, measurement.MeasurementModel)
 
     def test_unknown_bundled_name(self):
         with pytest.raises(ConfigError, match="available"):
@@ -47,7 +46,7 @@ class TestBundledGallery:
 class TestTopLevelValidation:
     def test_minimal_scenario_parses(self):
         scenario = parse_scenario(_base())
-        assert scenario.model == "von_neumann"
+        assert scenario.model.name == "von_neumann"
         assert scenario.hbar == 1.0
         assert scenario.seed == 0
         assert scenario.checks == ("verdict",)
@@ -143,6 +142,7 @@ class TestPrepValidation:
                 ],
             }))
         assert scenario.object_prep.kind == "superposition"
+        assert scenario.object_state is None
         weights = [w for w, _ in scenario.object_prep.components]
         assert weights == [1.0, 1.0]
         # Omitted sigma_p saturates the pure-packet product.
@@ -262,13 +262,55 @@ class TestCrossFieldRules:
             parse_scenario(_base(tolerances={"ks_alpha": 1.5}))
 
 
+class TestBuiltAtLoad:
+    def test_model_and_states_are_built_with_the_scenario(self):
+        scenario = parse_scenario(_base(
+            hbar=0.5, object={"sigma_x": 2.0, "sigma_p": 0.5, "mean_x": 1.0}))
+        obj, probe = scenario.object_state, scenario.probe_state
+        assert scenario.model.system.hbar == 0.5
+        assert obj.system.hbar == probe.system.hbar == 0.5
+        np.testing.assert_array_equal(obj.mean, [1.0, 0.0])
+        np.testing.assert_array_equal(obj.cov, [[4.0, 0.0], [0.0, 0.25]])
+        np.testing.assert_array_equal(probe.cov, [[1.0, 0.0], [0.0, 0.25]])
+
+    @pytest.mark.parametrize("section", ["object", "probe"])
+    def test_overflowing_preparation_refused_at_load(self, section):
+        # sigma_x^2 overflows a float while the covariance is built.
+        with pytest.raises(ConfigError,
+                           match=rf"scenario\.{section}: OverflowError"):
+            parse_scenario(_base(**{section: {"sigma_x": 1e200,
+                                               "sigma_p": 1.0}}))
+
+    def test_grid_box_resolved_at_load(self):
+        mapping = _base(model="noiseless", checks=["grid_crosscheck"],
+                        hbar=2.0, grid={"nx": 256, "ny": 128},
+                        object={"sigma_x": 1.0, "sigma_p": 1.0},
+                        probe={"sigma_x": 0.5, "sigma_p": 2.0})
+        scenario = parse_scenario(mapping)
+        obj_unit = grid.unit_hbar_spec(scenario.object_prep.spec, 2.0)
+        probe_unit = grid.unit_hbar_spec(scenario.probe_spec, 2.0)
+        assert scenario.grid_params.half_width == grid.auto_half_width(
+            [obj_unit], probe_unit, 128)
+        mapping["grid"]["half_width"] = 12.5
+        assert parse_scenario(mapping).grid_params.half_width == 12.5
+
+    def test_grid_box_refused_at_load(self):
+        # A packet 1000 widths off centre needs a box whose momentum
+        # ceiling 64 points cannot reach.
+        with pytest.raises(ConfigError, match=r"scenario\.grid: .*cannot hold"):
+            parse_scenario(_base(
+                model="noiseless", checks=["grid_crosscheck"],
+                grid={"nx": 64, "ny": 64},
+                object={"sigma_x": 1.0, "sigma_p": 0.5, "mean_x": 1000.0}))
+
+
 class TestCustomModels:
     def test_custom_model_builds_and_runs(self):
         scenario = parse_scenario(_base(
             model="custom",
             interaction={"coupling": 2.0, "terms": [
                 {"coefficient": 1.0, "first": "x", "second": "py"}]}))
-        model = build_model(scenario)
+        model = scenario.model
         assert model.dt == 0.5
         # coupling * coefficient * dt = 1: same window as the plain stretch.
         vn = measurement.von_neumann_model()
@@ -294,13 +336,13 @@ class TestCustomModels:
 
     def test_unbalanced_term_rejected_at_build(self):
         # x px carries a nonzero ordering constant on its own; the builder
-        # refuses rather than guessing a symmetrization.
-        scenario = parse_scenario(_base(
-            model="custom",
-            interaction={"terms": [
-                {"coefficient": 1.0, "first": "x", "second": "px"}]}))
-        with pytest.raises(ValueError, match="ordering"):
-            build_model(scenario)
+        # refuses rather than guessing a symmetrization, when the scenario
+        # loads.
+        with pytest.raises(ConfigError, match=r"scenario\.interaction: .*ordering"):
+            parse_scenario(_base(
+                model="custom",
+                interaction={"terms": [
+                    {"coefficient": 1.0, "first": "x", "second": "px"}]}))
 
 
 class TestLoadScenario:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import helpers
-from backaction import canonical, states
 from backaction.canonical import LinearObservable, ModeSystem, momentum, position
 from backaction.states import (
     GaussianSpec,
@@ -12,7 +11,6 @@ from backaction.states import (
     PhysicalityError,
     ScalarDistribution,
     born_check,
-    evolve,
     expectation,
     from_gaussian,
     observable_distribution,
@@ -172,40 +170,6 @@ class TestRobertson:
             b = helpers.random_observable(state.system, rng)
             result = robertson_check(state, a, b)
             assert result.passed, (result, state.cov)
-
-
-class TestEvolve:
-    def test_moment_transform(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            spec0 = helpers.random_admissible_spec(rng)
-            spec1 = helpers.random_admissible_spec(rng)
-            state = from_gaussian((spec0, spec1))
-            h = canonical.QuadraticHamiltonian(
-                state.system, helpers.random_symmetric(rng, 4))
-            prop = canonical.propagate(h, rng.uniform(-1, 1))
-            out = evolve(state, prop)
-            s = prop.matrix
-            np.testing.assert_allclose(out.mean, s @ state.mean, atol=1e-12)
-            np.testing.assert_allclose(out.cov, s @ state.cov @ s.T, atol=1e-12)
-            assert out.gaussian
-
-    def test_second_moment_invariant_under_pullback(self):
-        # <A^2> on the evolved state equals <(S^T A)^2> on the input state:
-        # the Schrodinger and Heisenberg accounts must agree.
-        rng = np.random.default_rng(22)
-        state = from_gaussian(
-            (helpers.random_admissible_spec(rng),
-             helpers.random_admissible_spec(rng)))
-        system = state.system
-        h = canonical.QuadraticHamiltonian(
-            system, helpers.random_symmetric(rng, 4))
-        prop = canonical.propagate(h, 0.8)
-        for _ in range(50):
-            obs = helpers.random_observable(system, rng)
-            forward = second_moment(evolve(state, prop), obs)
-            pulled = second_moment(state, canonical.heisenberg_apply(prop, obs))
-            assert forward == pytest.approx(pulled, rel=1e-11, abs=1e-11)
 
 
 class TestDistributionAndSampling:
