@@ -26,7 +26,7 @@ Everything here works in hbar = 1 units; rescale momenta on the way in
 Axis convention: ``amplitudes[i, j]`` is psi(x[i], y[j]); x is the object
 coordinate, y the pointer.  Periodicity makes large shears wrap around, so
 every public shear guards the box: mass in the outer 5 percent shell above
-``boundary_threshold`` aborts the run rather than silently aliasing.
+``BOUNDARY_THRESHOLD`` aborts the run rather than silently aliasing.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .states import GaussianSpec
 
 DEFAULT_POINTS = 512
 
-DEFAULT_BOUNDARY_THRESHOLD = 1e-8
+BOUNDARY_THRESHOLD = 1e-8
 
 # Fraction of each axis, per side, treated as the guard shell.
 BOUNDARY_SHELL = 0.05
@@ -163,12 +163,13 @@ def unit_hbar_spec(spec, hbar):
         correlation=spec.correlation)
 
 
-def _pure_packet(coords, spec):
+def _pure_packet(coords, spec, name):
     """Minimum-uncertainty 1-D packet with x-p correlation, hbar = 1."""
     if abs(spec.uncertainty_product() - 0.5) > PURITY_TOL:
         raise ValueError(
-            "grid packets are pure states: need sigma_x * sigma_p * "
-            f"sqrt(1 - rho^2) = 1/2, got {spec.uncertainty_product():.6g}")
+            f"grid packets are pure states: the {name} has sigma_x * sigma_p "
+            f"* sqrt(1 - rho^2) = {spec.uncertainty_product():.6g} hbar, "
+            "not hbar/2")
     alpha = (1.0 / (4.0 * spec.sigma_x ** 2)
              - 0.5j * spec.correlation * spec.sigma_p / spec.sigma_x)
     shifted = coords - spec.mean_x
@@ -219,6 +220,12 @@ def auto_half_width(object_specs, probe_spec, n):
     reach_x = max(abs(s.mean_x) for s in object_specs) + abs(probe_spec.mean_x)
     spread_x = max(s.sigma_x for s in object_specs) + probe_spec.sigma_x
     half_width = max(MIN_HALF_WIDTH, 1.25 * (reach_x + 8.0 * spread_x))
+    check_momentum_ceiling(object_specs, probe_spec, n, half_width)
+    return half_width
+
+
+def check_momentum_ceiling(object_specs, probe_spec, n, half_width):
+    """Refuse a box whose ceiling pi n / (2 L) misses the momentum budget."""
     reach_k = max(abs(s.mean_p) for s in object_specs) + abs(probe_spec.mean_p)
     spread_k = max(s.sigma_p for s in object_specs) + probe_spec.sigma_p
     k_ceiling = math.pi * n / (2.0 * half_width)
@@ -228,12 +235,10 @@ def auto_half_width(object_specs, probe_spec, n):
             f"grid of {n} points cannot hold both a box of half-width "
             f"{half_width:.3g} and momentum content up to {k_needed:.3g} "
             f"(ceiling {k_ceiling:.3g}); increase the resolution")
-    return half_width
 
 
 def init_grid(object_components, probe_spec, nx=DEFAULT_POINTS,
-              ny=DEFAULT_POINTS, half_width=None,
-              boundary_threshold=DEFAULT_BOUNDARY_THRESHOLD):
+              ny=DEFAULT_POINTS, half_width=None):
     """Build psi(x, y) = object(x) * probe(y) on a square periodic box.
 
     Parameters
@@ -263,8 +268,8 @@ def init_grid(object_components, probe_spec, nx=DEFAULT_POINTS,
 
     object_wave = np.zeros(nx, dtype=complex)
     for weight, spec in components:
-        object_wave += weight * _pure_packet(xs, spec)
-    probe_wave = _pure_packet(ys, probe_spec)
+        object_wave += weight * _pure_packet(xs, spec, "object")
+    probe_wave = _pure_packet(ys, probe_spec, "probe")
     amplitudes = np.outer(object_wave, probe_wave)
     norm = math.sqrt(float(np.sum(np.abs(amplitudes) ** 2))
                      * (2.0 * half_width / nx) * (2.0 * half_width / ny))
@@ -272,7 +277,7 @@ def init_grid(object_components, probe_spec, nx=DEFAULT_POINTS,
         raise ValueError("wavefunction vanished on the grid")
     state = GridState(nx, ny, half_width, half_width, amplitudes / norm)
     mass = boundary_mass(state)
-    if mass > boundary_threshold:
+    if mass > BOUNDARY_THRESHOLD:
         raise BoundaryMassError(
             f"initial state already puts mass {mass:.3e} in the guard shell; "
             "enlarge half_width")
@@ -334,7 +339,7 @@ def _wrap_guard(density, grid, step):
             f"{abs(step.theta) * reach:.3g} across a box of span {span:.3g}")
 
 
-def _shear_stack(fields, grid, steps, boundary_threshold):
+def _shear_stack(fields, grid, steps):
     """Shear a writable (m, nx, ny) stack in place, step by step.
 
     Every field goes through the same ramp and one FFT pair per step.  The
@@ -353,17 +358,16 @@ def _shear_stack(fields, grid, steps, boundary_threshold):
         fields = scipy.fft.ifft(fields, axis=axis, overwrite_x=True)
         density = _density(fields[0], grid)
         mass = _shell_mass(density, grid)
-        if mass > boundary_threshold:
+        if mass > BOUNDARY_THRESHOLD:
             raise BoundaryMassError(
                 f"after shear {step.kind} theta={step.theta}: boundary mass "
-                f"{mass:.3e} exceeds {boundary_threshold:.3e}")
+                f"{mass:.3e} exceeds {BOUNDARY_THRESHOLD:.3e}")
     return fields
 
 
-def apply_steps(state, steps, boundary_threshold=DEFAULT_BOUNDARY_THRESHOLD):
+def apply_steps(state, steps):
     """Apply a shear sequence with wrap and boundary guards at every step."""
-    fields = _shear_stack(state.amplitudes[None].copy(), state, steps,
-                          boundary_threshold)
+    fields = _shear_stack(state.amplitudes[None].copy(), state, steps)
     return GridState(state.nx, state.ny, state.lx, state.ly, fields[0])
 
 
@@ -384,8 +388,7 @@ def _sq_norm(raw):
     return float(np.sum(np.einsum("ij,ij->i", flat, flat)))
 
 
-def grid_noise_disturbance(state, steps,
-                           boundary_threshold=DEFAULT_BOUNDARY_THRESHOLD):
+def grid_noise_disturbance(state, steps):
     """(epsilon, eta) straight from wavefunctions, hbar = 1.
 
     epsilon^2 integrates |y U psi - U x psi|^2: the pointer readout after
@@ -401,7 +404,7 @@ def grid_noise_disturbance(state, steps,
     fields[0] = raw
     fields[1] = _spectral_p(raw, state.kx[:, None], axis=0)
     np.multiply(state.x[:, None], raw, out=fields[2])
-    fields = _shear_stack(fields, state, steps, boundary_threshold)
+    fields = _shear_stack(fields, state, steps)
     u_psi = fields[0]
     _check_amplitudes(u_psi, state.cell_area)
 
@@ -449,11 +452,9 @@ def position_marginal(state, axis=0):
     return coords, masses
 
 
-def output_histogram(state, steps, edges,
-                     boundary_threshold=DEFAULT_BOUNDARY_THRESHOLD):
+def output_histogram(state, steps, edges):
     """Pointer-readout histogram after the window, on given bin edges."""
-    fields = _shear_stack(state.amplitudes[None].copy(), state, steps,
-                          boundary_threshold)
+    fields = _shear_stack(state.amplitudes[None].copy(), state, steps)
     _check_amplitudes(fields[0], state.cell_area)
     masses = _density(fields[0], state).sum(axis=0)
     hist, _ = np.histogram(state.y, bins=edges, weights=masses)

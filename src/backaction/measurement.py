@@ -219,8 +219,8 @@ class NoiseReport:
 def heisenberg_verdict(model, object_state, probe_state, tol=ONE_SIDED_TOL):
     """Score epsilon * eta against hbar/2, and the trade-off that replaces it.
 
-    ``satisfied`` reports epsilon * eta >= hbar/2 - tol.  A False verdict
-    on a physical preparation is the point, not an error: the rotated
+    ``satisfied`` reports epsilon * eta >= hbar/2 - tol * max(1, hbar/2).
+    A False verdict on a physical preparation is the point: the rotated
     coupling drives the product to zero.  ``tradeoff`` carries
     sigma(x, t) * eta, which stays above hbar/2 whenever the disturbance
     operator has the canonical commutator with position.
@@ -233,6 +233,7 @@ def _joint_verdict(model, joint, tol):
     epsilon = joint_noise(model, joint)
     eta = joint_disturbance(model, joint)
     bound = model.system.hbar / 2.0
+    floor = bound - tol * max(1.0, bound)
     sigma_x = states.std_dev(joint, model.measured)
     tradeoff = sigma_x * eta
     return NoiseReport(
@@ -241,10 +242,10 @@ def _joint_verdict(model, joint, tol):
         eta=eta,
         product=epsilon * eta,
         bound=bound,
-        satisfied=epsilon * eta >= bound - tol,
+        satisfied=epsilon * eta >= floor,
         sigma_x=sigma_x,
         tradeoff=tradeoff,
-        tradeoff_satisfied=tradeoff >= bound - tol,
+        tradeoff_satisfied=tradeoff >= floor,
     )
 
 

@@ -4,8 +4,8 @@ A scenario is one YAML mapping.  Validation is strict: unknown keys are
 rejected with the offending key named, every cross-field requirement
 (e.g. a sweep section without the sweep check) is an error at load time,
 and inadmissible preparations fail here rather than deep inside a run.
-Loading also builds the model, the moment states and the grid box the
-checks read, so an input that cannot be built is refused here too.
+Loading also builds the model and the starting states the checks read,
+so an input that cannot be built is refused here too.
 
 The package ships a gallery of ready-made scenarios; ``bundled_names`` and
 ``load_bundled`` expose them by name.
@@ -83,7 +83,6 @@ class GridParams(NamedTuple):
     nx: int = grid.DEFAULT_POINTS
     ny: int = grid.DEFAULT_POINTS
     half_width: float | None = None
-    boundary_threshold: float = grid.DEFAULT_BOUNDARY_THRESHOLD
 
 
 class SweepParams(NamedTuple):
@@ -94,10 +93,10 @@ class SweepParams(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A validated scenario, with its model and moment states built.
+    """A validated scenario, with its model and starting states built.
 
-    A state is None when its section is absent or, for the object, a
-    superposition.
+    A moment state is None when its section is absent or, for the object,
+    a superposition; ``grid_state`` (hbar = 1) without grid_crosscheck.
     """
 
     name: str
@@ -113,6 +112,7 @@ class Scenario:
     sweep: SweepParams | None = None
     born_samples: int = 100000
     tolerances: dict = field(default_factory=dict)
+    grid_state: grid.GridState | None = field(default=None, repr=False)
 
 
 def _require_mapping(node, context):
@@ -214,16 +214,12 @@ def _object_prep(node, context, hbar):
     return ObjectPrep("superposition", tuple(components))
 
 
-def _is_pure(spec, hbar):
-    return abs(spec.uncertainty_product() - hbar / 2.0) <= grid.PURITY_TOL * hbar
-
-
 @contextmanager
 def _refused_as(context):
-    """Turn a failure to build a model, state or box into a ConfigError."""
+    """Turn a failure to build a model or state into a ConfigError."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, grid.BoundaryMassError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
     except ArithmeticError as exc:
         raise ConfigError(f"{context}: {type(exc).__name__}: {exc}") from exc
@@ -271,12 +267,7 @@ def _grid_params(node, context):
         if n & (n - 1):
             raise ConfigError(f"{context}: {name} must be a power of two, got {n}")
     return GridParams(
-        nx=nx,
-        ny=ny,
-        half_width=_positive(node, "half_width", context),
-        boundary_threshold=_positive(
-            node, "boundary_threshold", context,
-            default=defaults.boundary_threshold))
+        nx=nx, ny=ny, half_width=_positive(node, "half_width", context))
 
 
 def _sweep_params(node, context):
@@ -394,6 +385,10 @@ def parse_scenario(mapping, source="scenario"):
         tolerances = _tolerances(mapping["tolerances"], f"{source}.tolerances")
 
     # Cross-field rules.
+    for section, check in (("sweep", "limit_sweep"), ("grid", "grid_crosscheck"),
+                           ("born", "born")):
+        if section in mapping and check not in checks:
+            raise ConfigError(f"{source}: '{section}' requires the {check} check")
     needs_preps = [c for c in checks if c in _PREP_CHECKS]
     if needs_preps:
         if object_prep is None:
@@ -418,36 +413,30 @@ def parse_scenario(mapping, source="scenario"):
             raise ConfigError(
                 f"{source}: limit_sweep has no reference behavior for "
                 "custom models")
-    elif sweep is not None:
-        raise ConfigError(f"{source}: 'sweep' requires the limit_sweep check")
-    if "grid_crosscheck" in checks:
-        if not model.steps:
-            raise ConfigError(
-                f"{source}: grid_crosscheck needs a shear factorization, "
-                "which only the built-in models have")
-        for weight, spec in object_prep.components:
-            if not _is_pure(spec, hbar):
-                raise ConfigError(
-                    f"{source}.object: grid_crosscheck needs pure packets "
-                    "(sigma_x * sigma_p * sqrt(1 - rho^2) = hbar/2); got "
-                    f"product {spec.uncertainty_product():.6g}")
-        if not _is_pure(probe_spec, hbar):
-            raise ConfigError(
-                f"{source}.probe: grid_crosscheck needs a pure packet; got "
-                f"product {probe_spec.uncertainty_product():.6g}")
-        if grid_params.half_width is None:
-            with _refused_as(f"{source}.grid"):
-                grid_params = grid_params._replace(
-                    half_width=grid.auto_half_width(
-                        [grid.unit_hbar_spec(s, hbar)
-                         for _, s in object_prep.components],
-                        grid.unit_hbar_spec(probe_spec, hbar),
-                        min(grid_params.nx, grid_params.ny)))
+    if "grid_crosscheck" in checks and not model.steps:
+        raise ConfigError(
+            f"{source}: grid_crosscheck needs a shear factorization, "
+            "which only the built-in models have")
     # The born reference is the object's position distribution, which only
     # an exact (epsilon = 0) readout reproduces.
     if "born" in checks and model.name != "noiseless":
         raise ConfigError(
             f"{source}: the born check applies to model 'noiseless'")
+
+    grid_state = None
+    if "grid_crosscheck" in checks:
+        with _refused_as(f"{source}.grid"):
+            components = [(w, grid.unit_hbar_spec(s, hbar))
+                          for w, s in object_prep.components]
+            probe_unit = grid.unit_hbar_spec(probe_spec, hbar)
+            if grid_params.half_width is not None:
+                grid.check_momentum_ceiling(
+                    [s for _, s in components], probe_unit,
+                    min(grid_params.nx, grid_params.ny),
+                    grid_params.half_width)
+            grid_state = grid.init_grid(
+                components, probe_unit, nx=grid_params.nx, ny=grid_params.ny,
+                half_width=grid_params.half_width)
 
     return Scenario(
         name=name,
@@ -463,6 +452,7 @@ def parse_scenario(mapping, source="scenario"):
         sweep=sweep,
         born_samples=born_samples,
         tolerances=tolerances,
+        grid_state=grid_state,
     )
 
 

@@ -63,9 +63,10 @@ class GaussianSpec:
         """sigma_x * sigma_p * sqrt(1 - correlation^2)."""
         return self.sigma_x * self.sigma_p * math.sqrt(1.0 - self.correlation ** 2)
 
-    def admissible(self, hbar=1.0, tol=1e-12):
-        """Whether the spec satisfies the uncertainty bound for this hbar."""
-        return self.uncertainty_product() >= hbar / 2.0 - tol
+    def admissible(self, hbar=1.0):
+        """Whether the spec meets hbar/2 within 1e-12 of max(1, hbar/2)."""
+        bound = hbar / 2.0
+        return self.uncertainty_product() >= bound - 1e-12 * max(1.0, bound)
 
     def mean_block(self):
         return np.array([self.mean_x, self.mean_p])
@@ -187,11 +188,11 @@ def robertson_check(state, a, b, tol=1e-12):
 
     For linear observables the commutator is a constant, so the bound is
     state-independent; the check must hold for every physical state and a
-    failure beyond ``tol`` indicates broken moments, not broken physics.
+    failure beyond ``tol`` * max(1, bound) means broken moments, not physics.
     """
     lhs = std_dev(state, a) * std_dev(state, b)
     bound = abs(canonical.commutator_constant(a, b)) / 2.0
-    return RobertsonResult(lhs, bound, lhs >= bound - tol)
+    return RobertsonResult(lhs, bound, lhs >= bound - tol * max(1.0, bound))
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,17 @@ SWEEP = """\
     sweep: {{kind: {kind}, k_min: {k_min}, k_max: {k_max}}}
     """
 
+GRID = """\
+    name: grid
+    model: {model}
+    checks: [grid_crosscheck]
+    grid: {{nx: {n}, ny: {n}, half_width: {half_width}}}
+    object: {obj}
+    probe: {probe}
+    """
+
+PACKET = "{sigma_x: 1, sigma_p: 0.5}"
+
 
 class TestListCommand:
     def test_lists_bundled_names(self, capsys):
@@ -191,8 +202,33 @@ class TestRunCommand:
         (SWEEP.format(kind="sharpen_pointer", k_min=513, k_max=513),
          "OverflowError"),
         ("a: [\n", "line 2, column 1"),
+        # The grid state is built at load: a packet far outside an
+        # explicit box, a box that clips the packets, a mixed packet.
+        (GRID.format(model="noiseless", n=64, half_width=10, probe=PACKET,
+                     obj="{sigma_x: 1, sigma_p: 0.5, mean_x: 1000}"),
+         ".grid: wavefunction vanished on the grid"),
+        (GRID.format(model="noiseless", n=64, half_width=3, obj=PACKET,
+                     probe=PACKET),
+         ".grid: initial state already puts mass"),
+        (GRID.format(model="noiseless", n=128, half_width=10, obj=PACKET,
+                     probe="{sigma_x: 1, sigma_p: 1}"),
+         ".grid: grid packets are pure states: the probe has sigma_x * "
+         "sigma_p * sqrt(1 - rho^2) = 1 hbar"),
+        # An explicit box meets the momentum ceiling auto_half_width
+        # applies to the box it picks.
+        (GRID.format(model="noiseless", n=16, half_width=10, obj=PACKET,
+                     probe="{sigma_x: 0.5, sigma_p: 1}"),
+         ".grid: grid of 16 points cannot hold"),
+        (GRID.format(model="von_neumann", n=64, half_width=10, probe=PACKET,
+                     obj="{sigma_x: 1, sigma_p: 0.5, mean_p: 30}"),
+         ".grid: grid of 64 points cannot hold"),
+        (GRID.format(model="von_neumann", n=64, half_width=10, obj=PACKET,
+                     probe="{sigma_x: 1.0e-3, sigma_p: 500}"),
+         ".grid: grid of 64 points cannot hold"),
     ], ids=["huge-spread", "huge-mean", "box", "sharpen-momentum-513",
-            "sharpen-pointer-513", "invalid-yaml"])
+            "sharpen-pointer-513", "invalid-yaml", "vanished", "tight-box",
+            "impure-probe", "ceiling-16", "ceiling-mean-p",
+            "ceiling-probe"])
     def test_unrunnable_input_exits_two(self, tmp_path, capsys, body, where):
         path = _write(tmp_path, body)
         assert where in _exits_two(capsys, ["run", path])
@@ -203,6 +239,31 @@ class TestRunCommand:
         # epsilon is rounding times the point's sigma_x = hbar 2^(k - 1).
         path = _write(tmp_path, SWEEP.format(
             kind="sharpen_momentum", k_min=k_min, k_max=k_max))
+        assert main(["run", path]) == 0
+        assert "overall           PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("k_max", [80, 200])
+    def test_sharp_pointer_sweep_passes(self, tmp_path, capsys, k_max):
+        # From k = 78 the deviation ties on its rounding floor, 2.2e-16.
+        path = _write(tmp_path, SWEEP.format(
+            kind="sharpen_pointer", k_min=0, k_max=k_max))
+        assert main(["run", path]) == 0
+        assert "overall           PASS" in capsys.readouterr().out
+
+    def test_decreasing_allows_ties_but_not_rises(self):
+        exact = 1e-12
+        assert cli._decreasing([1.0, 1.0, 0.5], exact)
+        assert not cli._decreasing([1.0, 0.5, 0.5 + 2 * exact], exact)
+
+    def test_saturating_preparation_at_large_hbar_passes(self, tmp_path,
+                                                         capsys):
+        # 0.9 * 555555.5555555555 rounds to 499999.99999999994 < hbar/2;
+        # the slack on >= hbar/2 scales with the bound.
+        body = ("name: large-hbar\nmodel: von_neumann\nhbar: 1.0e6\n"
+                "checks: [verdict, robertson, repeatability]\n"
+                "object: {sigma_x: 1, sigma_p: 1.0e6}\n"
+                "probe: {sigma_x: 0.9, sigma_p: 555555.5555555555}\n")
+        path = _write(tmp_path, body)
         assert main(["run", path]) == 0
         assert "overall           PASS" in capsys.readouterr().out
 

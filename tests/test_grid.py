@@ -221,8 +221,8 @@ def _flat_grid(nx, ny, lx, ly):
 def _product_grid(ospec, pspec, nx, ny, lx, ly):
     """Product packet on a box whose axes differ in size and extent."""
     box = _flat_grid(nx, ny, lx, ly)
-    amp = np.outer(grid._pure_packet(box.x, ospec),
-                   grid._pure_packet(box.y, pspec))
+    amp = np.outer(grid._pure_packet(box.x, ospec, "object"),
+                   grid._pure_packet(box.y, pspec, "probe"))
     amp /= math.sqrt(float(np.sum(np.abs(amp) ** 2)) * box.cell_area)
     return GridState(nx, ny, lx, ly, amp)
 

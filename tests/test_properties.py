@@ -1,6 +1,7 @@
 """Property tests: shear maps against the grid, the shear factorization,
-the cascade gap against two composed windows, and the uncertainty
-relations that hold for every measurement.
+the cascade gap against two composed windows, the uncertainty
+relations that hold for every measurement, propagation under random
+quadratic Hamiltonians, and minimum-uncertainty scenarios at every hbar.
 
 Hypothesis draws the inputs; every identity is checked at the tolerance
 its fixed-seed counterpart uses, every inequality at 1e-12 of its scale.
@@ -12,7 +13,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from backaction import canonical, cascade, grid, measurement, states
+from backaction import (canonical, cascade, cli, grid, measurement, scenarios,
+                        states)
 from backaction.canonical import ModeSystem
 from backaction.states import GaussianSpec
 
@@ -205,3 +207,48 @@ def test_robertson_relation_holds_on_evolved_states(data, hbar, form,
     scale = max(hbar, float(np.linalg.norm(u) * np.linalg.norm(v)
                             * np.max(np.abs(evolved.cov))))
     assert states.robertson_check(evolved, a, b, tol=1e-12 * scale).passed
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), scale=st.floats(0.0, 2.0),
+       hbar=st.floats(0.1, 10.0), a=st.floats(-1.5, 1.5),
+       b=st.floats(-1.5, 1.5))
+def test_propagation_is_symplectic_and_composes(data, n, scale, hbar, a, b):
+    # Both gaps carry rounding of size |S|_F^2; the construction guard
+    # allows 1e-9 of it, and exact propagations land far below.
+    system = ModeSystem(n, hbar=hbar)
+    hamiltonian = canonical.QuadraticHamiltonian(
+        system, scale * data.draw(symmetric_forms(2 * n)))
+    s = canonical.propagate(hamiltonian, a + b).matrix
+    size = max(1.0, float(np.sum(s * s)))
+    omega = system.omega()
+    assert np.linalg.norm(s @ omega @ s.T - omega) <= 1e-12 * size
+    split = canonical.propagate(hamiltonian, a).then(
+        canonical.propagate(hamiltonian, b))
+    assert np.linalg.norm(s - split.matrix) <= 1e-11 * size
+
+
+@st.composite
+def saturating_specs(draw, hbar):
+    """Minimum-uncertainty preparation as a scenario section."""
+    sigma_x = 10.0 ** draw(st.floats(-2.0, 2.0))
+    rho = draw(st.floats(-0.9, 0.9))
+    return {"sigma_x": sigma_x,
+            "sigma_p": hbar / (2.0 * sigma_x * math.sqrt(1.0 - rho ** 2)),
+            "correlation": rho}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), hbar=st.floats(1e-3, 1e8),
+       model=st.sampled_from(["von_neumann", "noiseless"]))
+def test_saturating_preparations_load_and_pass_at_every_hbar(data, hbar,
+                                                             model):
+    # The product rounds to either side of hbar/2; the slack on every
+    # >= hbar/2 comparison scales with the bound.
+    scenario = scenarios.parse_scenario({
+        "name": "saturating", "model": model, "hbar": hbar,
+        "checks": ["verdict", "robertson", "repeatability"],
+        "object": data.draw(saturating_specs(hbar)),
+        "probe": data.draw(saturating_specs(hbar))})
+    report, _ = cli.run_scenario(scenario)
+    assert report["passed"]

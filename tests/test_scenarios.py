@@ -248,10 +248,21 @@ class TestCrossFieldRules:
                     {"coefficient": 1.0, "first": "x", "second": "py"}]}))
 
     def test_born_section_validated(self):
-        scenario = parse_scenario(_base(born={"samples": 5000}))
+        born = {"model": "noiseless", "checks": ["born"]}
+        scenario = parse_scenario(_base(born={"samples": 5000}, **born))
         assert scenario.born_samples == 5000
         with pytest.raises(ConfigError, match="samples"):
-            parse_scenario(_base(born={"samples": 5}))
+            parse_scenario(_base(born={"samples": 5}, **born))
+
+    @pytest.mark.parametrize("section, body, check", [
+        ("born", {"samples": 50}, "born"),
+        ("grid", {"nx": 64}, "grid_crosscheck"),
+    ])
+    def test_section_requires_its_check(self, section, body, check):
+        # A section no check reads would be silently ignored.
+        with pytest.raises(ConfigError,
+                           match=f"'{section}' requires the {check} check"):
+            parse_scenario(_base(model="noiseless", **{section: body}))
 
     def test_tolerance_overrides(self):
         scenario = parse_scenario(_base(tolerances={"grid_match": 1e-5}))
@@ -289,10 +300,16 @@ class TestBuiltAtLoad:
         scenario = parse_scenario(mapping)
         obj_unit = grid.unit_hbar_spec(scenario.object_prep.spec, 2.0)
         probe_unit = grid.unit_hbar_spec(scenario.probe_spec, 2.0)
-        assert scenario.grid_params.half_width == grid.auto_half_width(
-            [obj_unit], probe_unit, 128)
+        state = scenario.grid_state
+        assert scenario.grid_params.half_width is None
+        assert state.lx == grid.auto_half_width([obj_unit], probe_unit, 128)
+        np.testing.assert_array_equal(state.amplitudes, grid.init_grid(
+            [(1.0, obj_unit)], probe_unit, nx=256, ny=128).amplitudes)
+        assert scenarios.with_seed(scenario, 3).grid_state is state
+        # Momentum ceiling 16.1 against 12 needed: the explicit box holds.
         mapping["grid"]["half_width"] = 12.5
-        assert parse_scenario(mapping).grid_params.half_width == 12.5
+        assert parse_scenario(mapping).grid_state.lx == 12.5
+        assert parse_scenario(_base()).grid_state is None
 
     def test_grid_box_refused_at_load(self):
         # A packet 1000 widths off centre needs a box whose momentum
