@@ -90,14 +90,17 @@ def _robertson_check(sc, tols):
 
 
 def _born_check(sc, tols):
-    obj = sc.object_state
-    joint = states.product(obj, sc.probe_state)
-    readout = canonical.heisenberg_apply(sc.model.endpoint, sc.model.probe_obs)
-    outcome = states.observable_distribution(joint, readout)
-    reference = states.observable_distribution(
-        obj, canonical.position(obj.system, 0))
-    samples = states.sample_outcomes(outcome, sc.born_samples, sc.seed)
-    result = states.born_check(samples, reference, alpha=tols["ks_alpha"])
+    joint = states.product(sc.object_state, sc.probe_state)
+    outcome = states.observable_distribution(joint, sc.model.readout)
+    reference = states.observable_distribution(joint, sc.model.measured)
+    # Sample and test about the reference mean: absolute samples far off
+    # centre are quantized to the float spacing of the mean.
+    samples = states.sample_outcomes(states.ScalarDistribution(
+        outcome.mean - reference.mean, outcome.variance),
+        sc.born_samples, sc.seed)
+    result = states.born_check(
+        samples, states.ScalarDistribution(0.0, reference.variance),
+        alpha=tols["ks_alpha"])
     return {
         "passed": result.passed,
         "values": {

@@ -9,11 +9,13 @@ picture across the window:
     disturbance operator D = B(t + dt) - B(t)      eta     = <D^2>^(1/2)
 
 with M the pointer position, A the object position it measures and B the
-object momentum it disturbs.  The window is one transcription, K dt = 1.
-Both operators are linear in the canonical coordinates, so the figures
-come out of moment states exactly, with no discretization anywhere.
+object momentum it disturbs.  The window is one transcription, K dt = 1,
+so it lasts unit time and the coupling strength K is no parameter.  Both
+operators are linear in the canonical coordinates and are built with the
+model, so the figures come out of moment states exactly, with no
+discretization anywhere.
 
-Two couplings are built in.  The stretch coupling K x p_y is the textbook
+Two couplings are built in.  The stretch coupling x p_y is the textbook
 von Neumann interaction: it transcribes x onto the pointer but kicks
 momentum by the pointer's own momentum, and epsilon * eta respects the
 hbar/2 bound.  The rotated coupling composes two mutually conjugate
@@ -34,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import canonical, grid, states
-from .canonical import ModeSystem, build_quadratic
+from .canonical import LinearObservable, ModeSystem, build_quadratic
 
 # One-sided slack for assertions that an exact quantity vanished; the
 # endpoint map comes from a floating-point exponential, so identically-zero
@@ -47,67 +49,74 @@ PROBE_MODE = 1
 
 @dataclass(frozen=True, eq=False)
 class MeasurementModel:
-    """A bilinear coupling window with its readout bookkeeping.
+    """A bilinear coupling window with the observables read off it.
 
-    The window lasts dt = 1 / coupling, one transcription: every closed
-    form downstream assumes it.  The pointer position ``probe_obs`` reads
-    the object position ``measured``.  ``steps`` is the window's
+    ``hamiltonian`` generates the window over unit time, dt = 1: every
+    closed form downstream assumes it.  The pointer position ``probe_obs``
+    reads the object position ``measured``.  ``steps`` is the window's
     factorization into grid shears, which the grid cross-check and the
     realization check read; it is empty for custom models.  The endpoint
-    map is built with the model, so a window that is not symplectic fails
+    map, the ``readout`` M(t + dt) and the noise and disturbance operators
+    are built with the model, so a window that is not symplectic fails
     construction.
     """
 
     name: str
     system: ModeSystem
     hamiltonian: canonical.QuadraticHamiltonian
-    coupling: float
     steps: tuple = ()
-    dt: float = field(init=False)
-    measured: canonical.LinearObservable = field(init=False, repr=False)
-    probe_obs: canonical.LinearObservable = field(init=False, repr=False)
+    measured: LinearObservable = field(init=False, repr=False)
+    probe_obs: LinearObservable = field(init=False, repr=False)
     endpoint: canonical.SymplecticPropagation = field(init=False, repr=False)
+    readout: LinearObservable = field(init=False, repr=False)
+    noise_operator: LinearObservable = field(init=False, repr=False)
+    disturbance_operator: LinearObservable = field(init=False, repr=False)
+
+    dt = 1.0  # the window's length, fixed: not a field
 
     def __post_init__(self):
         if self.system.n != 2:
             raise ValueError("measurement models live on object + probe (2 modes)")
-        if not (math.isfinite(self.coupling) and self.coupling > 0):
-            raise ValueError(f"coupling must be positive, got {self.coupling!r}")
         if not self.system.compatible(self.hamiltonian.system):
             raise ValueError("hamiltonian built on an incompatible system")
-        object.__setattr__(self, "dt", 1.0 / self.coupling)
-        object.__setattr__(
-            self, "measured", canonical.position(self.system, OBJECT_MODE))
-        object.__setattr__(
-            self, "probe_obs", canonical.position(self.system, PROBE_MODE))
+        measured = canonical.position(self.system, OBJECT_MODE)
+        probe_obs = canonical.position(self.system, PROBE_MODE)
+        px = canonical.momentum(self.system, OBJECT_MODE)
         # Symplectic map across the full window (t, t + dt).
-        object.__setattr__(
-            self, "endpoint", canonical.propagate(self.hamiltonian, self.dt))
+        endpoint = canonical.propagate(self.hamiltonian, self.dt)
+        readout = canonical.heisenberg_apply(endpoint, probe_obs)
+        # N = M(t + dt) - A(t) and D = p_x(t + dt) - p_x(t).
+        for name, value in (
+                ("measured", measured), ("probe_obs", probe_obs),
+                ("endpoint", endpoint), ("readout", readout),
+                ("noise_operator", readout - measured),
+                ("disturbance_operator",
+                 canonical.heisenberg_apply(endpoint, px) - px)):
+            object.__setattr__(self, name, value)
 
     def propagation(self, tau):
         """Symplectic map across (t, t + tau) for any finite tau."""
         return canonical.propagate(self.hamiltonian, tau)
 
 
-def von_neumann_model(coupling=1.0, hbar=1.0):
-    """Stretch coupling K x p_y reading the pointer position."""
+def von_neumann_model(hbar=1.0):
+    """Stretch coupling x p_y reading the pointer position."""
     system = ModeSystem(2, hbar=hbar, labels=("object", "probe"))
     x = system.position_index(0)
     py = system.momentum_index(1)
-    hamiltonian = build_quadratic(system, [(coupling, x, py)])
+    hamiltonian = build_quadratic(system, [(1.0, x, py)])
     return MeasurementModel(
         name="von_neumann",
         system=system,
         hamiltonian=hamiltonian,
-        coupling=coupling,
         steps=grid.VON_NEUMANN_STEPS,
     )
 
 
-def noiseless_model(coupling=1.0, hbar=1.0):
+def noiseless_model(hbar=1.0):
     """Rotated coupling whose pointer reads object position exactly.
 
-    The Hamiltonian (K pi / 3 sqrt(3)) (2 x p_y - 2 p_x y + x p_x - y p_y)
+    The Hamiltonian (pi / 3 sqrt(3)) (2 x p_y - 2 p_x y + x p_x - y p_y)
     generates, over one window, the map
 
         x -> x - y,   y -> x,   p_x -> -p_y,   p_y -> p_x + p_y,
@@ -120,7 +129,7 @@ def noiseless_model(coupling=1.0, hbar=1.0):
     system = ModeSystem(2, hbar=hbar, labels=("object", "probe"))
     x, px = system.position_index(0), system.momentum_index(0)
     y, py = system.position_index(1), system.momentum_index(1)
-    g = coupling * math.pi / (3.0 * math.sqrt(3.0))
+    g = math.pi / (3.0 * math.sqrt(3.0))
     hamiltonian = build_quadratic(system, [
         (2.0 * g, x, py),
         (-2.0 * g, px, y),
@@ -131,7 +140,6 @@ def noiseless_model(coupling=1.0, hbar=1.0):
         name="noiseless",
         system=system,
         hamiltonian=hamiltonian,
-        coupling=coupling,
         steps=grid.NOISELESS_STEPS,
     )
 
@@ -154,26 +162,15 @@ def shear_propagation(system, step):
     return canonical.propagate(build_quadratic(system, [term]), 1.0)
 
 
-def noise_operator(model):
-    """N = M(t + dt) - A(t) as a linear observable at time t."""
-    readout = canonical.heisenberg_apply(model.endpoint, model.probe_obs)
-    return readout - model.measured
-
-
-def disturbance_operator(model):
-    """D = p_x(t + dt) - p_x(t) as a linear observable at time t."""
-    px = canonical.momentum(model.system, OBJECT_MODE)
-    return canonical.heisenberg_apply(model.endpoint, px) - px
-
-
 def joint_noise(model, joint_state):
     """epsilon on an already-assembled object + probe state."""
-    return math.sqrt(states.second_moment(joint_state, noise_operator(model)))
+    return math.sqrt(states.second_moment(joint_state, model.noise_operator))
 
 
 def joint_disturbance(model, joint_state):
     """eta on an already-assembled object + probe state."""
-    return math.sqrt(states.second_moment(joint_state, disturbance_operator(model)))
+    return math.sqrt(
+        states.second_moment(joint_state, model.disturbance_operator))
 
 
 def _joint(model, object_state, probe_state):

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import yaml
 
-from . import canonical, grid, measurement, states
+from . import canonical, cascade, grid, measurement, states
 from .states import GaussianSpec
 
 MODELS = ("von_neumann", "noiseless", "custom")
@@ -178,17 +178,12 @@ def _gaussian_spec(mapping, context, hbar, saturate_sigma_p=False):
         sigma_p = hbar / (2.0 * sigma_x * math.sqrt(1.0 - correlation ** 2))
     else:
         sigma_p = _positive(mapping, "sigma_p", context, required=True)
-    spec = GaussianSpec(
+    return GaussianSpec(
         sigma_x=sigma_x,
         sigma_p=sigma_p,
         mean_x=_number(mapping, "mean_x", context, default=0.0),
         mean_p=_number(mapping, "mean_p", context, default=0.0),
         correlation=correlation)
-    if not spec.admissible(hbar):
-        raise ConfigError(
-            f"{context}: sigma_x * sigma_p * sqrt(1 - rho^2) = "
-            f"{spec.uncertainty_product():.6g} < hbar/2 = {hbar / 2:.6g}")
-    return spec
 
 
 def _object_prep(node, context, hbar):
@@ -226,10 +221,9 @@ def _refused_as(context):
 
 
 def _interaction(node, context, hbar):
-    """The custom model of an ``interaction`` section: terms scaled by coupling."""
+    """The custom model of an ``interaction`` section: the window's terms."""
     node = _require_mapping(node, context)
-    _check_keys(node, ("coupling", "terms"), context)
-    coupling = _positive(node, "coupling", context, default=1.0)
+    _check_keys(node, ("terms",), context)
     raw = node.get("terms")
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{context}: 'terms' must be a non-empty list")
@@ -247,14 +241,13 @@ def _interaction(node, context, hbar):
                     f"{sub}: {key!r} must be one of {', '.join(_COORDS)}, "
                     f"got {coord!r}")
             indices.append(_COORDS[coord])
-        terms.append((coefficient * coupling, *indices))
+        terms.append((coefficient, *indices))
     system = canonical.ModeSystem(2, hbar=hbar, labels=("object", "probe"))
     with _refused_as(context):
         return measurement.MeasurementModel(
             name="custom",
             system=system,
-            hamiltonian=canonical.build_quadratic(system, terms),
-            coupling=coupling)
+            hamiltonian=canonical.build_quadratic(system, terms))
 
 
 def _grid_params(node, context):
@@ -413,6 +406,11 @@ def parse_scenario(mapping, source="scenario"):
             raise ConfigError(
                 f"{source}: limit_sweep has no reference behavior for "
                 "custom models")
+        # Build the sharpest point, the one a float may not hold.
+        sharpest = {"sharpen_momentum": measurement.limit_sweep,
+                    "sharpen_pointer": cascade.repeatability_sweep}[sweep.kind]
+        with _refused_as(f"{source}.sweep"):
+            sharpest(model, [2.0 ** -sweep.k_max])
     if "grid_crosscheck" in checks and not model.steps:
         raise ConfigError(
             f"{source}: grid_crosscheck needs a shear factorization, "

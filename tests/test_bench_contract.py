@@ -8,6 +8,7 @@ benchmark runs.  It reads ``bench/`` and changes nothing there.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -25,3 +26,19 @@ def test_first_op_of_each_workload_passes_its_check(monkeypatch):
         op = next(iter(workload.inputs()))
         out = workload.run(program.Calls(api, traced=False), op)
         assert workload.check(op, out) == [], name
+
+
+def test_gallery_seed_lists_match_the_born_check(monkeypatch):
+    # The gallery workload draws its pass seeds from outside
+    # KS_REJECTED_SEEDS; a change to the draws or the KS test that moves
+    # that set would fail its ops.  101 is noiseless-violation's own seed.
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads.gallery import KS_REJECTED_SEEDS
+
+    from backaction import cli, scenarios
+
+    born_only = replace(scenarios.load_bundled("noiseless-violation"),
+                        checks=("born",))
+    for seed in sorted(KS_REJECTED_SEEDS) + [101]:
+        report, _ = cli.run_scenario(replace(born_only, seed=seed))
+        assert report["passed"] == (seed == 101), seed

@@ -24,21 +24,19 @@ def _scenario(model, rng, hbar=1.0):
 class TestReadoutObservables:
     # Coefficient order on the composite: (x, px, y, py, z, pz).
 
-    @pytest.mark.parametrize("coupling, hbar", [(1.0, 1.0), (0.5, 2.0),
-                                                (3.0, 0.25)])
-    def test_noiseless_gap(self, coupling, hbar):
+    @pytest.mark.parametrize("hbar", [1.0, 2.0, 0.25])
+    def test_noiseless_gap(self, hbar):
         # y(t + dt) = x and z(t + 2 dt) = x - y: the gap is -y(t).
         rng = np.random.default_rng(0)
-        scenario = _scenario(noiseless_model(coupling, hbar), rng, hbar)
+        scenario = _scenario(noiseless_model(hbar), rng, hbar)
         np.testing.assert_allclose(
             gap_observable(scenario).coeffs, [0, 0, -1, 0, 0, 0], atol=1e-12)
 
-    @pytest.mark.parametrize("coupling, hbar", [(1.0, 1.0), (0.5, 2.0),
-                                                (3.0, 0.25)])
-    def test_von_neumann_gap(self, coupling, hbar):
+    @pytest.mark.parametrize("hbar", [1.0, 2.0, 0.25])
+    def test_von_neumann_gap(self, hbar):
         # y(t + dt) = x + y and z(t + 2 dt) = x + z: the gap is z - y.
         rng = np.random.default_rng(2)
-        scenario = _scenario(von_neumann_model(coupling, hbar), rng, hbar)
+        scenario = _scenario(von_neumann_model(hbar), rng, hbar)
         np.testing.assert_allclose(
             gap_observable(scenario).coeffs, [0, 0, -1, 0, 1, 0], atol=1e-12)
 

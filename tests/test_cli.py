@@ -196,11 +196,16 @@ class TestRunCommand:
          "grid: {nx: 64, ny: 64}\n"
          "object: {sigma_x: 1, sigma_p: 0.5, mean_x: 1000}\n"
          "probe: {sigma_x: 1, sigma_p: 0.5}\n", ".grid: grid of 64 points"),
-        # The point's spreads 2^512 overflow when squared.
+        # The sharpest point is built at load: its spreads 2^512 overflow
+        # when squared, and 2^-1075 rounds to zero.
         (SWEEP.format(kind="sharpen_momentum", k_min=513, k_max=513),
-         "OverflowError"),
+         ".sweep: OverflowError"),
         (SWEEP.format(kind="sharpen_pointer", k_min=513, k_max=513),
-         "OverflowError"),
+         ".sweep: OverflowError"),
+        (SWEEP.format(kind="sharpen_momentum", k_min=1075, k_max=1075),
+         ".sweep: sigma_p values must be positive, got 0.0"),
+        (SWEEP.format(kind="sharpen_pointer", k_min=1075, k_max=1075),
+         ".sweep: sigma_y values must be positive, got 0.0"),
         ("a: [\n", "line 2, column 1"),
         # The grid state is built at load: a packet far outside an
         # explicit box, a box that clips the packets, a mixed packet.
@@ -226,7 +231,8 @@ class TestRunCommand:
                      probe="{sigma_x: 1.0e-3, sigma_p: 500}"),
          ".grid: grid of 64 points cannot hold"),
     ], ids=["huge-spread", "huge-mean", "box", "sharpen-momentum-513",
-            "sharpen-pointer-513", "invalid-yaml", "vanished", "tight-box",
+            "sharpen-pointer-513", "sharpen-momentum-1075",
+            "sharpen-pointer-1075", "invalid-yaml", "vanished", "tight-box",
             "impure-probe", "ceiling-16", "ceiling-mean-p",
             "ceiling-probe"])
     def test_unrunnable_input_exits_two(self, tmp_path, capsys, body, where):
@@ -266,6 +272,18 @@ class TestRunCommand:
         path = _write(tmp_path, body)
         assert main(["run", path]) == 0
         assert "overall           PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mean_x", ["1.0e14", "1.0e16"])
+    def test_born_far_off_centre_passes(self, tmp_path, capsys, mean_x):
+        # Absolute samples at 1e14 are quantized to the float spacing; the
+        # check samples and tests about the reference mean instead.
+        body = ("name: far-born\nmodel: noiseless\nchecks: [born]\n"
+                f"object: {{sigma_x: 1, sigma_p: 1, mean_x: {mean_x}}}\n"
+                "probe: {sigma_x: 1.0, sigma_p: 0.5}\n")
+        path = _write(tmp_path, body)
+        assert main(["run", path, "--format", "json"]) == 0
+        values = json.loads(capsys.readouterr().out)["checks"]["born"]["values"]
+        assert values["outcome_mean"] == values["reference_mean"] == float(mean_x)
 
     @pytest.mark.parametrize("model", [
         "von_neumann",

@@ -9,11 +9,9 @@ from backaction.canonical import ModeSystem, position
 from backaction.measurement import (
     MeasurementModel,
     disturbance,
-    disturbance_operator,
     heisenberg_verdict,
     limit_sweep,
     noise,
-    noise_operator,
     noiseless_model,
     realization_residual,
     von_neumann_model,
@@ -52,12 +50,6 @@ class TestEndpointMaps:
     def test_noiseless(self):
         s = noiseless_model().endpoint.matrix
         assert np.max(np.abs(s - NOISELESS_ENDPOINT)) <= 1e-12
-
-    def test_coupling_only_sets_the_timescale(self):
-        # K and dt = 1/K vary together; the window map cannot change.
-        for coupling in (0.25, 2.0, 7.5):
-            s = noiseless_model(coupling=coupling).endpoint.matrix
-            assert np.max(np.abs(s - NOISELESS_ENDPOINT)) <= 1e-12
 
     def test_hbar_does_not_enter_the_map(self):
         s = noiseless_model(hbar=3.0).endpoint.matrix
@@ -103,35 +95,37 @@ class TestIntermediateTimes:
 
 class TestModelType:
     def test_window_normalization_enforced(self):
-        # dt = 1 / coupling by construction; the window cannot be set apart.
-        good = von_neumann_model(coupling=2.0)
-        assert good.dt == 0.5
+        # The Hamiltonian is the window's; neither its length nor a
+        # coupling strength can be set apart.
+        good = von_neumann_model()
+        assert good.dt == 1.0
         np.testing.assert_array_equal(
             good.endpoint.matrix,
-            canonical.propagate(good.hamiltonian, 0.5).matrix)
-        with pytest.raises(TypeError, match="dt"):
-            MeasurementModel(
-                name="bad", system=good.system, hamiltonian=good.hamiltonian,
-                coupling=2.0, dt=1.0)
+            canonical.propagate(good.hamiltonian, 1.0).matrix)
+        for key in ("dt", "coupling"):
+            with pytest.raises(TypeError, match=key):
+                MeasurementModel(
+                    name="bad", system=good.system,
+                    hamiltonian=good.hamiltonian, **{key: 1.0})
 
     def test_measured_must_sit_on_object_mode(self):
         template = von_neumann_model()
         custom = MeasurementModel(
             name="custom", system=template.system,
-            hamiltonian=template.hamiltonian, coupling=1.0)
+            hamiltonian=template.hamiltonian)
         for model in (template, noiseless_model(), custom):
             np.testing.assert_array_equal(model.measured.coeffs, [1, 0, 0, 0])
             np.testing.assert_array_equal(model.probe_obs.coeffs, [0, 0, 1, 0])
 
     def test_built_in_models_carry_their_shears(self):
         assert von_neumann_model().steps == grid.VON_NEUMANN_STEPS
-        assert noiseless_model(2.0, 3.0).steps == grid.NOISELESS_STEPS
+        assert noiseless_model(hbar=3.0).steps == grid.NOISELESS_STEPS
 
     def test_custom_model_has_no_shears(self):
         template = von_neumann_model()
         model = MeasurementModel(
             name="custom", system=template.system,
-            hamiltonian=template.hamiltonian, coupling=1.0)
+            hamiltonian=template.hamiltonian)
         assert model.steps == ()
         with pytest.raises(ValueError, match="no shear factorization"):
             realization_residual(model)
@@ -144,24 +138,30 @@ class TestModelType:
             system, [(400.0, 0, 0), (-400.0, 1, 1)])
         with pytest.raises(ValueError, match="non-finite"):
             MeasurementModel(
-                name="custom", system=system, hamiltonian=hamiltonian,
-                coupling=1.0)
+                name="custom", system=system, hamiltonian=hamiltonian)
 
 
 class TestOperators:
     def test_von_neumann_noise_is_pointer_position(self):
-        n = noise_operator(von_neumann_model())
+        n = von_neumann_model().noise_operator
         np.testing.assert_allclose(n.coeffs, [0.0, 0.0, 1.0, 0.0], atol=1e-15)
 
     def test_noiseless_noise_vanishes_identically(self):
-        n = noise_operator(noiseless_model())
+        n = noiseless_model().noise_operator
         assert np.max(np.abs(n.coeffs)) <= 1e-15
 
     def test_disturbance_operators(self):
-        d_vn = disturbance_operator(von_neumann_model())
+        d_vn = von_neumann_model().disturbance_operator
         np.testing.assert_allclose(d_vn.coeffs, [0, 0, 0, -1.0], atol=1e-15)
-        d_nl = disturbance_operator(noiseless_model())
+        d_nl = noiseless_model().disturbance_operator
         np.testing.assert_allclose(d_nl.coeffs, [0, -1.0, 0, -1.0], atol=1e-15)
+
+    def test_readout_is_the_pointer_after_the_window(self):
+        # M(t + dt) = x + y for the stretch and x for the rotated window.
+        np.testing.assert_allclose(
+            von_neumann_model().readout.coeffs, [1, 0, 1, 0], atol=1e-15)
+        np.testing.assert_allclose(
+            noiseless_model().readout.coeffs, [1, 0, 0, 0], atol=1e-15)
 
     def test_von_neumann_leaves_position_undisturbed(self):
         model = von_neumann_model()
@@ -174,7 +174,7 @@ class TestOperators:
         # makes sigma(x) * eta >= hbar/2 unavoidable.
         for hbar in (1.0, 2.5):
             model = noiseless_model(hbar=hbar)
-            d = disturbance_operator(model)
+            d = model.disturbance_operator
             value = canonical.commutator_constant(
                 position(model.system, 0), d)
             assert value == pytest.approx(-hbar, abs=1e-12 * hbar)
@@ -251,14 +251,14 @@ class TestPrecisionEquivalence:
     def test_zero_noise_operator_means_zero_epsilon_everywhere(self):
         rng = np.random.default_rng(201)
         model = noiseless_model()
-        assert np.max(np.abs(noise_operator(model).coeffs)) <= 1e-15
+        assert np.max(np.abs(model.noise_operator.coeffs)) <= 1e-15
         for _ in range(1000):
             assert noise(model, _object_state(rng), _probe_state(rng)) <= 1e-12
 
     def test_nonzero_noise_operator_is_seen_by_some_state(self):
         rng = np.random.default_rng(202)
         model = von_neumann_model()
-        assert np.max(np.abs(noise_operator(model).coeffs)) > 0.5
+        assert np.max(np.abs(model.noise_operator.coeffs)) > 0.5
         found = max(
             noise(model, _object_state(rng), _probe_state(rng))
             for _ in range(1000))
@@ -291,7 +291,7 @@ class TestRealization:
         assert realization_residual(swapped=True) > 0.5
 
     def test_independent_of_scale(self):
-        assert realization_residual(noiseless_model(3.0, 2.0)) <= 1e-12
+        assert realization_residual(noiseless_model(hbar=2.0)) <= 1e-12
 
     def test_von_neumann_single_step_has_no_order(self):
         model = von_neumann_model()

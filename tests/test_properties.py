@@ -94,9 +94,9 @@ def test_grid_shears_transport_moments_by_the_step_maps(obj, probe, steps):
 
 
 @settings(max_examples=50, deadline=None)
-@given(coupling=st.floats(0.1, 10.0), hbar=st.floats(0.1, 10.0))
-def test_noiseless_window_factors_at_every_scale(coupling, hbar):
-    model = measurement.noiseless_model(coupling, hbar)
+@given(hbar=st.floats(0.1, 10.0))
+def test_noiseless_window_factors_at_every_scale(hbar):
+    model = measurement.noiseless_model(hbar)
     assert measurement.realization_residual(model) <= 1e-12
 
 
@@ -128,18 +128,16 @@ def symmetric_forms(draw, dim):
 def models(draw, kinds=("von_neumann", "noiseless", "custom")):
     """A built-in model, or a custom one from a random quadratic form."""
     hbar = draw(st.floats(0.3, 3.0))
-    coupling = draw(st.floats(0.5, 2.0))
     kind = draw(st.sampled_from(kinds))
     if kind == "von_neumann":
-        return measurement.von_neumann_model(coupling, hbar)
+        return measurement.von_neumann_model(hbar)
     if kind == "noiseless":
-        return measurement.noiseless_model(coupling, hbar)
+        return measurement.noiseless_model(hbar)
     system = ModeSystem(2, hbar=hbar)
     hamiltonian = canonical.QuadraticHamiltonian(
         system, draw(symmetric_forms(4)))
     return measurement.MeasurementModel(
-        name="custom", system=system, hamiltonian=hamiltonian,
-        coupling=coupling)
+        name="custom", system=system, hamiltonian=hamiltonian)
 
 
 @settings(max_examples=300, deadline=None)

@@ -225,6 +225,17 @@ class TestCrossFieldRules:
                 checks=["limit_sweep"],
                 sweep={"kind": "sharpen_pointer", "k_min": 4, "k_max": 2}))
 
+    def test_inadmissible_superposition_component_refused(self):
+        # Components meet the grid's purity rule, which is stricter than
+        # sigma_x sigma_p sqrt(1 - rho^2) >= hbar/2.
+        with pytest.raises(ConfigError, match=r"\.grid: .*pure.*0\.08"):
+            parse_scenario(_base(
+                model="noiseless",
+                checks=["grid_crosscheck"],
+                object={"kind": "superposition", "components": [
+                    {"sigma_x": 0.8, "mean_x": -2.0},
+                    {"sigma_x": 0.8, "sigma_p": 0.1, "mean_x": 2.0}]}))
+
     def test_grid_crosscheck_needs_pure_packets(self):
         with pytest.raises(ConfigError, match="pure"):
             parse_scenario(_base(
@@ -325,14 +336,19 @@ class TestCustomModels:
     def test_custom_model_builds_and_runs(self):
         scenario = parse_scenario(_base(
             model="custom",
-            interaction={"coupling": 2.0, "terms": [
+            interaction={"terms": [
                 {"coefficient": 1.0, "first": "x", "second": "py"}]}))
-        model = scenario.model
-        assert model.dt == 0.5
-        # coupling * coefficient * dt = 1: same window as the plain stretch.
+        # The terms are the unit window's: the same map as the stretch.
         vn = measurement.von_neumann_model()
         assert np.max(np.abs(
-            model.endpoint.matrix - vn.endpoint.matrix)) <= 1e-12
+            scenario.model.endpoint.matrix - vn.endpoint.matrix)) <= 1e-12
+
+    def test_coupling_key_refused(self):
+        with pytest.raises(ConfigError, match="unknown key.*'coupling'"):
+            parse_scenario(_base(
+                model="custom",
+                interaction={"coupling": 2.0, "terms": [
+                    {"coefficient": 1.0, "first": "x", "second": "py"}]}))
 
     def test_custom_requires_interaction(self):
         with pytest.raises(ConfigError, match="interaction"):
