@@ -266,7 +266,7 @@ def _limit_sweep_check(sc, tols):
 
 def _grid_crosscheck(sc, tols):
     hbar, model, state = sc.hbar, sc.model, sc.grid_state
-    eps_grid, eta_unit = grid.grid_noise_disturbance(state, model.steps)
+    eps_grid, eta_unit, readout = grid.window_pass(state, model.steps)
     eta_grid = hbar * eta_unit
 
     if sc.object_prep.kind == "gaussian":
@@ -275,8 +275,7 @@ def _grid_crosscheck(sc, tols):
         mean_unit, cov_unit = grid.grid_moments(state)
         scale = np.diag([1.0, hbar, 1.0, hbar])
         joint = states.MomentState(
-            canonical.ModeSystem(2, hbar=hbar, labels=("object", "probe")),
-            scale @ mean_unit, scale @ cov_unit @ scale)
+            model.system, scale @ mean_unit, scale @ cov_unit @ scale)
     eps_moment = measurement.joint_noise(model, joint)
     eta_moment = measurement.joint_disturbance(model, joint)
 
@@ -300,7 +299,7 @@ def _grid_crosscheck(sc, tols):
                    else tols["grid_epsilon_multi"])
         conditions["epsilon_grid_vanishes"] = eps_grid <= eps_tol
         edges = np.linspace(-state.lx, state.lx, 129)
-        hist_out = grid.output_histogram(state, model.steps, edges)
+        hist_out, _ = np.histogram(state.y, bins=edges, weights=readout)
         coords, masses = grid.position_marginal(state, axis=0)
         hist_ref, _ = np.histogram(coords, bins=edges, weights=masses)
         tv = grid.total_variation(hist_out, hist_ref)

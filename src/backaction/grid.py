@@ -12,13 +12,13 @@ rounding, implemented as an FFT phase ramp), and the error fields
 are integrated directly.  Agreement between the two routes is the
 acceptance evidence that the symplectic bookkeeping means what it claims.
 
-psi, x psi and p_x psi go through the window together, as one (3, nx, ny)
-stack sheared in place: one ramp and one FFT pair along the shear axis per
-step.  Each ramp exp(-i theta q k) is factored over a split of the q index
-into ~sqrt(n) coarse and fine parts, so it costs O(n^1.5) complex exps
-instead of n^2.  The disturbance field is integrated in k_x space
-(Parseval), where p_x is a multiplication, and ``grid_moments`` reads every
-first and second moment off one real Gram matrix of a (5, nx, ny) stack.
+``window_pass`` shears psi, x psi and p_x psi as one (3, nx, ny) stack in
+place, one ramp and one FFT pair per step, and reads the pointer's readout
+off U psi on the way; ``output_histogram``, which shears psi alone, is the
+one-field reference.  Each ramp exp(-i theta q k) factors over ~sqrt(n)
+coarse and fine parts of the q index: O(n^1.5) complex exps, not n^2.  The
+disturbance field is integrated along k_x by Parseval, and ``grid_moments``
+reads the means and covariance off the Gram matrix of a (5, nx, ny) stack.
 
 Everything here works in hbar = 1 units; rescale momenta on the way in
 (``unit_hbar_spec``) and multiply eta by hbar on the way out.
@@ -106,7 +106,7 @@ class GridState:
         for l, name in ((self.lx, "lx"), (self.ly, "ly")):
             if not (math.isfinite(l) and l > 0):
                 raise ValueError(f"{name} must be positive, got {l!r}")
-        arr = np.array(self.amplitudes, dtype=complex)
+        arr = np.asarray(self.amplitudes, dtype=complex)
         if arr.shape != (self.nx, self.ny):
             raise ValueError(
                 f"amplitudes must have shape ({self.nx}, {self.ny}), got {arr.shape}")
@@ -267,8 +267,9 @@ def init_grid(object_components, probe_spec, nx=DEFAULT_POINTS,
     ys = -half_width + (2.0 * half_width / ny) * np.arange(ny)
 
     object_wave = np.zeros(nx, dtype=complex)
-    for weight, spec in components:
-        object_wave += weight * _pure_packet(xs, spec, "object")
+    for k, (weight, spec) in enumerate(components):
+        name = f"object component {k}" if len(components) > 1 else "object"
+        object_wave += weight * _pure_packet(xs, spec, name)
     probe_wave = _pure_packet(ys, probe_spec, "probe")
     amplitudes = np.outer(object_wave, probe_wave)
     norm = math.sqrt(float(np.sum(np.abs(amplitudes) ** 2))
@@ -388,14 +389,14 @@ def _sq_norm(raw):
     return float(np.sum(np.einsum("ij,ij->i", flat, flat)))
 
 
-def grid_noise_disturbance(state, steps):
-    """(epsilon, eta) straight from wavefunctions, hbar = 1.
+def window_pass(state, steps):
+    """(epsilon, eta, readout) from one pass through the window, hbar = 1.
 
     epsilon^2 integrates |y U psi - U x psi|^2: the pointer readout after
     the window against the position it was meant to record.  eta^2
     integrates |p_x U psi - U p_x psi|^2, evaluated along k_x by Parseval.
     The auxiliary fields x psi and p_x psi ride through the same shears as
-    psi itself, as one stack.
+    psi itself, as one stack.  readout is |U psi|^2 dA summed over x.
     """
     raw = state.amplitudes
     # p_x psi sits next to psi so that fields[:2] is one block for the
@@ -407,6 +408,7 @@ def grid_noise_disturbance(state, steps):
     fields = _shear_stack(fields, state, steps)
     u_psi = fields[0]
     _check_amplitudes(u_psi, state.cell_area)
+    readout = _density(u_psi, state).sum(axis=0)  # before fft overwrites it
 
     noise_field = fields[2]
     noise_field -= state.y[None, :] * u_psi
@@ -417,7 +419,12 @@ def grid_noise_disturbance(state, steps):
     dist_spectrum *= state.kx[:, None]
     dist_spectrum -= spectra[1]
     eta = math.sqrt(_sq_norm(dist_spectrum) / state.nx * state.cell_area)
-    return epsilon, eta
+    return epsilon, eta, readout
+
+
+def grid_noise_disturbance(state, steps):
+    """(epsilon, eta) of ``window_pass``."""
+    return window_pass(state, steps)[:2]
 
 
 def grid_moments(state):
@@ -453,12 +460,9 @@ def position_marginal(state, axis=0):
 
 
 def output_histogram(state, steps, edges):
-    """Pointer-readout histogram after the window, on given bin edges."""
-    fields = _shear_stack(state.amplitudes[None].copy(), state, steps)
-    _check_amplitudes(fields[0], state.cell_area)
-    masses = _density(fields[0], state).sum(axis=0)
-    hist, _ = np.histogram(state.y, bins=edges, weights=masses)
-    return hist
+    """Histogram of psi alone sheared: the reference for ``window_pass``."""
+    coords, masses = position_marginal(apply_steps(state, steps), axis=1)
+    return np.histogram(coords, bins=edges, weights=masses)[0]
 
 
 def total_variation(p, q):

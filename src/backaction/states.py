@@ -127,7 +127,8 @@ def from_gaussian(specs, hbar=1.0, labels=()):
     for k, spec in enumerate(specs):
         if not spec.admissible(system.hbar):
             raise PhysicalityError(
-                f"mode {k}: sigma_x*sigma_p*sqrt(1-rho^2) = "
+                (f"mode {k}: " if len(specs) > 1 else "")
+                + "sigma_x*sigma_p*sqrt(1-rho^2) = "
                 f"{spec.uncertainty_product():.6g} < hbar/2 = {system.hbar / 2:.6g}")
     mean = np.concatenate([spec.mean_block() for spec in specs])
     cov = np.zeros((system.dim, system.dim))

@@ -2,11 +2,14 @@
 
 ``bench/`` calls the program only through the names listed under ``api``
 in ``bench/spec.json``.  This test resolves that list and runs the first
-op of every workload through the workload's own check, so a refactor that
-drops or reshapes a name the benchmark calls fails here, not only when the
-benchmark runs.  It reads ``bench/`` and changes nothing there.
+two ops of every workload through the workload's own check, so a refactor
+that drops or reshapes a name the benchmark calls fails here, not only when
+the benchmark runs.  Grid op 0 is a von Neumann op and op 1 a noiseless
+one, which alone calls ``output_histogram`` and ``position_marginal``.  It
+reads ``bench/`` and changes nothing there.
 """
 
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +17,7 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_first_op_of_each_workload_passes_its_check(monkeypatch):
+def test_first_two_ops_of_each_workload_pass_their_check(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import program
     import workloads
@@ -23,9 +26,9 @@ def test_first_op_of_each_workload_passes_its_check(monkeypatch):
     api = program.resolve(spec["api"])
     for name, workload_class in workloads.WORKLOADS.items():
         workload = workload_class(api, 0)
-        op = next(iter(workload.inputs()))
-        out = workload.run(program.Calls(api, traced=False), op)
-        assert workload.check(op, out) == [], name
+        for index, op in enumerate(itertools.islice(workload.inputs(), 2)):
+            out = workload.run(program.Calls(api, traced=False), op)
+            assert workload.check(op, out) == [], (name, index)
 
 
 def test_gallery_seed_lists_match_the_born_check(monkeypatch):

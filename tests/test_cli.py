@@ -3,7 +3,7 @@ import textwrap
 
 import pytest
 
-from backaction import cli, scenarios
+from backaction import cli, grid, scenarios
 from backaction.cli import main, render_json, render_text, run_scenario
 
 
@@ -230,11 +230,14 @@ class TestRunCommand:
         (GRID.format(model="von_neumann", n=64, half_width=10, obj=PACKET,
                      probe="{sigma_x: 1.0e-3, sigma_p: 500}"),
          ".grid: grid of 64 points cannot hold"),
+        # A single-mode state names no mode index.
+        (OVERFLOW.format(check="verdict", obj="{sigma_x: 0.5, sigma_p: 0.5}"),
+         ".object: sigma_x*sigma_p*sqrt(1-rho^2) = 0.25"),
     ], ids=["huge-spread", "huge-mean", "box", "sharpen-momentum-513",
             "sharpen-pointer-513", "sharpen-momentum-1075",
             "sharpen-pointer-1075", "invalid-yaml", "vanished", "tight-box",
             "impure-probe", "ceiling-16", "ceiling-mean-p",
-            "ceiling-probe"])
+            "ceiling-probe", "inadmissible-object"])
     def test_unrunnable_input_exits_two(self, tmp_path, capsys, body, where):
         path = _write(tmp_path, body)
         assert where in _exits_two(capsys, ["run", path])
@@ -332,6 +335,25 @@ class TestRunCommand:
         assert main(["run", good, bad]) == 1
         out = capsys.readouterr().out
         assert "fast-verdict" in out and "exact-beyond-rounding" in out
+
+
+@pytest.mark.parametrize("name", ["grid-crosscheck-gaussian",
+                                  "grid-crosscheck-bimodal",
+                                  "von-neumann-bound"])
+def test_grid_crosscheck_shears_once(monkeypatch, name):
+    # The noiseless readout histogram comes off the epsilon/eta pass.
+    scenario = scenarios.load_bundled(name)
+    calls = []
+    shear = grid._shear_stack
+
+    def counting(*args):
+        calls.append(args)
+        return shear(*args)
+
+    monkeypatch.setattr(grid, "_shear_stack", counting)
+    report, _ = run_scenario(scenario)
+    assert report["checks"]["grid_crosscheck"]["passed"]
+    assert len(calls) == 1
 
 
 class TestReports:

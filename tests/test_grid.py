@@ -22,6 +22,7 @@ from backaction.grid import (
     position_marginal,
     total_variation,
     unit_hbar_spec,
+    window_pass,
 )
 from backaction.states import GaussianSpec
 
@@ -66,6 +67,14 @@ class TestGridStateValidation:
         with pytest.raises(ValueError, match="normalized"):
             GridState(16, 16, 1.0, 1.0, amp)
 
+    def test_amplitudes_kept_without_a_copy(self):
+        amp = np.full((16, 16), 0.5, dtype=complex)
+        state = GridState(16, 16, 1.0, 1.0, amp)
+        assert np.shares_memory(state.amplitudes, amp)
+        assert not amp.flags.writeable
+        state = GridState(16, 16, 1.0, 1.0, np.full((16, 16), 0.5))
+        assert state.amplitudes.dtype == complex
+
     def test_amplitudes_read_only(self):
         rng = np.random.default_rng(0)
         state = _default_grid(rng)
@@ -103,7 +112,7 @@ class TestInitGrid:
         # sigma_x sigma_p = 1 is a legal moment state but not a single
         # wavefunction packet.
         mixed = GaussianSpec(1.0, 1.0)
-        with pytest.raises(ValueError, match="pure"):
+        with pytest.raises(ValueError, match="pure states: the object has"):
             init_gaussian_grid(mixed, GaussianSpec(1.0, 0.5), nx=N, ny=N)
 
     def test_component_weights_validated(self):
@@ -377,6 +386,28 @@ class TestNoiseDisturbanceRoutes:
         eps_g, eta_g = grid_noise_disturbance(state, NOISELESS_STEPS)
         assert eps_g <= 1e-10
         assert hbar * eta_g == pytest.approx(eta_m, abs=1e-8)
+
+
+_PURE = GaussianSpec(0.8, 0.625)
+_OBJECTS = {
+    "one-packet": [(1.0, GaussianSpec(0.8, 0.625, mean_x=0.5, mean_p=-0.3))],
+    "two-packets": [(1.0, GaussianSpec(0.8, 0.625, mean_x=-2.5)),
+                    (0.7, GaussianSpec(0.8, 0.625, mean_x=2.5))],
+}
+
+
+class TestWindowPass:
+    @pytest.mark.parametrize("steps", [NOISELESS_STEPS, VON_NEUMANN_STEPS],
+                             ids=["noiseless", "von-neumann"])
+    @pytest.mark.parametrize("obj", sorted(_OBJECTS))
+    def test_readout_and_figures_match_the_references(self, steps, obj):
+        state = init_grid(_OBJECTS[obj], _PURE, nx=N, ny=N)
+        edges = np.linspace(-state.lx, state.lx, 129)
+        epsilon, eta, readout = window_pass(state, steps)
+        hist, _ = np.histogram(state.y, bins=edges, weights=readout)
+        reference = output_histogram(state, steps, edges)
+        assert hist.tobytes() == reference.tobytes()
+        assert grid_noise_disturbance(state, steps) == (epsilon, eta)
 
 
 class TestHistogram:

@@ -228,7 +228,8 @@ class TestCrossFieldRules:
     def test_inadmissible_superposition_component_refused(self):
         # Components meet the grid's purity rule, which is stricter than
         # sigma_x sigma_p sqrt(1 - rho^2) >= hbar/2.
-        with pytest.raises(ConfigError, match=r"\.grid: .*pure.*0\.08"):
+        with pytest.raises(ConfigError, match=(
+                r"\.grid: .*pure.*object component 1 .*0\.08")):
             parse_scenario(_base(
                 model="noiseless",
                 checks=["grid_crosscheck"],

@@ -62,6 +62,13 @@ class TestFromGaussian:
         with pytest.raises(PhysicalityError):
             from_gaussian(GaussianSpec(sigma_x=0.5, sigma_p=0.5))
 
+    def test_names_the_mode_only_among_several(self):
+        bad = GaussianSpec(sigma_x=0.5, sigma_p=0.5)
+        with pytest.raises(PhysicalityError, match=r"^sigma_x\*sigma_p"):
+            from_gaussian(bad)
+        with pytest.raises(PhysicalityError, match=r"^mode 1: sigma_x\*"):
+            from_gaussian((GaussianSpec(1.0, 0.5), bad))
+
     def test_hbar_threads_through(self):
         spec = GaussianSpec(sigma_x=1.0, sigma_p=0.6)
         with pytest.raises(PhysicalityError):
