@@ -14,6 +14,7 @@ leaving x and p_y alone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,11 +67,9 @@ class ModeSystem:
         return 2 * mode + 1
 
     def omega(self):
-        """Symplectic form: block diagonal [[0, 1], [-1, 0]] per mode."""
-        block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        out = np.kron(np.eye(self.n), block)
-        out.setflags(write=False)
-        return out
+        """Symplectic form: block diagonal [[0, 1], [-1, 0]] per mode, one
+        read-only array shared by every system of n modes."""
+        return _omega(self.n)
 
     def compatible(self, other):
         return self.n == other.n and self.hbar == other.hbar
@@ -78,6 +77,13 @@ class ModeSystem:
     def _check_mode(self, mode):
         if not isinstance(mode, int) or not 0 <= mode < self.n:
             raise ValueError(f"mode index {mode!r} out of range for {self.n} modes")
+
+
+@functools.cache
+def _omega(n):
+    out = np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
+    out.setflags(write=False)
+    return out
 
 
 def _check_compatible(a, b, context):

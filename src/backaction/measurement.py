@@ -173,12 +173,16 @@ def joint_disturbance(model, joint_state):
         states.second_moment(joint_state, model.disturbance_operator))
 
 
-def _joint(model, object_state, probe_state):
+def _check_registers(model, object_state, probe_state):
     for state, name in ((object_state, "object"), (probe_state, "probe")):
         if state.system.n != 1:
             raise ValueError(f"{name} state must be single-mode")
         if state.system.hbar != model.system.hbar:
             raise ValueError(f"{name} state hbar differs from the model's")
+
+
+def _joint(model, object_state, probe_state):
+    _check_registers(model, object_state, probe_state)
     return states.product(object_state, probe_state)
 
 

@@ -8,9 +8,10 @@ matter what the underlying state looks like.  A ``gaussian`` flag records
 when the moments are known to come from a Gaussian state, which is what
 licenses treating a linear observable's outcome distribution as normal.
 
-Physicality is enforced at construction: cov + i (hbar/2) Omega must be
-positive semidefinite, the moment-level statement of the uncertainty
-relations.
+The public constructor enforces physicality: cov + i (hbar/2) Omega must
+be positive semidefinite, the moment-level statement of the uncertainty
+relations.  ``from_gaussian``, ``product`` and the cascade's joint state
+assemble blocks that were already checked, and skip the re-check.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.special
-import scipy.stats
 
 from . import canonical
 from .canonical import ModeSystem, _check_compatible, _frozen_vector
@@ -130,11 +130,10 @@ def from_gaussian(specs, hbar=1.0, labels=()):
                 (f"mode {k}: " if len(specs) > 1 else "")
                 + "sigma_x*sigma_p*sqrt(1-rho^2) = "
                 f"{spec.uncertainty_product():.6g} < hbar/2 = {system.hbar / 2:.6g}")
-    mean = np.concatenate([spec.mean_block() for spec in specs])
-    cov = np.zeros((system.dim, system.dim))
-    for k, spec in enumerate(specs):
-        cov[2 * k:2 * k + 2, 2 * k:2 * k + 2] = spec.cov_block()
-    return MomentState(system, mean, cov, gaussian=True)
+    # admissible is the one-mode eigenvalue check with a tighter slack.
+    return _block_diagonal(
+        system, [(spec.mean_block(), spec.cov_block()) for spec in specs],
+        gaussian=True)
 
 
 def product(a, b):
@@ -145,11 +144,28 @@ def product(a, b):
         a.system.n + b.system.n,
         hbar=a.system.hbar,
         labels=a.system.labels + b.system.labels)
-    mean = np.concatenate([a.mean, b.mean])
+    return _block_diagonal(
+        system, [(a.mean, a.cov), (b.mean, b.cov)], a.gaussian and b.gaussian)
+
+
+def _block_diagonal(system, blocks, gaussian):
+    """MomentState of uncorrelated (mean, cov) blocks, each already physical.
+
+    cov + i(hbar/2)Omega is then block-diagonal, so it is PSD exactly when
+    every block is, and max(1, max|cov|) is at least each block's scale:
+    the constructor would accept the state, so its checks are skipped.
+    """
+    mean = np.concatenate([m for m, _ in blocks])
     cov = np.zeros((system.dim, system.dim))
-    cov[:a.system.dim, :a.system.dim] = a.cov
-    cov[a.system.dim:, a.system.dim:] = b.cov
-    return MomentState(system, mean, cov, gaussian=a.gaussian and b.gaussian)
+    k = 0
+    for _, block in blocks:
+        cov[k:k + len(block), k:k + len(block)] = block
+        k += len(block)
+    mean.setflags(write=False)
+    cov.setflags(write=False)
+    state = object.__new__(MomentState)
+    state.__dict__.update(system=system, mean=mean, cov=cov, gaussian=gaussian)
+    return state
 
 
 def expectation(state, observable):
@@ -269,5 +285,6 @@ def born_check(samples, reference, alpha=0.01):
     cdf = reference.cdf(xs)
     grid = np.arange(n + 1) / n
     statistic = float(max(np.max(grid[1:] - cdf), np.max(cdf - grid[:-1])))
-    critical = float(scipy.stats.kstwobign.isf(alpha) / math.sqrt(n))
+    # kolmogi is scipy.stats.kstwobign.isf without importing scipy.stats.
+    critical = float(scipy.special.kolmogi(alpha) / math.sqrt(n))
     return KsResult(statistic, critical, statistic < critical)

@@ -37,6 +37,16 @@ class TestModeSystem:
         np.testing.assert_array_equal(omega[2:, 2:], block)
         assert np.all(omega[:2, 2:] == 0) and np.all(omega[2:, :2] == 0)
 
+    def test_omega_is_one_read_only_array_per_mode_count(self):
+        omega = ModeSystem(2).omega()
+        assert omega is ModeSystem(2, hbar=3.0, labels=("a", "b")).omega()
+        with pytest.raises(ValueError):
+            omega[0, 1] = 2.0
+        for n in (1, 2, 3):
+            np.testing.assert_array_equal(
+                ModeSystem(n).omega(),
+                np.kron(np.eye(n), [[0, 1], [-1, 0]]))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ModeSystem(0)

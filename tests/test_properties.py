@@ -1,7 +1,8 @@
 """Property tests: shear maps against the grid, the shear factorization,
 the cascade gap against two composed windows, the uncertainty
 relations that hold for every measurement, propagation under random
-quadratic Hamiltonians, and minimum-uncertainty scenarios at every hbar.
+quadratic Hamiltonians, minimum-uncertainty scenarios at every hbar, and
+states assembled from checked blocks against the public constructor.
 
 Hypothesis draws the inputs; every identity is checked at the tolerance
 its fixed-seed counterpart uses, every inequality at 1e-12 of its scale.
@@ -10,6 +11,7 @@ its fixed-seed counterpart uses, every inequality at 1e-12 of its scale.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -250,3 +252,62 @@ def test_saturating_preparations_load_and_pass_at_every_hbar(data, hbar,
         "probe": data.draw(saturating_specs(hbar))})
     report, _ = cli.run_scenario(scenario)
     assert report["passed"]
+
+
+@st.composite
+def any_specs(draw, hbar):
+    """One-mode Gaussian at, above or below hbar/2, of size sqrt(hbar)."""
+    sigma_x = math.sqrt(hbar) * 10.0 ** draw(st.floats(-2.0, 2.0))
+    rho = draw(st.floats(-0.9, 0.9))
+    factor = draw(st.one_of(st.just(1.0), st.floats(0.5, 2.0),
+                            st.floats(1.0 - 1e-11, 1.0 + 1e-11)))
+    return GaussianSpec(
+        sigma_x=sigma_x,
+        sigma_p=factor * hbar / (2.0 * sigma_x * math.sqrt(1.0 - rho ** 2)),
+        mean_x=sigma_x * draw(st.floats(-10.0, 10.0)),
+        mean_p=hbar / sigma_x * draw(st.floats(-10.0, 10.0)),
+        correlation=rho)
+
+
+def _same_state(state, reference):
+    assert state.system == reference.system
+    assert state.gaussian is reference.gaussian
+    assert state.mean.tobytes() == reference.mean.tobytes()
+    assert state.cov.tobytes() == reference.cov.tobytes()
+    assert not (state.mean.flags.writeable or state.cov.flags.writeable)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), hbar=st.floats(-3.0, 8.0).map(lambda e: 10.0 ** e),
+       count=st.integers(1, 3))
+def test_states_from_checked_blocks_match_the_public_constructor(data, hbar,
+                                                                 count):
+    specs = [data.draw(any_specs(hbar)) for _ in range(count)]
+    refused = [k for k, spec in enumerate(specs) if not spec.admissible(hbar)]
+    if refused:
+        k, spec = refused[0], specs[refused[0]]
+        message = ((f"mode {k}: " if count > 1 else "")
+                   + "sigma_x*sigma_p*sqrt(1-rho^2) = "
+                   f"{spec.uncertainty_product():.6g} < hbar/2 = {hbar / 2:.6g}")
+        with pytest.raises(states.PhysicalityError) as info:
+            states.from_gaussian(specs, hbar=hbar)
+        assert str(info.value) == message
+        return
+    state = states.from_gaussian(specs, hbar=hbar)
+    _same_state(state, states.MomentState(
+        state.system, state.mean, state.cov, gaussian=True))
+    # A second register, Gaussian or not: the first one with its
+    # coordinates reversed, which leaves the spectrum of
+    # cov + i(hbar/2)Omega as it was.
+    other = states.MomentState(
+        ModeSystem(count, hbar=hbar, labels=("probe",) * count),
+        state.mean[::-1], state.cov[::-1, ::-1],
+        gaussian=data.draw(st.booleans()))
+    dim = state.system.dim
+    cov = np.zeros((2 * dim, 2 * dim))
+    cov[:dim, :dim], cov[dim:, dim:] = state.cov, other.cov
+    _same_state(states.product(state, other), states.MomentState(
+        ModeSystem(2 * count, hbar=hbar,
+                   labels=state.system.labels + other.system.labels),
+        np.concatenate([state.mean, other.mean]), cov,
+        gaussian=state.gaussian and other.gaussian))

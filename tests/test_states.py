@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from backaction import cascade, measurement
 from backaction.canonical import LinearObservable, ModeSystem, momentum, position
 from backaction.states import (
     GaussianSpec,
@@ -223,3 +224,28 @@ class TestDistributionAndSampling:
         samples = sample_outcomes(dist, 50000, seed=4)
         shifted = ScalarDistribution(mean=0.05, variance=1.0)
         assert not born_check(samples, shifted).passed
+
+
+@pytest.mark.parametrize("model", [measurement.noiseless_model(),
+                                   measurement.von_neumann_model()],
+                         ids=["noiseless", "von_neumann"])
+def test_scalar_path_runs_no_eigenvalue_check(monkeypatch, model):
+    # States built from checked blocks are not checked again; the public
+    # constructor still checks what it is given.
+    obj = from_gaussian(GaussianSpec(1.0, 0.5), labels=("object",))
+    probe = from_gaussian(GaussianSpec(0.7, 1.0), labels=("probe",))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args):
+        calls.append(args)
+        return eigvalsh(*args)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    measurement.heisenberg_verdict(model, obj, probe)
+    cascade.repeatability_deviation(cascade.CascadeScenario(model, obj, probe))
+    measurement.limit_sweep(model, [2.0 ** -k for k in range(4)])
+    cascade.repeatability_sweep(model, [2.0 ** -k for k in range(4)])
+    assert len(calls) == 0
+    MomentState(ModeSystem(1), np.zeros(2), np.diag([0.5, 0.5]))
+    assert len(calls) == 1
