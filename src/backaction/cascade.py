@@ -44,14 +44,8 @@ class CascadeScenario:
     joint: states.MomentState = field(init=False, repr=False)
 
     def __post_init__(self):
-        obj, probe = self.object_state, self.probe_state
-        measurement._check_registers(self.model, obj, probe)
-        system = canonical.ModeSystem(
-            3, hbar=obj.system.hbar,
-            labels=obj.system.labels + 2 * probe.system.labels)
-        object.__setattr__(self, "joint", states._block_diagonal(
-            system, [(obj.mean, obj.cov)] + 2 * [(probe.mean, probe.cov)],
-            obj.gaussian and probe.gaussian))
+        object.__setattr__(self, "joint", measurement._joint(
+            self.model, self.object_state, self.probe_state, self.probe_state))
 
 
 def gap_observable(scenario):

@@ -170,20 +170,12 @@ def _decreasing(xs, slack):
     return all(b <= a + slack for a, b in zip(xs, xs[1:]))
 
 
-def _sharpen_momentum_sweep(sc, tols):
-    hbar, model = sc.hbar, sc.model
-    ks = list(range(sc.sweep.k_min, sc.sweep.k_max + 1))
-    points = measurement.limit_sweep(model, [2.0 ** -k for k in ks])
-    rows = []
-    for k, point in zip(ks, points):
-        r = point.report
-        rows.append({"k": k, "sigma_p": point.sigma_p, "epsilon": r.epsilon,
-                     "eta": r.eta, "product": r.product,
-                     "sigma_x_post": point.sigma_x_post})
+def _sharpen_momentum_conditions(sc, tols, rows):
+    hbar = sc.hbar
     etas = [row["eta"] for row in rows]
     posts = [row["sigma_x_post"] for row in rows]
     conditions = {}
-    if model.name == "noiseless":
+    if sc.model.name == "noiseless":
         # Rounding scales with the point's size, sigma_x = hbar / (2 sigma_p).
         conditions["epsilon_zero"] = all(
             row["epsilon"] <= tols["exact"] * max(
@@ -208,19 +200,10 @@ def _sharpen_momentum_sweep(sc, tols):
             abs(row["product"] - hbar / 2.0) <= tols["exact"] for row in rows)
         note = ("minimum-uncertainty preparations pin the stretch coupling "
                 "exactly at the hbar/2 bound at every sharpness")
-    header = ["k", "sigma_p", "epsilon", "eta", "product", "sigma_x_post"]
-    return rows, header, conditions, note
+    return conditions, note
 
 
-def _sharpen_pointer_sweep(sc, tols):
-    ks = list(range(sc.sweep.k_min, sc.sweep.k_max + 1))
-    points = cascade.repeatability_sweep(sc.model, [2.0 ** -k for k in ks])
-    rows = []
-    for k, point in zip(ks, points):
-        r = point.report
-        rows.append({"k": k, "sigma_y": point.sigma_y,
-                     "deviation": point.deviation, "epsilon": r.epsilon,
-                     "eta": r.eta})
+def _sharpen_pointer_conditions(sc, tols, rows):
     devs = [row["deviation"] for row in rows]
     conditions = {"deviation_decreases": _decreasing(devs, tols["exact"])}
     if sc.model.name == "noiseless":
@@ -236,23 +219,32 @@ def _sharpen_pointer_sweep(sc, tols):
             abs(row["deviation"] - math.sqrt(2.0) * row["sigma_y"])
             <= tols["exact"] for row in rows)
         note = "deviation tracks sqrt(2) sigma(y) for the stretch coupling"
-    header = ["k", "sigma_y", "deviation", "epsilon", "eta"]
-    return rows, header, conditions, note
+    return conditions, note
+
+
+# Per sweep kind: CSV columns (k, then point or report fields), conditions.
+_SWEEP_ROWS = {
+    "sharpen_momentum": (("k", "sigma_p", "epsilon", "eta", "product",
+                          "sigma_x_post"), _sharpen_momentum_conditions),
+    "sharpen_pointer": (("k", "sigma_y", "deviation", "epsilon", "eta"),
+                        _sharpen_pointer_conditions),
+}
 
 
 def _limit_sweep_check(sc, tols):
-    if sc.sweep.kind == "sharpen_momentum":
-        rows, header, conditions, note = _sharpen_momentum_sweep(sc, tols)
-    else:
-        rows, header, conditions, note = _sharpen_pointer_sweep(sc, tols)
-    filename = f"{sc.name}.csv"
-    table = [[row[key] for key in header] for row in rows]
+    header, conditions_of = _SWEEP_ROWS[sc.sweep.kind]
+    ks = list(range(sc.sweep.k_min, sc.sweep.k_max + 1))
+    points = scenarios.SWEEPS[sc.sweep.kind](sc.model, [2.0 ** -k for k in ks])
+    rows = []
+    for k, point in zip(ks, points):
+        values = {"k": k, **vars(point.report), **point._asdict()}
+        rows.append({key: values[key] for key in header})
+    conditions, note = conditions_of(sc, tols, rows)
 
     def write(path):
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(table)
+            csv.writer(handle).writerows(
+                [header] + [[row[key] for key in header] for row in rows])
 
     return {
         "passed": all(conditions.values()),
@@ -260,7 +252,7 @@ def _limit_sweep_check(sc, tols):
                    "points": rows},
         "expected": {"all_conditions": True},
         "note": note,
-        "artifact_writers": {filename: write},
+        "artifact_writers": {f"{sc.name}.csv": write},
     }
 
 
@@ -339,7 +331,8 @@ def run_scenario(scenario, tol_overrides=None):
     checks = {}
     writers = {}
     for kind in scenario.checks:
-        outcome = _RUNNERS[kind](scenario, tols)
+        with np.errstate(over="raise"):  # an overflow exits 2, not inf
+            outcome = _RUNNERS[kind](scenario, tols)
         writers.update(outcome.pop("artifact_writers", {}))
         checks[kind] = outcome
     report = {
@@ -494,7 +487,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (states.PhysicalityError, grid.BoundaryMassError,
-            OverflowError) as exc:
+            ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -173,17 +173,15 @@ def joint_disturbance(model, joint_state):
         states.second_moment(joint_state, model.disturbance_operator))
 
 
-def _check_registers(model, object_state, probe_state):
-    for state, name in ((object_state, "object"), (probe_state, "probe")):
+def _joint(model, object_state, *probe_states):
+    """Object x probes product state, each register single-mode at model hbar."""
+    names = ("object",) + ("probe",) * len(probe_states)
+    for state, name in zip((object_state, *probe_states), names):
         if state.system.n != 1:
             raise ValueError(f"{name} state must be single-mode")
         if state.system.hbar != model.system.hbar:
             raise ValueError(f"{name} state hbar differs from the model's")
-
-
-def _joint(model, object_state, probe_state):
-    _check_registers(model, object_state, probe_state)
-    return states.product(object_state, probe_state)
+    return states.product(object_state, *probe_states)
 
 
 def noise(model, object_state, probe_state):

@@ -40,7 +40,8 @@ CHECK_KINDS = (
 # Checks that consume the object/probe preparations.
 _PREP_CHECKS = ("verdict", "robertson", "born", "repeatability", "grid_crosscheck")
 
-SWEEP_KINDS = ("sharpen_momentum", "sharpen_pointer")
+SWEEPS = {"sharpen_momentum": measurement.limit_sweep,
+          "sharpen_pointer": cascade.repeatability_sweep}
 
 _COORDS = {"x": 0, "px": 1, "y": 2, "py": 3}
 
@@ -267,9 +268,9 @@ def _sweep_params(node, context):
     node = _require_mapping(node, context)
     _check_keys(node, SweepParams._fields, context)
     kind = node.get("kind")
-    if kind not in SWEEP_KINDS:
+    if kind not in SWEEPS:
         raise ConfigError(
-            f"{context}: kind must be one of {', '.join(SWEEP_KINDS)}, got {kind!r}")
+            f"{context}: kind must be one of {', '.join(SWEEPS)}, got {kind!r}")
     defaults = SweepParams(kind)
     k_min = _integer(node, "k_min", context, default=defaults.k_min, minimum=0)
     k_max = _integer(node, "k_max", context, default=defaults.k_max, minimum=0)
@@ -407,10 +408,8 @@ def parse_scenario(mapping, source="scenario"):
                 f"{source}: limit_sweep has no reference behavior for "
                 "custom models")
         # Build the sharpest point, the one a float may not hold.
-        sharpest = {"sharpen_momentum": measurement.limit_sweep,
-                    "sharpen_pointer": cascade.repeatability_sweep}[sweep.kind]
         with _refused_as(f"{source}.sweep"):
-            sharpest(model, [2.0 ** -sweep.k_max])
+            SWEEPS[sweep.kind](model, [2.0 ** -sweep.k_max])
     if "grid_crosscheck" in checks and not model.steps:
         raise ConfigError(
             f"{source}: grid_crosscheck needs a shear factorization, "

@@ -10,8 +10,8 @@ licenses treating a linear observable's outcome distribution as normal.
 
 The public constructor enforces physicality: cov + i (hbar/2) Omega must
 be positive semidefinite, the moment-level statement of the uncertainty
-relations.  ``from_gaussian``, ``product`` and the cascade's joint state
-assemble blocks that were already checked, and skip the re-check.
+relations.  ``from_gaussian`` and ``product`` (of any number of registers;
+the cascade's joint state is one) join checked blocks and skip the re-check.
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ class MomentState:
         scale = max(1.0, float(np.max(np.abs(cov))))
         if np.max(np.abs(cov - cov.T)) > PHYSICALITY_TOL * scale:
             raise ValueError("cov must be symmetric")
-        cov = (cov + cov.T) / 2.0
+        # Halving first keeps huge entries finite; halving a subnormal rounds.
+        cov = np.where(cov == cov.T, cov, cov / 2.0 + cov.T / 2.0)
         lowest = float(np.linalg.eigvalsh(
             cov + 0.5j * self.system.hbar * self.system.omega())[0])
         if lowest < -PHYSICALITY_TOL * scale:
@@ -136,16 +137,18 @@ def from_gaussian(specs, hbar=1.0, labels=()):
         gaussian=True)
 
 
-def product(a, b):
-    """Uncorrelated joint state of two registers (a's modes first)."""
-    if a.system.hbar != b.system.hbar:
-        raise ValueError(f"hbar mismatch: {a.system.hbar} vs {b.system.hbar}")
-    system = ModeSystem(
-        a.system.n + b.system.n,
-        hbar=a.system.hbar,
-        labels=a.system.labels + b.system.labels)
+def product(*parts):
+    """Uncorrelated joint state of any number of registers, in order."""
+    hbar = parts[0].system.hbar
+    labels, blocks, gaussian = (), [], True
+    for part in parts:
+        if part.system.hbar != hbar:
+            raise ValueError(f"hbar mismatch: {hbar} vs {part.system.hbar}")
+        labels += part.system.labels
+        blocks.append((part.mean, part.cov))
+        gaussian = gaussian and part.gaussian
     return _block_diagonal(
-        system, [(a.mean, a.cov), (b.mean, b.cov)], a.gaussian and b.gaussian)
+        ModeSystem(len(labels), hbar=hbar, labels=labels), blocks, gaussian)
 
 
 def _block_diagonal(system, blocks, gaussian):

@@ -5,7 +5,9 @@ in ``bench/spec.json``.  This test resolves that list and runs the first
 two ops of every workload through the workload's own check, so a refactor
 that drops or reshapes a name the benchmark calls fails here, not only when
 the benchmark runs.  Grid op 0 is a von Neumann op and op 1 a noiseless
-one, which alone calls ``output_histogram`` and ``position_marginal``.  It
+one, which alone calls ``output_histogram`` and ``position_marginal``.
+The first two ``moments`` ops are scalar ones, so the first sweep op of
+each model, which builds a ``CascadeScenario`` per point, runs too.  It
 reads ``bench/`` and changes nothing there.
 """
 
@@ -29,6 +31,22 @@ def test_first_two_ops_of_each_workload_pass_their_check(monkeypatch):
         for index, op in enumerate(itertools.islice(workload.inputs(), 2)):
             out = workload.run(program.Calls(api, traced=False), op)
             assert workload.check(op, out) == [], (name, index)
+
+
+def test_first_sweep_op_of_each_model_passes_its_check(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import program
+    from workloads.moments import SWEEP_EVERY, Moments
+
+    api = program.resolve(
+        json.loads((BENCH / "spec.json").read_text(encoding="utf-8"))["api"])
+    workload = Moments(api, 0)
+    ops = list(itertools.islice(workload.inputs(), 2 * SWEEP_EVERY))
+    sweeps = [ops[SWEEP_EVERY - 1], ops[2 * SWEEP_EVERY - 1]]
+    assert sorted(op.model for op in sweeps) == ["noiseless", "von_neumann"]
+    for op in sweeps:
+        out = workload.run(program.Calls(api, traced=False), op)
+        assert workload.check(op, out) == [], op.model
 
 
 def test_gallery_seed_lists_match_the_born_check(monkeypatch):

@@ -128,6 +128,12 @@ class TestScenarioValidation:
         np.testing.assert_array_equal(joint.mean[4:], probe.mean)
         np.testing.assert_array_equal(joint.cov[4:, 4:], probe.cov)
         np.testing.assert_array_equal(joint.cov[2:4, 2:4], probe.cov)
+        # The joint is the three-register product, byte for byte.
+        expected = states.product(scenario.object_state, probe, probe)
+        assert joint.system == expected.system
+        assert joint.gaussian is expected.gaussian
+        assert joint.mean.tobytes() == expected.mean.tobytes()
+        assert joint.cov.tobytes() == expected.cov.tobytes()
 
 
 class TestSweep:

@@ -233,11 +233,22 @@ class TestRunCommand:
         # A single-mode state names no mode index.
         (OVERFLOW.format(check="verdict", obj="{sigma_x: 0.5, sigma_p: 0.5}"),
          ".object: sigma_x*sigma_p*sqrt(1-rho^2) = 0.25"),
+        # Spreads that load but whose run-time figures overflow: eta, and
+        # the von Neumann deviation, which sums both pointer variances.
+        ("name: huge-eta\nmodel: noiseless\nchecks: [verdict]\n"
+         "object: {sigma_x: 1.0e154, sigma_p: 1.0e154}\n"
+         "probe: {sigma_x: 1.0, sigma_p: 1.0e154}\n",
+         "FloatingPointError: overflow"),
+        ("name: huge-pointer\nmodel: von_neumann\nchecks: [repeatability]\n"
+         "object: {sigma_x: 1.0, sigma_p: 1.0}\n"
+         "probe: {sigma_x: 1.0e154, sigma_p: 1.0}\n",
+         "FloatingPointError: overflow"),
     ], ids=["huge-spread", "huge-mean", "box", "sharpen-momentum-513",
             "sharpen-pointer-513", "sharpen-momentum-1075",
             "sharpen-pointer-1075", "invalid-yaml", "vanished", "tight-box",
             "impure-probe", "ceiling-16", "ceiling-mean-p",
-            "ceiling-probe", "inadmissible-object"])
+            "ceiling-probe", "inadmissible-object", "overflow-verdict",
+            "overflow-repeatability"])
     def test_unrunnable_input_exits_two(self, tmp_path, capsys, body, where):
         path = _write(tmp_path, body)
         assert where in _exits_two(capsys, ["run", path])

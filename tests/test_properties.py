@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -303,11 +304,14 @@ def test_states_from_checked_blocks_match_the_public_constructor(data, hbar,
         ModeSystem(count, hbar=hbar, labels=("probe",) * count),
         state.mean[::-1], state.cov[::-1, ::-1],
         gaussian=data.draw(st.booleans()))
-    dim = state.system.dim
-    cov = np.zeros((2 * dim, 2 * dim))
-    cov[:dim, :dim], cov[dim:, dim:] = state.cov, other.cov
-    _same_state(states.product(state, other), states.MomentState(
-        ModeSystem(2 * count, hbar=hbar,
-                   labels=state.system.labels + other.system.labels),
-        np.concatenate([state.mean, other.mean]), cov,
-        gaussian=state.gaussian and other.gaussian))
+    # The pair, and one to three registers drawn from the two, each joined
+    # by one product call.
+    drawn = data.draw(st.lists(st.sampled_from([state, other]),
+                               min_size=1, max_size=3))
+    for parts in ([state, other], drawn):
+        _same_state(states.product(*parts), states.MomentState(
+            ModeSystem(len(parts) * count, hbar=hbar,
+                       labels=sum((part.system.labels for part in parts), ())),
+            np.concatenate([part.mean for part in parts]),
+            scipy.linalg.block_diag(*(part.cov for part in parts)),
+            gaussian=all(part.gaussian for part in parts)))

@@ -100,6 +100,20 @@ class TestMomentState:
                     with pytest.raises(ValueError, match="symmetric"):
                         MomentState(ModeSystem(1), np.zeros(2), cov)
 
+    @pytest.mark.parametrize("cov", [
+        # (cov + cov.T) / 2 would overflow 2 * 1.44e308 to inf.
+        np.diag([1.44e308, 1.0]),
+        # cov / 2 + cov.T / 2 would round a subnormal entry.
+        np.array([[1.0, 1.1125369292536e-311], [1.1125369292536e-311, 1.0]]),
+    ], ids=["huge", "subnormal"])
+    def test_symmetric_cov_is_stored_as_given(self, cov):
+        state = MomentState(ModeSystem(1), np.zeros(2), cov)
+        assert state.cov.tobytes() == cov.tobytes()
+
+    def test_non_finite_cov_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            MomentState(ModeSystem(1), np.zeros(2), np.diag([np.inf, 1.0]))
+
     def test_physicality_enforced(self):
         with pytest.raises(PhysicalityError):
             MomentState(ModeSystem(1), np.zeros(2), np.diag([0.04, 0.04]))
