@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 from .states import GaussianSpec
 
@@ -136,11 +135,11 @@ class GridState:
 
     @property
     def kx(self):
-        return 2.0 * math.pi * scipy.fft.fftfreq(self.nx, d=self.dx)
+        return 2.0 * math.pi * np.fft.fftfreq(self.nx, d=self.dx)
 
     @property
     def ky(self):
-        return 2.0 * math.pi * scipy.fft.fftfreq(self.ny, d=self.dy)
+        return 2.0 * math.pi * np.fft.fftfreq(self.ny, d=self.dy)
 
 
 def _check_amplitudes(raw, cell_area):
@@ -345,18 +344,18 @@ def _shear_stack(fields, grid, steps):
 
     Every field goes through the same ramp and one FFT pair per step.  The
     guards read fields[0] alone, which must be psi: the wrap guard before
-    each step, the boundary-mass guard after it.  scipy.fft transforms a
-    complex stack in place, so only the ramp and psi's density are
-    allocated per step; use the returned stack, not the argument.
+    each step, the boundary-mass guard after it.  Every transform writes
+    into the stack it reads, so only the ramp and psi's density are
+    allocated per step.
     """
     density = _density(fields[0], grid)
     for step in steps:
         axis, ramp = _shear_ramp(grid, step)
         _wrap_guard(density, grid, step)
-        fields = scipy.fft.fft(fields, axis=axis, overwrite_x=True)
+        np.fft.fft(fields, axis=axis, out=fields)
         fields *= ramp
         del ramp  # free it before the next step builds its own
-        fields = scipy.fft.ifft(fields, axis=axis, overwrite_x=True)
+        np.fft.ifft(fields, axis=axis, out=fields)
         density = _density(fields[0], grid)
         mass = _shell_mass(density, grid)
         if mass > BOUNDARY_THRESHOLD:
@@ -374,9 +373,9 @@ def apply_steps(state, steps):
 
 def _spectral_p(raw, k, axis):
     """Momentum operator -i d/dq along ``axis``; k broadcasts against raw."""
-    spec = scipy.fft.fft(raw, axis=axis)
+    spec = np.fft.fft(raw, axis=axis)
     spec *= k
-    return scipy.fft.ifft(spec, axis=axis, overwrite_x=True)
+    return np.fft.ifft(spec, axis=axis, out=spec)
 
 
 def _sq_norm(raw):
@@ -414,7 +413,7 @@ def window_pass(state, steps):
     noise_field -= state.y[None, :] * u_psi
     epsilon = math.sqrt(_sq_norm(noise_field) * state.cell_area)
 
-    spectra = scipy.fft.fft(fields[:2], axis=1, overwrite_x=True)
+    spectra = np.fft.fft(fields[:2], axis=1, out=fields[:2])
     dist_spectrum = spectra[0]
     dist_spectrum *= state.kx[:, None]
     dist_spectrum -= spectra[1]

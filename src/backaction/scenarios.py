@@ -453,8 +453,8 @@ def parse_scenario(mapping, source="scenario"):
     )
 
 
-class _ScenarioLoader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 floats such as 1e6 and 3e-1.
+class _ScenarioLoader(yaml.CSafeLoader):
+    """libyaml's safe loader that also reads YAML 1.2 floats such as 1e6.
 
     PyYAML follows YAML 1.1, whose float rule needs a dot and a signed
     exponent, so plain 1e6 would come back as a string.

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.special
 
 from . import canonical
 from .canonical import ModeSystem, _check_compatible, _frozen_vector
@@ -171,16 +170,24 @@ def _block_diagonal(system, blocks, gaussian):
     return state
 
 
+def _finite(value, quantity):
+    """value, or OverflowError naming the quantity if it is inf or nan."""
+    if not math.isfinite(value):
+        raise OverflowError(f"{quantity} is {value}, not finite")
+    return value
+
+
 def expectation(state, observable):
     """<A> for a linear observable A."""
     _check_compatible(state.system, observable.system, "expectation")
-    return float(observable.coeffs @ state.mean)
+    return _finite(float(observable.coeffs @ state.mean), "expectation")
 
 
 def variance(state, observable):
     """Var(A) = u^T cov u for A with coefficient vector u."""
     _check_compatible(state.system, observable.system, "variance")
-    value = float(observable.coeffs @ state.cov @ observable.coeffs)
+    value = _finite(
+        float(observable.coeffs @ state.cov @ observable.coeffs), "variance")
     scale = max(1.0, float(np.max(np.abs(state.cov))))
     if value < -_VARIANCE_TOL * scale:
         raise ValueError(f"covariance produced variance {value:.3e} < 0")
@@ -194,7 +201,9 @@ def std_dev(state, observable):
 
 def second_moment(state, observable):
     """<A^2> = Var(A) + <A>^2 for a linear observable A."""
-    return variance(state, observable) + expectation(state, observable) ** 2
+    return _finite(
+        variance(state, observable) + expectation(state, observable) ** 2,
+        "second moment")
 
 
 class RobertsonResult(NamedTuple):
@@ -239,7 +248,9 @@ class ScalarDistribution:
         x = np.asarray(x, dtype=float)
         if self.variance == 0.0:
             return (x >= self.mean).astype(float)
-        return scipy.special.ndtr((x - self.mean) / self.std)
+        z = (self.mean - x) / (self.std * math.sqrt(2.0))
+        erfc = np.fromiter(map(math.erfc, z.ravel()), float, z.size)
+        return 0.5 * erfc.reshape(z.shape)
 
 
 def observable_distribution(state, observable):
@@ -288,6 +299,26 @@ def born_check(samples, reference, alpha=0.01):
     cdf = reference.cdf(xs)
     grid = np.arange(n + 1) / n
     statistic = float(max(np.max(grid[1:] - cdf), np.max(cdf - grid[:-1])))
-    # kolmogi is scipy.stats.kstwobign.isf without importing scipy.stats.
-    critical = float(scipy.special.kolmogi(alpha) / math.sqrt(n))
+    critical = _kolmogi(alpha) / math.sqrt(n)
     return KsResult(statistic, critical, statistic < critical)
+
+
+def _kolmogi(alpha):
+    """Upper ``alpha`` quantile of the Kolmogorov distribution, 0 < alpha < 1.
+
+    Bisects to adjacent floats on Q(x) = 2 sum_k (-1)^(k-1) exp(-2 k^2 x^2)
+    = alpha.  Above alpha = 1/2, where Q rounds away the 1 - Q it nears, it
+    bisects 1 - Q(x) = sqrt(2 pi)/x sum_k exp(-(2k-1)^2 pi^2/(8 x^2)) against
+    the exact 1 - alpha instead.  100 terms converge for every root.
+    """
+    k = np.arange(1, 101)
+    lo, hi = 0.0, 20.0  # Q(20) underflows to zero
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if alpha <= 0.5:
+            root_above = 2.0 * np.sum(
+                (-1.0) ** (k - 1) * np.exp(-2.0 * (k * mid) ** 2)) > alpha
+        else:
+            root_above = math.sqrt(2.0 * math.pi) / mid * np.sum(
+                np.exp(-((2 * k - 1) * math.pi / mid) ** 2 / 8.0)) < 1.0 - alpha
+        lo, hi = (mid, hi) if root_above else (lo, mid)
+    return hi

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -243,12 +247,17 @@ class TestRunCommand:
          "object: {sigma_x: 1.0, sigma_p: 1.0}\n"
          "probe: {sigma_x: 1.0e154, sigma_p: 1.0}\n",
          "FloatingPointError: overflow"),
+        # Variance and squared mean are finite, and their sum, epsilon^2, is not.
+        ("name: far-pointer\nmodel: von_neumann\nchecks: [verdict]\n"
+         "object: {sigma_x: 1.0, sigma_p: 1.0}\n"
+         "probe: {sigma_x: 1.0e154, sigma_p: 1.0, mean_x: 1.2e154}\n",
+         "OverflowError: second moment is inf"),
     ], ids=["huge-spread", "huge-mean", "box", "sharpen-momentum-513",
             "sharpen-pointer-513", "sharpen-momentum-1075",
             "sharpen-pointer-1075", "invalid-yaml", "vanished", "tight-box",
             "impure-probe", "ceiling-16", "ceiling-mean-p",
             "ceiling-probe", "inadmissible-object", "overflow-verdict",
-            "overflow-repeatability"])
+            "overflow-repeatability", "overflow-second-moment"])
     def test_unrunnable_input_exits_two(self, tmp_path, capsys, body, where):
         path = _write(tmp_path, body)
         assert where in _exits_two(capsys, ["run", path])
@@ -365,6 +374,22 @@ def test_grid_crosscheck_shears_once(monkeypatch, name):
     report, _ = run_scenario(scenario)
     assert report["checks"]["grid_crosscheck"]["passed"]
     assert len(calls) == 1
+
+
+def test_runs_without_scipy():
+    # numpy is the only numeric dependency at run time: the born check
+    # (KS quantile and normal CDF) and the FFT grid load no scipy module.
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "from backaction import cli\n"
+            "status = cli.main(['run', 'noiseless-violation',"
+            " 'grid-crosscheck-gaussian'])\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(status, loaded, file=sys.stderr)\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.stderr.splitlines()[-1] == "0 []", run.stderr
 
 
 class TestReports:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 import helpers
-from backaction import cascade, measurement
+from backaction import cascade, measurement, states
 from backaction.canonical import LinearObservable, ModeSystem, momentum, position
 from backaction.states import (
     GaussianSpec,
@@ -174,6 +175,34 @@ class TestMomentQueries:
         assert second_moment(centred, x) == pytest.approx(2.0)
         assert second_moment(shifted, x) == pytest.approx(10.0)
 
+    def test_overflowing_moments_raise(self):
+        state = from_gaussian(GaussianSpec(1.0, 0.5, mean_x=1e308))
+        tenfold = LinearObservable(state.system, [10.0, 0.0])
+        with np.errstate(over="ignore"):
+            with pytest.raises(OverflowError, match="expectation is inf"):
+                expectation(state, tenfold)
+        # Both terms are finite; their float sum is not.
+        state = from_gaussian(GaussianSpec(1.3e154, 0.5, mean_x=1.2e154))
+        with pytest.raises(OverflowError, match="second moment is inf"):
+            second_moment(state, position(state.system))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: measurement.heisenberg_verdict(
+        measurement.noiseless_model(),
+        from_gaussian(GaussianSpec(1e154, 1e154)),
+        from_gaussian(GaussianSpec(1.0, 1e154))),
+    lambda: cascade.repeatability_deviation(cascade.CascadeScenario(
+        measurement.von_neumann_model(), from_gaussian(GaussianSpec(1.0, 1.0)),
+        from_gaussian(GaussianSpec(1e154, 1.0)))),
+], ids=["noiseless-verdict", "von-neumann-repeatability"])
+def test_library_overflow_names_the_variance(run):
+    # Outside the CLI's np.errstate numpy only warns; the inf it leaves
+    # must stop at the variance, not surface as eta or a deviation.
+    with pytest.raises(OverflowError, match="variance is inf"):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            run()
+
 
 class TestRobertson:
     def test_bound_is_hbar_over_two_for_x_p(self):
@@ -200,6 +229,26 @@ class TestDistributionAndSampling:
         assert dist.cdf(1.0) == pytest.approx(0.5)
         assert dist.cdf(1.0 + 2.0 * 1.959963984540054) == pytest.approx(
             0.975, abs=1e-9)
+
+    def test_cdf_keeps_the_input_shape(self):
+        dist = ScalarDistribution(mean=1.0, variance=4.0)
+        scalar = dist.cdf(1.0)
+        assert type(scalar) is np.float64 and scalar == 0.5
+        assert dist.cdf(np.ones((2, 3))).shape == (2, 3)
+
+    @pytest.mark.parametrize("mean, std", [(0.0, 1.0), (-3.7, 0.3), (1e14, 5.0)])
+    def test_cdf_matches_ndtr_to_eight_sigma(self, mean, std):
+        x = mean + std * np.linspace(-8.0, 8.0, 20001)
+        cdf = ScalarDistribution(mean=mean, variance=std ** 2).cdf(x)
+        ndtr = scipy.special.ndtr((x - mean) / std)
+        assert np.max(np.abs(cdf - ndtr)) <= 4.4e-16
+        np.testing.assert_allclose(cdf, ndtr, rtol=2e-14, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.2, 0.9, 0.99,
+                                       0.999999])
+    def test_kolmogi_matches_scipy(self, alpha):
+        assert states._kolmogi(alpha) == pytest.approx(
+            scipy.special.kolmogi(alpha), rel=4.4e-16, abs=0.0)
 
     def test_zero_variance_step(self):
         dist = ScalarDistribution(mean=2.0, variance=0.0)
