@@ -15,6 +15,7 @@ leaving x and p_y alone.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,8 +240,14 @@ class SymplecticPropagation:
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix contains non-finite entries")
         omega = self.system.omega()
-        defect = float(np.linalg.norm(arr @ omega @ arr.T - omega))
-        if defect > SYMPLECTIC_TOL * max(1.0, float(np.sum(arr * arr))):
+        # Past about 1e154 the size overflows and would pass any defect.
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = float(np.sum(arr * arr))
+            defect = float(np.linalg.norm(arr @ omega @ arr.T - omega))
+        if not math.isfinite(size):
+            raise ValueError(f"matrix entries up to {np.abs(arr).max():.3e} "
+                             "are too large to check symplecticity")
+        if not defect <= SYMPLECTIC_TOL * max(1.0, size):  # NaN fails too
             raise ValueError(f"matrix is not symplectic (defect {defect:.3e})")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)

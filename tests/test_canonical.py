@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,14 @@ class TestComposeAndEmbed:
     def test_non_symplectic_rejected(self):
         with pytest.raises(ValueError, match="symplectic"):
             SymplecticPropagation(ModeSystem(1), np.diag([2.0, 2.0]))
+
+    def test_guard_refuses_entries_whose_size_overflows(self):
+        # sum(S * S) overflows to inf past about 1.3e154, and a tolerance
+        # scaled by it would accept any defect: here det S = 1e400.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too large to check"):
+                SymplecticPropagation(ModeSystem(1), np.diag([1e200, 1e200]))
 
     def test_symplectic_guard_scales_with_the_matrix(self):
         # Squeezing 6 x^2 - 6 p_x^2 gives entries near e^12/2; the defect

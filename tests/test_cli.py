@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from backaction import cli, grid, scenarios
+from backaction.canonical import LinearObservable
 from backaction.cli import main, render_json, render_text, run_scenario
 
 
@@ -252,12 +255,17 @@ class TestRunCommand:
          "object: {sigma_x: 1.0, sigma_p: 1.0}\n"
          "probe: {sigma_x: 1.0e154, sigma_p: 1.0, mean_x: 1.2e154}\n",
          "OverflowError: second moment is inf"),
+        # A finite window with entries near 3e199, whose squares overflow
+        # the symplectic guard's size.
+        (LARGE_SQUEEZE.format(c=230),
+         ".interaction: matrix entries up to 2.981e+199 are too large"),
     ], ids=["huge-spread", "huge-mean", "box", "sharpen-momentum-513",
             "sharpen-pointer-513", "sharpen-momentum-1075",
             "sharpen-pointer-1075", "invalid-yaml", "vanished", "tight-box",
             "impure-probe", "ceiling-16", "ceiling-mean-p",
             "ceiling-probe", "inadmissible-object", "overflow-verdict",
-            "overflow-repeatability", "overflow-second-moment"])
+            "overflow-repeatability", "overflow-second-moment",
+            "squeeze-230"])
     def test_unrunnable_input_exits_two(self, tmp_path, capsys, body, where):
         path = _write(tmp_path, body)
         assert where in _exits_two(capsys, ["run", path])
@@ -307,6 +315,27 @@ class TestRunCommand:
         assert main(["run", path, "--format", "json"]) == 0
         values = json.loads(capsys.readouterr().out)["checks"]["born"]["values"]
         assert values["outcome_mean"] == values["reference_mean"] == float(mean_x)
+
+    @pytest.mark.parametrize("x_coeff, passed", [(1 - 2.0 ** -53, True),
+                                                 (1 - 1e-6, False)])
+    def test_born_compares_means_at_the_preparation_size(self, x_coeff,
+                                                         passed):
+        # At mean_x 1e16 a readout one rounding step short of x moves the
+        # outcome mean by one float spacing, 2, within exact * 1e16; a
+        # 1e-6 shortfall moves it by 1e10.
+        sc = scenarios.parse_scenario({
+            "name": "far-born", "model": "noiseless", "checks": ["born"],
+            "object": {"sigma_x": 1, "sigma_p": 1, "mean_x": 1.0e16},
+            "probe": {"sigma_x": 1.0, "sigma_p": 0.5}})
+        model = copy.copy(sc.model)
+        coeffs = model.readout.coeffs.copy()
+        coeffs[0] = x_coeff
+        object.__setattr__(model, "readout",
+                           LinearObservable(model.system, coeffs))
+        report, _ = run_scenario(dataclasses.replace(sc, model=model))
+        born = report["checks"]["born"]
+        assert born["values"]["outcome_mean"] != 1.0e16
+        assert born["passed"] == passed
 
     @pytest.mark.parametrize("model", [
         "von_neumann",

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from backaction import numerics
+from backaction.canonical import ModeSystem
 
 
 class TestMatExp:
@@ -34,6 +35,19 @@ class TestMatExp:
                 ref = scipy.linalg.expm(a)
                 np.testing.assert_allclose(
                     mine, ref, rtol=1e-9, atol=1e-9 * np.linalg.norm(ref))
+
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_low_norm_generators_match_scipy_to_rounding(self, modes):
+        # Below 1-norm 0.95 the full algorithm would take degree 3, 5 or 7;
+        # degree 9 must stay at the rounding floor there, not just at 1e-9.
+        rng = np.random.default_rng(20261018 + modes)
+        omega = ModeSystem(modes).omega()
+        for target in np.linspace(0.0, 0.95, 96):
+            form = rng.standard_normal((2 * modes, 2 * modes))
+            g = omega @ (form + form.T)
+            g *= target / np.abs(g).sum(axis=0).max()
+            np.testing.assert_allclose(
+                numerics.mat_exp(g), scipy.linalg.expm(g), rtol=0, atol=2e-15)
 
     def test_inverse_property(self):
         rng = np.random.default_rng(7)
