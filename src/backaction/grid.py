@@ -249,7 +249,7 @@ def init_grid(object_components, probe_spec, nx=DEFAULT_POINTS,
         Pure packet along y.
     half_width : float, optional
         Box half-width (shared by both axes); computed from the specs when
-        omitted.
+        omitted.  Either way the box must meet ``check_momentum_ceiling``.
 
     All specs are interpreted in hbar = 1 units; see ``unit_hbar_spec``.
     """
@@ -258,9 +258,12 @@ def init_grid(object_components, probe_spec, nx=DEFAULT_POINTS,
         raise ValueError("need at least one object component")
     if any(w <= 0 for w, _ in components):
         raise ValueError("component weights must be positive")
+    object_specs = [s for _, s in components]
     if half_width is None:
-        half_width = auto_half_width(
-            [s for _, s in components], probe_spec, min(nx, ny))
+        half_width = auto_half_width(object_specs, probe_spec, min(nx, ny))
+    else:
+        check_momentum_ceiling(
+            object_specs, probe_spec, min(nx, ny), half_width)
     half_width = float(half_width)
     xs = -half_width + (2.0 * half_width / nx) * np.arange(nx)
     ys = -half_width + (2.0 * half_width / ny) * np.arange(ny)

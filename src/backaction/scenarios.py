@@ -27,18 +27,27 @@ from .states import GaussianSpec
 
 MODELS = ("von_neumann", "noiseless", "custom")
 
-CHECK_KINDS = (
-    "verdict",
-    "robertson",
-    "born",
-    "repeatability",
-    "realization",
-    "limit_sweep",
-    "grid_crosscheck",
-)
 
-# Checks that consume the object/probe preparations.
-_PREP_CHECKS = ("verdict", "robertson", "born", "repeatability", "grid_crosscheck")
+class CheckNeeds(NamedTuple):
+    """What a check needs from its scenario when it loads."""
+
+    section: str | None  # the section only this check reads
+    preps: bool  # reads the object and probe preparations
+    models: tuple = MODELS  # the models it accepts
+
+
+# The born reference is the object's position distribution, which only an
+# exact (epsilon = 0) readout reproduces.  grid_crosscheck also needs the
+# model's shear factorization, which parse_scenario checks.
+CHECKS = {
+    "verdict": CheckNeeds(None, True),
+    "robertson": CheckNeeds(None, True),
+    "born": CheckNeeds("born", True, ("noiseless",)),
+    "repeatability": CheckNeeds(None, True),
+    "realization": CheckNeeds(None, False, ("noiseless",)),
+    "limit_sweep": CheckNeeds("sweep", False, ("von_neumann", "noiseless")),
+    "grid_crosscheck": CheckNeeds("grid", True),
+}
 
 SWEEPS = {"sharpen_momentum": measurement.limit_sweep,
           "sharpen_pointer": cascade.repeatability_sweep}
@@ -319,10 +328,10 @@ def parse_scenario(mapping, source="scenario"):
         raise ConfigError(f"{source}: 'checks' must be a non-empty list")
     seen = set()
     for check in raw_checks:
-        if check not in CHECK_KINDS:
+        if check not in CHECKS:
             raise ConfigError(
                 f"{source}: unknown check {check!r}; "
-                f"known: {', '.join(CHECK_KINDS)}")
+                f"known: {', '.join(CHECKS)}")
         if check in seen:
             raise ConfigError(f"{source}: duplicate check {check!r}")
         seen.add(check)
@@ -379,11 +388,11 @@ def parse_scenario(mapping, source="scenario"):
         tolerances = _tolerances(mapping["tolerances"], f"{source}.tolerances")
 
     # Cross-field rules.
-    for section, check in (("sweep", "limit_sweep"), ("grid", "grid_crosscheck"),
-                           ("born", "born")):
-        if section in mapping and check not in checks:
-            raise ConfigError(f"{source}: '{section}' requires the {check} check")
-    needs_preps = [c for c in checks if c in _PREP_CHECKS]
+    for check, needs in CHECKS.items():
+        if needs.section in mapping and check not in checks:
+            raise ConfigError(
+                f"{source}: '{needs.section}' requires the {check} check")
+    needs_preps = [c for c in checks if CHECKS[c].preps]
     if needs_preps:
         if object_prep is None:
             raise ConfigError(
@@ -397,16 +406,15 @@ def parse_scenario(mapping, source="scenario"):
             raise ConfigError(
                 f"{source}: a superposition object only supports the "
                 f"grid_crosscheck check, also got {extra}")
-    if "realization" in checks and model.name != "noiseless":
-        raise ConfigError(
-            f"{source}: the realization check applies to model 'noiseless'")
+    for check in checks:
+        if model.name not in CHECKS[check].models:
+            raise ConfigError(
+                f"{source}: the {check} check applies to model "
+                f"{' or '.join(map(repr, CHECKS[check].models))}, "
+                f"not {model.name!r}")
     if "limit_sweep" in checks:
         if sweep is None:
             raise ConfigError(f"{source}: the limit_sweep check needs 'sweep'")
-        if model.name == "custom":
-            raise ConfigError(
-                f"{source}: limit_sweep has no reference behavior for "
-                "custom models")
         # Build the sharpest point, the one a float may not hold.
         with _refused_as(f"{source}.sweep"):
             SWEEPS[sweep.kind](model, [2.0 ** -sweep.k_max])
@@ -414,25 +422,15 @@ def parse_scenario(mapping, source="scenario"):
         raise ConfigError(
             f"{source}: grid_crosscheck needs a shear factorization, "
             "which only the built-in models have")
-    # The born reference is the object's position distribution, which only
-    # an exact (epsilon = 0) readout reproduces.
-    if "born" in checks and model.name != "noiseless":
-        raise ConfigError(
-            f"{source}: the born check applies to model 'noiseless'")
 
     grid_state = None
     if "grid_crosscheck" in checks:
         with _refused_as(f"{source}.grid"):
             components = [(w, grid.unit_hbar_spec(s, hbar))
                           for w, s in object_prep.components]
-            probe_unit = grid.unit_hbar_spec(probe_spec, hbar)
-            if grid_params.half_width is not None:
-                grid.check_momentum_ceiling(
-                    [s for _, s in components], probe_unit,
-                    min(grid_params.nx, grid_params.ny),
-                    grid_params.half_width)
             grid_state = grid.init_grid(
-                components, probe_unit, nx=grid_params.nx, ny=grid_params.ny,
+                components, grid.unit_hbar_spec(probe_spec, hbar),
+                nx=grid_params.nx, ny=grid_params.ny,
                 half_width=grid_params.half_width)
 
     return Scenario(

@@ -71,8 +71,14 @@ class GaussianSpec:
         return np.array([self.mean_x, self.mean_p])
 
     def cov_block(self):
+        try:
+            var_x, var_p = self.sigma_x ** 2, self.sigma_p ** 2
+        except OverflowError:  # the larger spread's square overflows
+            name = "sigma_x" if self.sigma_x >= self.sigma_p else "sigma_p"
+            raise OverflowError(f"{name} = {getattr(self, name):.4g} is too "
+                                "large: its square overflows") from None
         off = self.correlation * self.sigma_x * self.sigma_p
-        return np.array([[self.sigma_x ** 2, off], [off, self.sigma_p ** 2]])
+        return np.array([[var_x, off], [off, var_p]])
 
 
 @dataclass(frozen=True, eq=False)

@@ -193,7 +193,7 @@ class TestRunCommand:
         # sigma_x^2 overflows while the object state is built at load.
         (OVERFLOW.format(check="verdict",
                          obj="{sigma_x: 1.0e200, sigma_p: 1.0}"),
-         ".object: OverflowError"),
+         ".object: OverflowError: sigma_x = 1e+200 is too large"),
         # A mean of 1e200 meets the gap's rounding-size coefficients.
         (OVERFLOW.format(check="repeatability",
                          obj="{sigma_x: 1, sigma_p: 1, mean_x: 1.0e200}"),
@@ -206,9 +206,9 @@ class TestRunCommand:
         # The sharpest point is built at load: its spreads 2^512 overflow
         # when squared, and 2^-1075 rounds to zero.
         (SWEEP.format(kind="sharpen_momentum", k_min=513, k_max=513),
-         ".sweep: OverflowError"),
+         ".sweep: OverflowError: sigma_x = 1.341e+154 is too large"),
         (SWEEP.format(kind="sharpen_pointer", k_min=513, k_max=513),
-         ".sweep: OverflowError"),
+         ".sweep: OverflowError: sigma_p = 1.341e+154 is too large"),
         (SWEEP.format(kind="sharpen_momentum", k_min=1075, k_max=1075),
          ".sweep: sigma_p values must be positive, got 0.0"),
         (SWEEP.format(kind="sharpen_pointer", k_min=1075, k_max=1075),

@@ -145,6 +145,15 @@ class TestInitGrid:
         with pytest.raises(ValueError, match="resolution"):
             auto_half_width([fast], pure, 64)
 
+    def test_explicit_box_guards_momentum_content(self):
+        # A given box meets the ceiling auto_half_width applies to the box
+        # it picks: 64 points over half-width 10 resolve k up to 10.05,
+        # and the packets need 40 + 8 (0.5 + 0.5) = 48.
+        fast = GaussianSpec(1.0, 0.5, mean_p=40.0)
+        pure = GaussianSpec(1.0, 0.5)
+        with pytest.raises(ValueError, match="64 points cannot hold"):
+            init_gaussian_grid(fast, pure, nx=64, ny=64, half_width=10.0)
+
     def test_superposition_normalizes(self):
         pure = GaussianSpec(0.8, 0.625)
         left = GaussianSpec(0.8, 0.625, mean_x=-3.0)

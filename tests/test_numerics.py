@@ -49,6 +49,23 @@ class TestMatExp:
             np.testing.assert_allclose(
                 numerics.mat_exp(g), scipy.linalg.expm(g), rtol=0, atol=2e-15)
 
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_scaled_generators_match_scipy(self, modes):
+        # Above theta_9 = 2.098 the generator is halved until [9/9] serves
+        # it and squared back.  Squaring amplifies rounding with the norm,
+        # so the gap is measured against the largest entry of the result:
+        # the worst case here is 1.8e-12.  Halving two times too few
+        # breaks it (3.3e-7, 6.5e-10 and 2.4e-11).
+        rng = np.random.default_rng(20261019 + modes)
+        omega = ModeSystem(modes).omega()
+        for target in np.geomspace(2.097847961257068, 60.0, 64):
+            form = rng.standard_normal((2 * modes, 2 * modes))
+            g = omega @ (form + form.T)
+            g *= target / np.abs(g).sum(axis=0).max()
+            ref = scipy.linalg.expm(g)
+            np.testing.assert_allclose(numerics.mat_exp(g), ref, rtol=0,
+                                       atol=1e-11 * np.abs(ref).max())
+
     def test_inverse_property(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
