@@ -64,7 +64,7 @@ class BoundaryMassError(RuntimeError):
 
 
 class ShearStep(NamedTuple):
-    """One elementary shear: kind is 'x_py' or 'px_y', theta its strength.
+    """One elementary shear: kind is a key of ``SHEARS``, theta its strength.
 
     'x_py' with strength theta maps psi(x, y) -> psi(x, y - theta x), the
     unit-window stretch coupling when theta = 1.  'px_y' maps
@@ -73,6 +73,18 @@ class ShearStep(NamedTuple):
 
     kind: str
     theta: float
+
+    @property
+    def axes(self):
+        """(moved axis, sign s) of this step's kind, from ``SHEARS``."""
+        if self.kind not in SHEARS:
+            raise ValueError(f"unknown shear kind {self.kind!r}")
+        return SHEARS[self.kind]
+
+
+# kind -> (moved axis, sign s), axis 0 being x and 1 y: the shear maps
+# psi -> psi(q_moved - s theta q_other), the window of s theta q_other p_moved.
+SHEARS = {"x_py": (1, 1.0), "px_y": (0, -1.0)}
 
 
 VON_NEUMANN_STEPS = (ShearStep("x_py", 1.0),)
@@ -314,28 +326,21 @@ def _phase_ramp(scale, start, spacing, n, k, q_axis):
 
 
 def _shear_ramp(grid, step):
-    """(FFT axis, phase ramp of shape (nx, ny)) of one shear."""
-    if step.kind == "x_py":
-        # psi(x, y) -> psi(x, y - theta x): translate along y by theta * x.
-        return -1, _phase_ramp(-step.theta, -grid.lx, grid.dx, grid.nx,
-                               grid.ky, q_axis=0)
-    if step.kind == "px_y":
-        # psi(x, y) -> psi(x + theta y, y): translate along x by -theta * y.
-        return -2, _phase_ramp(step.theta, -grid.ly, grid.dy, grid.ny,
-                               grid.kx, q_axis=1)
-    raise ValueError(f"unknown shear kind {step.kind!r}")
+    """(FFT axis, ramp exp(-i s theta q_other k_moved) of shape (nx, ny))."""
+    moved, sign = step.axes
+    other = 1 - moved
+    return moved - 2, _phase_ramp(
+        -sign * step.theta, -(grid.lx, grid.ly)[other], (grid.dx, grid.dy)[other],
+        (grid.nx, grid.ny)[other], grid.ky if moved else grid.kx, q_axis=other)
 
 
 def _wrap_guard(density, grid, step):
     """Refuse shears that translate occupied columns across the box."""
-    if step.kind == "x_py":
-        occupied = density.sum(axis=1) > 1e-14
-        reach = float(np.max(np.abs(grid.x[occupied]), initial=0.0))
-        span = 2.0 * grid.ly
-    else:
-        occupied = density.sum(axis=0) > 1e-14
-        reach = float(np.max(np.abs(grid.y[occupied]), initial=0.0))
-        span = 2.0 * grid.lx
+    moved, _ = step.axes
+    occupied = density.sum(axis=moved) > 1e-14
+    coords = grid.x if moved else grid.y
+    reach = float(np.max(np.abs(coords[occupied]), initial=0.0))
+    span = 2.0 * (grid.lx, grid.ly)[moved]
     if abs(step.theta) * reach >= _WRAP_FRACTION * span:
         raise BoundaryMassError(
             f"shear {step.kind} theta={step.theta} would translate mass "

@@ -46,6 +46,9 @@ ONE_SIDED_TOL = 1e-12
 OBJECT_MODE = 0
 PROBE_MODE = 1
 
+# Coordinate names of the object + probe vector (x, p_x, y, p_y).
+COORDS = {"x": 0, "px": 1, "y": 2, "py": 3}
+
 
 @dataclass(frozen=True, eq=False)
 class MeasurementModel:
@@ -99,18 +102,20 @@ class MeasurementModel:
         return canonical.propagate(self.hamiltonian, tau)
 
 
+def coupling_model(name, terms, hbar=1.0, steps=()):
+    """Object + probe model of the window sum c * first * second, from
+    (c, first, second) ``terms`` whose coordinates ``COORDS`` names."""
+    system = ModeSystem(2, hbar=hbar, labels=("object", "probe"))
+    hamiltonian = build_quadratic(
+        system, [(c, COORDS[first], COORDS[second]) for c, first, second in terms])
+    return MeasurementModel(
+        name=name, system=system, hamiltonian=hamiltonian, steps=steps)
+
+
 def von_neumann_model(hbar=1.0):
     """Stretch coupling x p_y reading the pointer position."""
-    system = ModeSystem(2, hbar=hbar, labels=("object", "probe"))
-    x = system.position_index(0)
-    py = system.momentum_index(1)
-    hamiltonian = build_quadratic(system, [(1.0, x, py)])
-    return MeasurementModel(
-        name="von_neumann",
-        system=system,
-        hamiltonian=hamiltonian,
-        steps=grid.VON_NEUMANN_STEPS,
-    )
+    return coupling_model(
+        "von_neumann", [(1.0, "x", "py")], hbar, grid.VON_NEUMANN_STEPS)
 
 
 def noiseless_model(hbar=1.0):
@@ -126,39 +131,21 @@ def noiseless_model(hbar=1.0):
     y p_y terms carry equal and opposite ordering constants, which is what
     lets build_quadratic accept the list.
     """
-    system = ModeSystem(2, hbar=hbar, labels=("object", "probe"))
-    x, px = system.position_index(0), system.momentum_index(0)
-    y, py = system.position_index(1), system.momentum_index(1)
     g = math.pi / (3.0 * math.sqrt(3.0))
-    hamiltonian = build_quadratic(system, [
-        (2.0 * g, x, py),
-        (-2.0 * g, px, y),
-        (g, x, px),
-        (-g, y, py),
-    ])
-    return MeasurementModel(
-        name="noiseless",
-        system=system,
-        hamiltonian=hamiltonian,
-        steps=grid.NOISELESS_STEPS,
-    )
+    return coupling_model("noiseless", [
+        (2.0 * g, "x", "py"),
+        (-2.0 * g, "px", "y"),
+        (g, "x", "px"),
+        (-g, "y", "py"),
+    ], hbar, grid.NOISELESS_STEPS)
 
 
 def shear_propagation(system, step):
-    """Symplectic map of one grid shear on object + probe.
-
-    A 'x_py' step of strength theta is the window of theta x p_y, a 'px_y'
-    step that of -theta p_x y, each over unit time: the maps the grid
-    shears apply to the wavefunction.
-    """
-    x, px = system.position_index(0), system.momentum_index(0)
-    y, py = system.position_index(1), system.momentum_index(1)
-    if step.kind == "x_py":
-        term = (step.theta, x, py)
-    elif step.kind == "px_y":
-        term = (-step.theta, px, y)
-    else:
-        raise ValueError(f"unknown shear kind {step.kind!r}")
+    """Symplectic map of one grid shear on object + probe: the window
+    s theta q_other p_moved over unit time, as ``grid.SHEARS`` declares."""
+    moved, sign = step.axes
+    term = (sign * step.theta, system.position_index(1 - moved),
+            system.momentum_index(moved))
     return canonical.propagate(build_quadratic(system, [term]), 1.0)
 
 

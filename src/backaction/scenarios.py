@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import yaml
 
-from . import canonical, cascade, grid, measurement, states
+from . import cascade, grid, measurement, states
 from .states import GaussianSpec
 
 MODELS = ("von_neumann", "noiseless", "custom")
@@ -51,8 +51,6 @@ CHECKS = {
 
 SWEEPS = {"sharpen_momentum": measurement.limit_sweep,
           "sharpen_pointer": cascade.repeatability_sweep}
-
-_COORDS = {"x": 0, "px": 1, "y": 2, "py": 3}
 
 DEFAULT_TOLERANCES = {
     # one-sided zero assertions and closed-form matches
@@ -162,10 +160,8 @@ def _positive(mapping, key, context, default=None, required=False):
     return value
 
 
-def _integer(mapping, key, context, default=None, required=False, minimum=None):
+def _integer(mapping, key, context, default=None, minimum=None):
     if key not in mapping:
-        if required:
-            raise ConfigError(f"{context}: missing required key {key!r}")
         return default
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, int):
@@ -243,21 +239,15 @@ def _interaction(node, context, hbar):
         item = _require_mapping(item, sub)
         _check_keys(item, ("coefficient", "first", "second"), sub)
         coefficient = _number(item, "coefficient", sub, required=True)
-        indices = []
         for key in ("first", "second"):
             coord = item.get(key)
-            if coord not in _COORDS:
+            if not isinstance(coord, str) or coord not in measurement.COORDS:
                 raise ConfigError(
-                    f"{sub}: {key!r} must be one of {', '.join(_COORDS)}, "
-                    f"got {coord!r}")
-            indices.append(_COORDS[coord])
-        terms.append((coefficient, *indices))
-    system = canonical.ModeSystem(2, hbar=hbar, labels=("object", "probe"))
+                    f"{sub}: {key!r} must be one of "
+                    f"{', '.join(measurement.COORDS)}, got {coord!r}")
+        terms.append((coefficient, item["first"], item["second"]))
     with _refused_as(context):
-        return measurement.MeasurementModel(
-            name="custom",
-            system=system,
-            hamiltonian=canonical.build_quadratic(system, terms))
+        return measurement.coupling_model("custom", terms, hbar)
 
 
 def _grid_params(node, context):

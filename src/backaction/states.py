@@ -207,9 +207,9 @@ def std_dev(state, observable):
 
 def second_moment(state, observable):
     """<A^2> = Var(A) + <A>^2 for a linear observable A."""
-    return _finite(
-        variance(state, observable) + expectation(state, observable) ** 2,
-        "second moment")
+    var, mean = variance(state, observable), expectation(state, observable)
+    # Not mean ** 2: float ** raises OverflowError before _finite names it.
+    return _finite(var + mean * mean, "second moment")
 
 
 class RobertsonResult(NamedTuple):

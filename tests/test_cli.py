@@ -150,10 +150,14 @@ class TestRunCommand:
     def test_out_dir_over_a_file_exits_two(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("", encoding="utf-8")
-        for out_dir in (taken, taken / "sub"):
-            err = _exits_two(capsys, ["run", "noiseless-violation",
-                                      "--out-dir", str(out_dir)])
-            assert "--out-dir" in err and str(taken) in err
+        # A directory where the report goes fails when the report is written.
+        report = tmp_path / "clash" / "noiseless-violation.report.json"
+        report.mkdir(parents=True)
+        for out_dir, where in ((taken, taken), (taken / "sub", taken),
+                               (report.parent, report)):
+            err = _exits_two(capsys, ["run", "noiseless-violation", "--format",
+                                      "json", "--out-dir", str(out_dir)])
+            assert "--out-dir" in err and str(where) in err
 
     def test_negative_seed_exits_two(self, capsys):
         err = _exits_two(capsys, ["run", "noiseless-violation", "--seed", "-1"])
@@ -197,7 +201,7 @@ class TestRunCommand:
         # A mean of 1e200 meets the gap's rounding-size coefficients.
         (OVERFLOW.format(check="repeatability",
                          obj="{sigma_x: 1, sigma_p: 1, mean_x: 1.0e200}"),
-         "OverflowError"),
+         "OverflowError: second moment is inf"),
         # No box of 64 points holds a packet 1000 widths off centre.
         ("name: far-box\nmodel: noiseless\nchecks: [grid_crosscheck]\n"
          "grid: {nx: 64, ny: 64}\n"
@@ -259,13 +263,31 @@ class TestRunCommand:
         # the symplectic guard's size.
         (LARGE_SQUEEZE.format(c=230),
          ".interaction: matrix entries up to 2.981e+199 are too large"),
+        # Malformed sections, each refused with the section named.
+        ("1: 2\nname: key\nmodel: noiseless\nchecks: [realization]\n",
+         "case.yaml: keys must be strings, got 1"),
+        ("name: mixed-probe\nmodel: noiseless\nchecks: [verdict]\n"
+         f"object: {PACKET}\n"
+         "probe: {kind: superposition, sigma_x: 1, sigma_p: 0.5}\n",
+         ".probe: kind must be 'gaussian' here"),
+        (OVERFLOW.format(check="verdict", obj="{kind: wavepacket}"),
+         ".object: kind must be 'gaussian' or 'superposition', "
+         "got 'wavepacket'"),
+        ("name: no-terms\nmodel: custom\nchecks: [verdict]\n"
+         "interaction: {terms: []}\n",
+         ".interaction: 'terms' must be a non-empty list"),
+        ("name: listed-coordinate\nmodel: custom\nchecks: [verdict]\n"
+         "interaction: {terms: [{coefficient: 1, first: [x], second: py}]}\n",
+         ".interaction.terms[0]: 'first' must be one of x, px, y, py, "
+         "got ['x']"),
     ], ids=["huge-spread", "huge-mean", "box", "sharpen-momentum-513",
             "sharpen-pointer-513", "sharpen-momentum-1075",
             "sharpen-pointer-1075", "invalid-yaml", "vanished", "tight-box",
             "impure-probe", "ceiling-16", "ceiling-mean-p",
             "ceiling-probe", "inadmissible-object", "overflow-verdict",
             "overflow-repeatability", "overflow-second-moment",
-            "squeeze-230"])
+            "squeeze-230", "non-string-key", "superposition-probe",
+            "wavepacket-object", "no-terms", "unhashable-coordinate"])
     def test_unrunnable_input_exits_two(self, tmp_path, capsys, body, where):
         path = _write(tmp_path, body)
         assert where in _exits_two(capsys, ["run", path])
@@ -357,7 +379,8 @@ class TestRunCommand:
 
     def test_tol_value_validated(self, capsys):
         # --tol goes through the same validator as a scenario's tolerances.
-        for pair in ("exact=zero", "exact=-1", "ks_alpha=1", "ks_alpha=2"):
+        for pair in ("exact=zero", "exact=-1", "ks_alpha=1", "ks_alpha=2",
+                     "exact"):
             err = _exits_two(capsys, ["run", "noiseless-violation", "--tol", pair])
             assert pair.partition("=")[0] in err
 

@@ -29,7 +29,7 @@ _SIGMAS = 8.0
 
 steps_strategy = st.lists(
     st.builds(grid.ShearStep,
-              st.sampled_from(["x_py", "px_y"]),
+              st.sampled_from(sorted(grid.SHEARS)),
               st.floats(-1.0, 1.0)),
     min_size=1, max_size=3).map(tuple)
 

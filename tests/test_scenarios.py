@@ -1,3 +1,4 @@
+import math
 import textwrap
 
 import numpy as np
@@ -335,14 +336,21 @@ class TestBuiltAtLoad:
 
 class TestCustomModels:
     def test_custom_model_builds_and_runs(self):
-        scenario = parse_scenario(_base(
-            model="custom",
-            interaction={"terms": [
-                {"coefficient": 1.0, "first": "x", "second": "py"}]}))
-        # The terms are the unit window's: the same map as the stretch.
-        vn = measurement.von_neumann_model()
-        assert np.max(np.abs(
-            scenario.model.endpoint.matrix - vn.endpoint.matrix)) <= 1e-12
+        # Each built-in model's terms, written as an interaction section,
+        # give exactly the built-in window.
+        g = math.pi / (3.0 * math.sqrt(3.0))
+        for built_in, terms in (
+                (measurement.von_neumann_model(), [(1.0, "x", "py")]),
+                (measurement.noiseless_model(), [
+                    (2.0 * g, "x", "py"), (-2.0 * g, "px", "y"),
+                    (g, "x", "px"), (-g, "y", "py")])):
+            scenario = parse_scenario(_base(
+                model="custom",
+                interaction={"terms": [
+                    {"coefficient": c, "first": first, "second": second}
+                    for c, first, second in terms]}))
+            assert np.array_equal(
+                scenario.model.endpoint.matrix, built_in.endpoint.matrix)
 
     def test_coupling_key_refused(self):
         with pytest.raises(ConfigError, match="unknown key.*'coupling'"):
