@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -47,7 +46,7 @@ def _verdict_check(sc, tols):
         "tradeoff": report.tradeoff,
         "tradeoff_meets_bound": report.tradeoff_satisfied,
     }
-    if sc.model.name == "noiseless":
+    if sc.model.exact_readout:
         expected = {"epsilon": 0.0, "product": 0.0,
                     "tradeoff_at_least": report.bound}
         # epsilon is rounding times the preparation's size, and eta is of
@@ -59,10 +58,10 @@ def _verdict_check(sc, tols):
         note = ("readout is exact and the noise-disturbance product sits at "
                 "zero, below the hbar/2 bound; the spread-disturbance "
                 "trade-off holds instead")
-    elif sc.model.name == "von_neumann":
+    elif sc.model.reference is not None:  # built in with noise: meets hbar/2
         expected = {"product_at_least": report.bound}
         passed = report.satisfied
-        note = "stretch coupling obeys the hbar/2 noise-disturbance bound"
+        note = sc.model.reference.notes["verdict"]
     else:
         expected = {}
         passed = True
@@ -123,34 +122,20 @@ def _born_check(sc, tols):
 def _repeatability_check(sc, tols):
     deviation = cascade.repeatability_deviation(cascade.CascadeScenario(
         sc.model, sc.object_state, sc.probe_state))
-    spec = sc.probe_spec
-    values = {"deviation": deviation, "sigma_y": spec.sigma_x}
+    spec, reference = sc.probe_spec, sc.model.reference
+    values = {"deviation": deviation, "sigma_y": spec.sigma_x,
+              "closed_form": None, "alpha": None, "alpha_repeatable": None}
+    if reference is None:
+        return {"passed": True, "values": values, "expected": {},
+                "note": "custom model: deviation reported, no reference behavior"}
+    closed = reference.deviation(spec.sigma_x, spec.mean_x)
     exact = tols["exact"] * _prep_size(sc)
-    if sc.model.name == "noiseless":
-        closed = math.hypot(spec.sigma_x, spec.mean_x)
-        alpha = closed + exact
-        repeatable = deviation <= alpha
-        passed = abs(deviation - closed) <= exact and repeatable
-        note = ("second readout reproduces the first within the pointer "
-                "spread: sigma(y)-approximate repeatability")
-    elif sc.model.name == "von_neumann":
-        closed = math.sqrt(2.0) * spec.sigma_x
-        alpha = closed + exact
-        repeatable = deviation <= alpha
-        passed = abs(deviation - closed) <= exact
-        note = ("deviation carries both pointer spreads; no better than "
-                "sqrt(2) sigma(y)")
-    else:
-        closed = None
-        alpha = None
-        repeatable = None
-        passed = True
-        note = "custom model: deviation reported, no reference behavior"
-    values.update({"closed_form": closed, "alpha": alpha,
-                   "alpha_repeatable": repeatable})
-    expected = {} if closed is None else {"deviation": closed}
-    return {"passed": passed, "values": values, "expected": expected,
-            "note": note}
+    alpha = closed + exact
+    values.update(closed_form=closed, alpha=alpha,
+                  alpha_repeatable=deviation <= alpha)
+    return {"passed": abs(deviation - closed) <= exact and deviation <= alpha,
+            "values": values, "expected": {"deviation": closed},
+            "note": reference.notes["repeatability"]}
 
 
 def _realization_check(sc, tols):
@@ -171,86 +156,35 @@ def _decreasing(xs, slack):
     return all(b <= a + slack for a, b in zip(xs, xs[1:]))
 
 
-def _sharpen_momentum_conditions(sc, tols, rows):
-    hbar = sc.hbar
-    etas = [row["eta"] for row in rows]
-    posts = [row["sigma_x_post"] for row in rows]
-    conditions = {}
-    if sc.model.name == "noiseless":
-        # Rounding scales with the point's size, sigma_x = hbar / (2 sigma_p).
-        conditions["epsilon_zero"] = all(
-            row["epsilon"] <= tols["exact"] * max(
-                1.0, hbar / (2.0 * row["sigma_p"]), row["sigma_p"])
-            for row in rows)
-        conditions["eta_matches_sqrt2_sigma_p"] = all(
-            abs(row["eta"] - math.sqrt(2.0) * row["sigma_p"]) <= tols["exact"]
-            for row in rows)
-        conditions["eta_decreases"] = _decreasing(etas, tols["exact"])
-        conditions["sigma_x_post_increases"] = _decreasing(
-            posts[::-1], tols["exact"])
-        conditions["sigma_x_post_matches_closed_form"] = all(
-            abs(row["sigma_x_post"]
-                - math.sqrt(2.0) * hbar / (2.0 * row["sigma_p"]))
-            <= tols["exact"] * max(1.0, row["sigma_x_post"])
-            for row in rows)
-        note = ("precision is free of the momentum spread: epsilon stays "
-                "zero while the kick is paid by the object position spread "
-                "afterwards")
-    else:
-        conditions["product_at_bound"] = all(
-            abs(row["product"] - hbar / 2.0) <= tols["exact"] for row in rows)
-        note = ("minimum-uncertainty preparations pin the stretch coupling "
-                "exactly at the hbar/2 bound at every sharpness")
-    return conditions, note
-
-
-def _sharpen_pointer_conditions(sc, tols, rows):
-    devs = [row["deviation"] for row in rows]
-    conditions = {"deviation_decreases": _decreasing(devs, tols["exact"])}
-    if sc.model.name == "noiseless":
-        conditions["epsilon_zero"] = all(
-            row["epsilon"] <= tols["exact"] for row in rows)
-        conditions["deviation_matches_sigma_y"] = all(
-            abs(row["deviation"] - row["sigma_y"]) <= tols["exact"]
-            for row in rows)
-        note = ("repeatability sharpens without limit while the readout "
-                "stays exact; there is no residual floor")
-    else:
-        conditions["deviation_matches_sqrt2_sigma_y"] = all(
-            abs(row["deviation"] - math.sqrt(2.0) * row["sigma_y"])
-            <= tols["exact"] for row in rows)
-        note = "deviation tracks sqrt(2) sigma(y) for the stretch coupling"
-    return conditions, note
-
-
-# Per sweep kind: CSV columns (k, then point or report fields), conditions.
-_SWEEP_ROWS = {
-    "sharpen_momentum": (("k", "sigma_p", "epsilon", "eta", "product",
-                          "sigma_x_post"), _sharpen_momentum_conditions),
-    "sharpen_pointer": (("k", "sigma_y", "deviation", "epsilon", "eta"),
-                        _sharpen_pointer_conditions),
-}
-
-
 def _limit_sweep_check(sc, tols):
-    header, conditions_of = _SWEEP_ROWS[sc.sweep.kind]
+    exact, hbar, kind = tols["exact"], sc.hbar, sc.sweep.kind
+    points_of, columns, size = scenarios.SWEEPS[kind]
     ks = list(range(sc.sweep.k_min, sc.sweep.k_max + 1))
-    points = scenarios.SWEEPS[sc.sweep.kind](sc.model, [2.0 ** -k for k in ks])
     rows = []
-    for k, point in zip(ks, points):
+    for k, point in zip(ks, points_of(sc.model, [2.0 ** -k for k in ks])):
         values = {"k": k, **vars(point.report), **point._asdict()}
-        rows.append({key: values[key] for key in header})
-    conditions, note = conditions_of(sc, tols, rows)
+        rows.append({key: values[key] for key in columns})
+    note, closed_forms, trends = sc.model.reference.sweeps[kind]
+    conditions = {}
+    if sc.model.exact_readout:
+        conditions["epsilon_zero"] = all(
+            row["epsilon"] <= exact * size(row, hbar) for row in rows)
+    for name, form in closed_forms.items():
+        matches = (form(row, hbar) for row in rows)
+        conditions[name] = all(abs(value - closed) <= exact * scale
+                               for value, closed, scale in matches)
+    for name, (column, sign) in trends.items():
+        conditions[name] = _decreasing([row[column] for row in rows][::sign],
+                                       exact)
 
     def write(path):
         with open(path, "w", encoding="utf-8", newline="") as handle:
             csv.writer(handle).writerows(
-                [header] + [[row[key] for key in header] for row in rows])
+                [columns] + [[row[key] for key in columns] for row in rows])
 
     return {
         "passed": all(conditions.values()),
-        "values": {"kind": sc.sweep.kind, "conditions": conditions,
-                   "points": rows},
+        "values": {"kind": kind, "conditions": conditions, "points": rows},
         "expected": {"all_conditions": True},
         "note": note,
         "artifact_writers": {f"{sc.name}.csv": write},
@@ -287,7 +221,7 @@ def _grid_crosscheck(sc, tols):
         "half_width": state.lx,
         "boundary_mass": grid.boundary_mass(state),
     }
-    if model.name == "noiseless":
+    if model.exact_readout:
         eps_tol = (tols["grid_epsilon"] if sc.object_prep.kind == "gaussian"
                    else tols["grid_epsilon_multi"])
         conditions["epsilon_grid_vanishes"] = eps_grid <= eps_tol

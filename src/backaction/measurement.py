@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,6 +50,19 @@ PROBE_MODE = 1
 COORDS = {"x": 0, "px": 1, "y": 2, "py": 3}
 
 
+class Reference(NamedTuple):
+    """A built-in model's notes and closed forms, kept beside its terms.
+
+    A sweep's closed form maps (row, hbar) to (value, form, scale), met
+    within exact * scale at every row; its trend names a column that falls
+    (1) or rises (-1) along the sweep, each step within exact.
+    """
+
+    notes: dict  # check -> the note its report prints
+    deviation: Callable  # cascade deviation of the probe's (sigma_y, mean_y)
+    sweeps: dict  # kind -> (note, {condition: closed form}, {condition: trend})
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementModel:
     """A bilinear coupling window with the observables read off it.
@@ -58,22 +71,26 @@ class MeasurementModel:
     closed form downstream assumes it.  The pointer position ``probe_obs``
     reads the object position ``measured``.  ``steps`` is the window's
     factorization into grid shears, which the grid cross-check and the
-    realization check read; it is empty for custom models.  The endpoint
-    map, the ``readout`` M(t + dt) and the noise and disturbance operators
-    are built with the model, so a window that is not symplectic fails
-    construction.
+    realization check read; it and ``reference``, a built-in model's notes
+    and closed forms, are empty for custom models.  The endpoint map, the
+    ``readout`` M(t + dt) and the noise and disturbance operators are built
+    with the model, so a window that is not symplectic fails construction.
+    ``exact_readout``: every noise coefficient is at most ``ONE_SIDED_TOL``,
+    so epsilon = 0 on every preparation.
     """
 
     name: str
     system: ModeSystem
     hamiltonian: canonical.QuadraticHamiltonian
     steps: tuple = ()
+    reference: Reference | None = None
     measured: LinearObservable = field(init=False, repr=False)
     probe_obs: LinearObservable = field(init=False, repr=False)
     endpoint: canonical.SymplecticPropagation = field(init=False, repr=False)
     readout: LinearObservable = field(init=False, repr=False)
     noise_operator: LinearObservable = field(init=False, repr=False)
     disturbance_operator: LinearObservable = field(init=False, repr=False)
+    exact_readout: bool = field(init=False, repr=False)
 
     dt = 1.0  # the window's length, fixed: not a field
 
@@ -89,12 +106,15 @@ class MeasurementModel:
         endpoint = canonical.propagate(self.hamiltonian, self.dt)
         readout = canonical.heisenberg_apply(endpoint, probe_obs)
         # N = M(t + dt) - A(t) and D = p_x(t + dt) - p_x(t).
+        noise = readout - measured
         for name, value in (
                 ("measured", measured), ("probe_obs", probe_obs),
                 ("endpoint", endpoint), ("readout", readout),
-                ("noise_operator", readout - measured),
+                ("noise_operator", noise),
                 ("disturbance_operator",
-                 canonical.heisenberg_apply(endpoint, px) - px)):
+                 canonical.heisenberg_apply(endpoint, px) - px),
+                ("exact_readout",
+                 bool(np.max(np.abs(noise.coeffs)) <= ONE_SIDED_TOL))):
             object.__setattr__(self, name, value)
 
     def propagation(self, tau):
@@ -102,20 +122,71 @@ class MeasurementModel:
         return canonical.propagate(self.hamiltonian, tau)
 
 
-def coupling_model(name, terms, hbar=1.0, steps=()):
+def coupling_model(name, terms, hbar=1.0, steps=(), reference=None):
     """Object + probe model of the window sum c * first * second, from
     (c, first, second) ``terms`` whose coordinates ``COORDS`` names."""
     system = ModeSystem(2, hbar=hbar, labels=("object", "probe"))
     hamiltonian = build_quadratic(
         system, [(c, COORDS[first], COORDS[second]) for c, first, second in terms])
-    return MeasurementModel(
-        name=name, system=system, hamiltonian=hamiltonian, steps=steps)
+    return MeasurementModel(name=name, system=system, hamiltonian=hamiltonian,
+                            steps=steps, reference=reference)
+
+
+VON_NEUMANN_REFERENCE = Reference(
+    notes={
+        "verdict": "stretch coupling obeys the hbar/2 noise-disturbance bound",
+        "repeatability": ("deviation carries both pointer spreads; no better "
+                          "than sqrt(2) sigma(y)")},
+    # Both pointers' spreads; the sharpen_pointer match reads it too.
+    deviation=lambda sigma_y, mean_y: math.sqrt(2.0) * sigma_y,
+    sweeps={
+        "sharpen_momentum": (
+            "minimum-uncertainty preparations pin the stretch coupling "
+            "exactly at the hbar/2 bound at every sharpness",
+            {"product_at_bound": lambda row, hbar: (
+                row["product"], hbar / 2.0, 1.0)},
+            {}),
+        "sharpen_pointer": (
+            "deviation tracks sqrt(2) sigma(y) for the stretch coupling",
+            {"deviation_matches_sqrt2_sigma_y": lambda row, hbar: (
+                row["deviation"],
+                VON_NEUMANN_REFERENCE.deviation(row["sigma_y"], 0.0), 1.0)},
+            {"deviation_decreases": ("deviation", 1)}),
+    })
 
 
 def von_neumann_model(hbar=1.0):
     """Stretch coupling x p_y reading the pointer position."""
-    return coupling_model(
-        "von_neumann", [(1.0, "x", "py")], hbar, grid.VON_NEUMANN_STEPS)
+    return coupling_model("von_neumann", [(1.0, "x", "py")], hbar,
+                          grid.VON_NEUMANN_STEPS, VON_NEUMANN_REFERENCE)
+
+
+NOISELESS_REFERENCE = Reference(
+    notes={"repeatability": ("second readout reproduces the first within the "
+                             "pointer spread: sigma(y)-approximate "
+                             "repeatability")},
+    # The second pointer reads the first, spread and offset: the deviation
+    # is hypot(sigma_y, mean_y), which the sharpen_pointer match shares.
+    deviation=math.hypot,
+    sweeps={
+        "sharpen_momentum": (
+            "precision is free of the momentum spread: epsilon stays zero "
+            "while the kick is paid by the object position spread afterwards",
+            {"eta_matches_sqrt2_sigma_p": lambda row, hbar: (
+                row["eta"], math.sqrt(2.0) * row["sigma_p"], 1.0),
+             "sigma_x_post_matches_closed_form": lambda row, hbar: (
+                row["sigma_x_post"],
+                math.sqrt(2.0) * hbar / (2.0 * row["sigma_p"]),
+                max(1.0, row["sigma_x_post"]))},
+            {"eta_decreases": ("eta", 1),
+             "sigma_x_post_increases": ("sigma_x_post", -1)}),
+        "sharpen_pointer": (
+            "repeatability sharpens without limit while the readout stays "
+            "exact; there is no residual floor",
+            {"deviation_matches_sigma_y": lambda row, hbar: (
+                row["deviation"], math.hypot(row["sigma_y"], 0.0), 1.0)},
+            {"deviation_decreases": ("deviation", 1)}),
+    })
 
 
 def noiseless_model(hbar=1.0):
@@ -137,7 +208,7 @@ def noiseless_model(hbar=1.0):
         (-2.0 * g, "px", "y"),
         (g, "x", "px"),
         (-g, "y", "py"),
-    ], hbar, grid.NOISELESS_STEPS)
+    ], hbar, grid.NOISELESS_STEPS, NOISELESS_REFERENCE)
 
 
 def shear_propagation(system, step):

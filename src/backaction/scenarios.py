@@ -18,14 +18,16 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import yaml
 
 from . import cascade, grid, measurement, states
 from .states import GaussianSpec
 
-MODELS = ("von_neumann", "noiseless", "custom")
+# Model names; a custom model is built from the 'interaction' section.
+MODELS = {"von_neumann": measurement.von_neumann_model,
+          "noiseless": measurement.noiseless_model, "custom": None}
 
 
 class CheckNeeds(NamedTuple):
@@ -33,24 +35,40 @@ class CheckNeeds(NamedTuple):
 
     section: str | None  # the section only this check reads
     preps: bool  # reads the object and probe preparations
-    models: tuple = MODELS  # the models it accepts
+    accepts: Callable = lambda model: True  # the models it means anything for
+    lacks: str = ""  # what the models it refuses lack
 
 
 # The born reference is the object's position distribution, which only an
-# exact (epsilon = 0) readout reproduces.  grid_crosscheck also needs the
-# model's shear factorization, which parse_scenario checks.
+# exact (epsilon = 0) readout reproduces.  The realization check's swapped
+# order must miss, which one shear cannot.
 CHECKS = {
     "verdict": CheckNeeds(None, True),
     "robertson": CheckNeeds(None, True),
-    "born": CheckNeeds("born", True, ("noiseless",)),
+    "born": CheckNeeds("born", True, lambda model: model.exact_readout,
+                       "an exact readout (epsilon = 0, as model 'noiseless' has)"),
     "repeatability": CheckNeeds(None, True),
-    "realization": CheckNeeds(None, False, ("noiseless",)),
-    "limit_sweep": CheckNeeds("sweep", False, ("von_neumann", "noiseless")),
-    "grid_crosscheck": CheckNeeds("grid", True),
+    "realization": CheckNeeds(None, False, lambda model: len(model.steps) >= 2,
+                              "two or more shear steps (as model 'noiseless' has)"),
+    "limit_sweep": CheckNeeds("sweep", False,
+                              lambda model: model.reference is not None,
+                              "reference closed forms (built-in models have them)"),
+    "grid_crosscheck": CheckNeeds("grid", True, lambda model: model.steps,
+                                  "a shear factorization (built-in models have one)"),
 }
 
-SWEEPS = {"sharpen_momentum": measurement.limit_sweep,
-          "sharpen_pointer": cascade.repeatability_sweep}
+# Per sweep kind: its points, its CSV columns (k, then point or report
+# fields), and the size a row's epsilon rounds at.
+SWEEPS = {
+    "sharpen_momentum": (
+        measurement.limit_sweep,
+        ("k", "sigma_p", "epsilon", "eta", "product", "sigma_x_post"),
+        # Both packets have sigma_p and sigma_x = hbar / (2 sigma_p).
+        lambda row, hbar: max(1.0, hbar / (2.0 * row["sigma_p"]), row["sigma_p"])),
+    "sharpen_pointer": (cascade.repeatability_sweep,
+                        ("k", "sigma_y", "deviation", "epsilon", "eta"),
+                        lambda row, hbar: 1.0),
+}
 
 DEFAULT_TOLERANCES = {
     # one-sided zero assertions and closed-form matches
@@ -267,7 +285,7 @@ def _sweep_params(node, context):
     node = _require_mapping(node, context)
     _check_keys(node, SweepParams._fields, context)
     kind = node.get("kind")
-    if kind not in SWEEPS:
+    if not isinstance(kind, str) or kind not in SWEEPS:
         raise ConfigError(
             f"{context}: kind must be one of {', '.join(SWEEPS)}, got {kind!r}")
     defaults = SweepParams(kind)
@@ -305,7 +323,7 @@ def parse_scenario(mapping, source="scenario"):
             f"{source}: 'name' may only contain letters, digits, '.', '_', '-'")
 
     model_name = mapping.get("model")
-    if model_name not in MODELS:
+    if not isinstance(model_name, str) or model_name not in MODELS:
         raise ConfigError(
             f"{source}: 'model' must be one of {', '.join(MODELS)}, "
             f"got {model_name!r}")
@@ -318,7 +336,7 @@ def parse_scenario(mapping, source="scenario"):
         raise ConfigError(f"{source}: 'checks' must be a non-empty list")
     seen = set()
     for check in raw_checks:
-        if check not in CHECKS:
+        if not isinstance(check, str) or check not in CHECKS:
             raise ConfigError(
                 f"{source}: unknown check {check!r}; "
                 f"known: {', '.join(CHECKS)}")
@@ -352,10 +370,8 @@ def parse_scenario(mapping, source="scenario"):
     elif "interaction" in mapping:
         raise ConfigError(
             f"{source}: 'interaction' is only valid for model 'custom'")
-    elif model_name == "von_neumann":
-        model = measurement.von_neumann_model(hbar=hbar)
     else:
-        model = measurement.noiseless_model(hbar=hbar)
+        model = MODELS[model_name](hbar=hbar)
 
     grid_params = GridParams()
     if "grid" in mapping:
@@ -397,21 +413,16 @@ def parse_scenario(mapping, source="scenario"):
                 f"{source}: a superposition object only supports the "
                 f"grid_crosscheck check, also got {extra}")
     for check in checks:
-        if model.name not in CHECKS[check].models:
+        if not CHECKS[check].accepts(model):
             raise ConfigError(
-                f"{source}: the {check} check applies to model "
-                f"{' or '.join(map(repr, CHECKS[check].models))}, "
-                f"not {model.name!r}")
+                f"{source}: the {check} check needs {CHECKS[check].lacks}, "
+                f"which model {model.name!r} lacks")
     if "limit_sweep" in checks:
         if sweep is None:
             raise ConfigError(f"{source}: the limit_sweep check needs 'sweep'")
         # Build the sharpest point, the one a float may not hold.
         with _refused_as(f"{source}.sweep"):
-            SWEEPS[sweep.kind](model, [2.0 ** -sweep.k_max])
-    if "grid_crosscheck" in checks and not model.steps:
-        raise ConfigError(
-            f"{source}: grid_crosscheck needs a shear factorization, "
-            "which only the built-in models have")
+            SWEEPS[sweep.kind][0](model, [2.0 ** -sweep.k_max])
 
     grid_state = None
     if "grid_crosscheck" in checks:

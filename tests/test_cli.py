@@ -77,6 +77,16 @@ LARGE_SQUEEZE = """\
     probe: {{sigma_x: 0.5, sigma_p: 1.0}}
     """
 
+# A custom stretch coupling: no exact readout, no shears, no reference.
+CUSTOM_CHECK = """\
+name: custom-check
+model: custom
+checks: [{check}]
+interaction: {{terms: [{{coefficient: 1, first: x, second: py}}]}}
+object: {{sigma_x: 1.0, sigma_p: 0.5}}
+probe: {{sigma_x: 0.5, sigma_p: 1.0}}
+"""
+
 OVERFLOW = """\
     name: overflow
     model: noiseless
@@ -280,6 +290,30 @@ class TestRunCommand:
          "interaction: {terms: [{coefficient: 1, first: [x], second: py}]}\n",
          ".interaction.terms[0]: 'first' must be one of x, px, y, py, "
          "got ['x']"),
+        # A list where a name belongs, looked up only after its type.
+        ("name: listed-check\nmodel: noiseless\nchecks: [[verdict]]\n",
+         "unknown check ['verdict']"),
+        (SWEEP.format(kind="[a]", k_min=0, k_max=1),
+         ".sweep: kind must be one of sharpen_momentum, sharpen_pointer, "
+         "got ['a']"),
+        ("name: listed-model\nmodel: [noiseless]\nchecks: [realization]\n",
+         "'model' must be one of von_neumann, noiseless, custom, "
+         "got ['noiseless']"),
+        # A check that cannot mean anything for the model, refused at load
+        # with what the model lacks.
+        (CUSTOM_CHECK.format(check="born"), "the born check needs an exact "
+         "readout (epsilon = 0, as model 'noiseless' has), which model "
+         "'custom' lacks"),
+        (CUSTOM_CHECK.format(check="realization"), "the realization check "
+         "needs two or more shear steps (as model 'noiseless' has), which "
+         "model 'custom' lacks"),
+        (CUSTOM_CHECK.format(check="limit_sweep")
+         + "sweep: {kind: sharpen_pointer}\n", "the limit_sweep check needs "
+         "reference closed forms (built-in models have them), which model "
+         "'custom' lacks"),
+        (CUSTOM_CHECK.format(check="grid_crosscheck"), "the grid_crosscheck "
+         "check needs a shear factorization (built-in models have one), "
+         "which model 'custom' lacks"),
     ], ids=["huge-spread", "huge-mean", "box", "sharpen-momentum-513",
             "sharpen-pointer-513", "sharpen-momentum-1075",
             "sharpen-pointer-1075", "invalid-yaml", "vanished", "tight-box",
@@ -287,7 +321,10 @@ class TestRunCommand:
             "ceiling-probe", "inadmissible-object", "overflow-verdict",
             "overflow-repeatability", "overflow-second-moment",
             "squeeze-230", "non-string-key", "superposition-probe",
-            "wavepacket-object", "no-terms", "unhashable-coordinate"])
+            "wavepacket-object", "no-terms", "unhashable-coordinate",
+            "unhashable-check", "unhashable-sweep-kind", "listed-model",
+            "custom-born", "custom-realization", "custom-limit-sweep",
+            "custom-grid-crosscheck"])
     def test_unrunnable_input_exits_two(self, tmp_path, capsys, body, where):
         path = _write(tmp_path, body)
         assert where in _exits_two(capsys, ["run", path])

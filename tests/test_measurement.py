@@ -7,6 +7,8 @@ import helpers
 from backaction import canonical, grid, measurement, states
 from backaction.canonical import ModeSystem, position
 from backaction.measurement import (
+    NOISELESS_REFERENCE,
+    VON_NEUMANN_REFERENCE,
     MeasurementModel,
     disturbance,
     heisenberg_verdict,
@@ -120,6 +122,8 @@ class TestModelType:
     def test_built_in_models_carry_their_shears(self):
         assert von_neumann_model().steps == grid.VON_NEUMANN_STEPS
         assert noiseless_model(hbar=3.0).steps == grid.NOISELESS_STEPS
+        assert von_neumann_model().reference is VON_NEUMANN_REFERENCE
+        assert noiseless_model(hbar=3.0).reference is NOISELESS_REFERENCE
 
     def test_custom_model_has_no_shears(self):
         template = von_neumann_model()
@@ -127,6 +131,7 @@ class TestModelType:
             name="custom", system=template.system,
             hamiltonian=template.hamiltonian)
         assert model.steps == ()
+        assert model.reference is None
         with pytest.raises(ValueError, match="no shear factorization"):
             realization_residual(model)
 
@@ -143,12 +148,18 @@ class TestModelType:
 
 class TestOperators:
     def test_von_neumann_noise_is_pointer_position(self):
-        n = von_neumann_model().noise_operator
-        np.testing.assert_allclose(n.coeffs, [0.0, 0.0, 1.0, 0.0], atol=1e-15)
+        model = von_neumann_model()
+        np.testing.assert_allclose(
+            model.noise_operator.coeffs, [0.0, 0.0, 1.0, 0.0], atol=1e-15)
+        assert not model.exact_readout
 
     def test_noiseless_noise_vanishes_identically(self):
-        n = noiseless_model().noise_operator
-        assert np.max(np.abs(n.coeffs)) <= 1e-15
+        # The window is free of hbar, so the noise coefficients are the
+        # same rounding, 9.9e-17, at every hbar: the readout is exact.
+        for hbar in (0.37, 1.0, 2.5, 1e8):
+            model = noiseless_model(hbar=hbar)
+            assert np.max(np.abs(model.noise_operator.coeffs)) <= 1e-15
+            assert model.exact_readout
 
     def test_disturbance_operators(self):
         d_vn = von_neumann_model().disturbance_operator

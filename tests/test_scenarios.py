@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from backaction import grid, measurement, scenarios
+from backaction.cli import run_scenario
 from backaction.scenarios import (
     ConfigError,
     bundled_names,
@@ -24,6 +25,18 @@ def _base(**overrides):
     }
     mapping.update(overrides)
     return mapping
+
+
+G = math.pi / (3.0 * math.sqrt(3.0))
+
+# Each built-in model's terms, written as an interaction section.
+INTERACTIONS = {
+    name: {"terms": [{"coefficient": c, "first": first, "second": second}
+                     for c, first, second in terms]}
+    for name, terms in (
+        ("von_neumann", [(1.0, "x", "py")]),
+        ("noiseless", [(2.0 * G, "x", "py"), (-2.0 * G, "px", "y"),
+                       (G, "x", "px"), (-G, "y", "py")]))}
 
 
 class TestBundledGallery:
@@ -192,14 +205,25 @@ class TestCrossFieldRules:
 
     def test_born_requires_noiseless(self):
         # Only an exact readout reproduces the object's position
-        # distribution, the born check's reference.
-        custom = {"terms": [{"coefficient": 1.0, "first": "x",
-                             "second": "py"}]}
-        for overrides in ({"model": "von_neumann"},
-                          {"model": "custom", "interaction": custom}):
-            with pytest.raises(ConfigError, match="born.*noiseless"):
+        # distribution, the born check's reference.  A custom model that
+        # writes out the noiseless terms has one, so it loads, and its
+        # verdict is held to epsilon = 0 as the built-in model's is.
+        for overrides in (
+                {"model": "von_neumann"},
+                {"model": "custom", "interaction": INTERACTIONS["von_neumann"]}):
+            with pytest.raises(ConfigError,
+                               match="born.*exact readout.*noiseless"):
                 parse_scenario(_base(checks=["born"], **overrides))
-        parse_scenario(_base(model="noiseless", checks=["born"]))
+        built_in, written = (
+            parse_scenario(_base(checks=["verdict", "born"], **overrides))
+            for overrides in (
+                {"model": "noiseless"},
+                {"model": "custom", "interaction": INTERACTIONS["noiseless"]}))
+        assert written.model.exact_readout and written.model.reference is None
+        checks = run_scenario(built_in)[0]["checks"]
+        assert run_scenario(written)[0]["checks"] == checks
+        assert checks["born"]["passed"] and checks["verdict"]["passed"]
+        assert checks["verdict"]["expected"]["epsilon"] == 0.0
 
     def test_sweep_requires_limit_sweep_check(self):
         with pytest.raises(ConfigError, match="limit_sweep"):
@@ -337,20 +361,17 @@ class TestBuiltAtLoad:
 class TestCustomModels:
     def test_custom_model_builds_and_runs(self):
         # Each built-in model's terms, written as an interaction section,
-        # give exactly the built-in window.
-        g = math.pi / (3.0 * math.sqrt(3.0))
-        for built_in, terms in (
-                (measurement.von_neumann_model(), [(1.0, "x", "py")]),
-                (measurement.noiseless_model(), [
-                    (2.0 * g, "x", "py"), (-2.0 * g, "px", "y"),
-                    (g, "x", "px"), (-g, "y", "py")])):
+        # give exactly the built-in window and its readout's exactness,
+        # but neither its shears nor its reference.
+        for built_in in (measurement.von_neumann_model(),
+                         measurement.noiseless_model()):
             scenario = parse_scenario(_base(
-                model="custom",
-                interaction={"terms": [
-                    {"coefficient": c, "first": first, "second": second}
-                    for c, first, second in terms]}))
+                model="custom", interaction=INTERACTIONS[built_in.name]))
+            model = scenario.model
             assert np.array_equal(
-                scenario.model.endpoint.matrix, built_in.endpoint.matrix)
+                model.endpoint.matrix, built_in.endpoint.matrix)
+            assert model.exact_readout == built_in.exact_readout
+            assert model.steps == () and model.reference is None
 
     def test_coupling_key_refused(self):
         with pytest.raises(ConfigError, match="unknown key.*'coupling'"):
