@@ -29,7 +29,7 @@ def _prep_size(sc):
     factor instead of failing a far-off-centre preparation on rounding.
     """
     return max(1.0, *(max(abs(s.mean_x), abs(s.mean_p), s.sigma_x, s.sigma_p)
-                      for s in (sc.object_prep.spec, sc.probe_spec)))
+                      for s in (sc.object_prep[0][1], sc.probe_spec)))
 
 
 def _verdict_check(sc, tols):
@@ -40,7 +40,8 @@ def _verdict_check(sc, tols):
         "eta": report.eta,
         "product": report.product,
         "bound": report.bound,
-        "product_over_bound": report.product / report.bound,
+        "product_over_bound": states._finite(
+            report.product / report.bound, "product_over_bound"),
         "product_meets_bound": report.satisfied,
         "sigma_x": report.sigma_x,
         "tradeoff": report.tradeoff,
@@ -84,7 +85,7 @@ def _robertson_check(sc, tols):
                          "passed": result.passed}
         passed = passed and result.passed
     return {"passed": passed, "values": values,
-            "expected": {"lhs_at_least": sc.hbar / 2.0},
+            "expected": {"lhs_at_least": sc.model.system.hbar / 2.0},
             "note": "preparation spreads obey sigma(x) sigma(p) >= hbar/2"}
 
 
@@ -146,8 +147,7 @@ def _realization_check(sc, tols):
         "passed": passed,
         "values": {"residual": residual, "swapped_residual": swapped},
         "expected": {"residual": 0.0, "swapped_residual_above": 0.1},
-        "note": ("window factors into the back-action-evading shear followed "
-                 "by the stretch shear; the swapped order must miss"),
+        "note": sc.model.reference.notes["realization"],
     }
 
 
@@ -157,7 +157,7 @@ def _decreasing(xs, slack):
 
 
 def _limit_sweep_check(sc, tols):
-    exact, hbar, kind = tols["exact"], sc.hbar, sc.sweep.kind
+    exact, hbar, kind = tols["exact"], sc.model.system.hbar, sc.sweep.kind
     points_of, columns, size = scenarios.SWEEPS[kind]
     ks = list(range(sc.sweep.k_min, sc.sweep.k_max + 1))
     rows = []
@@ -192,11 +192,11 @@ def _limit_sweep_check(sc, tols):
 
 
 def _grid_crosscheck(sc, tols):
-    hbar, model, state = sc.hbar, sc.model, sc.grid_state
+    hbar, model, state = sc.model.system.hbar, sc.model, sc.grid_state
     eps_grid, eta_unit, readout = grid.window_pass(state, model.steps)
     eta_grid = hbar * eta_unit
 
-    if sc.object_prep.kind == "gaussian":
+    if sc.object_state is not None:  # a Gaussian object
         joint = states.product(sc.object_state, sc.probe_state)
     else:
         mean_unit, cov_unit = grid.grid_moments(state)
@@ -222,7 +222,7 @@ def _grid_crosscheck(sc, tols):
         "boundary_mass": grid.boundary_mass(state),
     }
     if model.exact_readout:
-        eps_tol = (tols["grid_epsilon"] if sc.object_prep.kind == "gaussian"
+        eps_tol = (tols["grid_epsilon"] if sc.object_state is not None
                    else tols["grid_epsilon_multi"])
         conditions["epsilon_grid_vanishes"] = eps_grid <= eps_tol
         edges = np.linspace(-state.lx, state.lx, 129)
@@ -273,7 +273,7 @@ def run_scenario(scenario, tol_overrides=None):
     report = {
         "scenario": scenario.name,
         "model": scenario.model.name,
-        "hbar": scenario.hbar,
+        "hbar": scenario.model.system.hbar,
         "seed": scenario.seed,
         "tolerances": tols,
         "checks": checks,
@@ -422,7 +422,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (states.PhysicalityError, grid.BoundaryMassError,
-            ArithmeticError) as exc:
+            ArithmeticError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -102,28 +102,25 @@ MODEL_STEPS = {
 
 @dataclass(frozen=True, eq=False)
 class GridState:
-    """Normalized two-mode wavefunction on a periodic box."""
+    """Normalized two-mode wavefunction on the periodic box [-lx, lx)^2,
+    with (nx, ny) the shape of ``amplitudes``."""
 
-    nx: int
-    ny: int
     lx: float
-    ly: float
     amplitudes: np.ndarray
 
+    nx = property(lambda self: self.amplitudes.shape[0])
+    ny = property(lambda self: self.amplitudes.shape[1])
+
     def __post_init__(self):
-        for n, name in ((self.nx, "nx"), (self.ny, "ny")):
-            if not isinstance(n, int) or n < 16 or n & (n - 1):
-                raise ValueError(f"{name} must be a power of two >= 16, got {n!r}")
-        for l, name in ((self.lx, "lx"), (self.ly, "ly")):
-            if not (math.isfinite(l) and l > 0):
-                raise ValueError(f"{name} must be positive, got {l!r}")
+        if not (math.isfinite(self.lx) and self.lx > 0):
+            raise ValueError(f"lx must be positive, got {self.lx!r}")
         arr = np.asarray(self.amplitudes, dtype=complex)
-        if arr.shape != (self.nx, self.ny):
-            raise ValueError(
-                f"amplitudes must have shape ({self.nx}, {self.ny}), got {arr.shape}")
+        if arr.ndim != 2 or any(n < 16 or n & (n - 1) for n in arr.shape):
+            raise ValueError("amplitudes must be 2-D with each side a power "
+                             f"of two >= 16, got shape {arr.shape}")
+        object.__setattr__(self, "amplitudes", arr)
         _check_amplitudes(arr, self.cell_area)
         arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
 
     @property
     def dx(self):
@@ -131,7 +128,7 @@ class GridState:
 
     @property
     def dy(self):
-        return 2.0 * self.ly / self.ny
+        return 2.0 * self.lx / self.ny
 
     @property
     def cell_area(self):
@@ -143,7 +140,7 @@ class GridState:
 
     @property
     def y(self):
-        return -self.ly + self.dy * np.arange(self.ny)
+        return -self.lx + self.dy * np.arange(self.ny)
 
     @property
     def kx(self):
@@ -290,7 +287,7 @@ def init_grid(object_components, probe_spec, nx=DEFAULT_POINTS,
                      * (2.0 * half_width / nx) * (2.0 * half_width / ny))
     if norm == 0.0:
         raise ValueError("wavefunction vanished on the grid")
-    state = GridState(nx, ny, half_width, half_width, amplitudes / norm)
+    state = GridState(half_width, amplitudes / norm)
     mass = boundary_mass(state)
     if mass > BOUNDARY_THRESHOLD:
         raise BoundaryMassError(
@@ -330,7 +327,7 @@ def _shear_ramp(grid, step):
     moved, sign = step.axes
     other = 1 - moved
     return moved - 2, _phase_ramp(
-        -sign * step.theta, -(grid.lx, grid.ly)[other], (grid.dx, grid.dy)[other],
+        -sign * step.theta, -grid.lx, (grid.dx, grid.dy)[other],
         (grid.nx, grid.ny)[other], grid.ky if moved else grid.kx, q_axis=other)
 
 
@@ -340,7 +337,7 @@ def _wrap_guard(density, grid, step):
     occupied = density.sum(axis=moved) > 1e-14
     coords = grid.x if moved else grid.y
     reach = float(np.max(np.abs(coords[occupied]), initial=0.0))
-    span = 2.0 * (grid.lx, grid.ly)[moved]
+    span = 2.0 * grid.lx
     if abs(step.theta) * reach >= _WRAP_FRACTION * span:
         raise BoundaryMassError(
             f"shear {step.kind} theta={step.theta} would translate mass "
@@ -376,7 +373,7 @@ def _shear_stack(fields, grid, steps):
 def apply_steps(state, steps):
     """Apply a shear sequence with wrap and boundary guards at every step."""
     fields = _shear_stack(state.amplitudes[None].copy(), state, steps)
-    return GridState(state.nx, state.ny, state.lx, state.ly, fields[0])
+    return GridState(state.lx, fields[0])
 
 
 def _spectral_p(raw, k, axis):

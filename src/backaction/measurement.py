@@ -68,8 +68,8 @@ class MeasurementModel:
     """A bilinear coupling window with the observables read off it.
 
     ``hamiltonian`` generates the window over unit time, dt = 1: every
-    closed form downstream assumes it.  The pointer position ``probe_obs``
-    reads the object position ``measured``.  ``steps`` is the window's
+    closed form downstream assumes it; ``system`` is the hamiltonian's.  The
+    pointer reads the object position ``measured``.  ``steps`` is the window's
     factorization into grid shears, which the grid cross-check and the
     realization check read; it and ``reference``, a built-in model's notes
     and closed forms, are empty for custom models.  The endpoint map, the
@@ -80,12 +80,11 @@ class MeasurementModel:
     """
 
     name: str
-    system: ModeSystem
     hamiltonian: canonical.QuadraticHamiltonian
     steps: tuple = ()
     reference: Reference | None = None
+    system: ModeSystem = field(init=False, repr=False)
     measured: LinearObservable = field(init=False, repr=False)
-    probe_obs: LinearObservable = field(init=False, repr=False)
     endpoint: canonical.SymplecticPropagation = field(init=False, repr=False)
     readout: LinearObservable = field(init=False, repr=False)
     noise_operator: LinearObservable = field(init=False, repr=False)
@@ -95,20 +94,19 @@ class MeasurementModel:
     dt = 1.0  # the window's length, fixed: not a field
 
     def __post_init__(self):
-        if self.system.n != 2:
+        system = self.hamiltonian.system
+        if system.n != 2:
             raise ValueError("measurement models live on object + probe (2 modes)")
-        if not self.system.compatible(self.hamiltonian.system):
-            raise ValueError("hamiltonian built on an incompatible system")
-        measured = canonical.position(self.system, OBJECT_MODE)
-        probe_obs = canonical.position(self.system, PROBE_MODE)
-        px = canonical.momentum(self.system, OBJECT_MODE)
+        measured = canonical.position(system, OBJECT_MODE)
+        probe_obs = canonical.position(system, PROBE_MODE)
+        px = canonical.momentum(system, OBJECT_MODE)
         # Symplectic map across the full window (t, t + dt).
         endpoint = canonical.propagate(self.hamiltonian, self.dt)
         readout = canonical.heisenberg_apply(endpoint, probe_obs)
         # N = M(t + dt) - A(t) and D = p_x(t + dt) - p_x(t).
         noise = readout - measured
         for name, value in (
-                ("measured", measured), ("probe_obs", probe_obs),
+                ("system", system), ("measured", measured),
                 ("endpoint", endpoint), ("readout", readout),
                 ("noise_operator", noise),
                 ("disturbance_operator",
@@ -128,8 +126,8 @@ def coupling_model(name, terms, hbar=1.0, steps=(), reference=None):
     system = ModeSystem(2, hbar=hbar, labels=("object", "probe"))
     hamiltonian = build_quadratic(
         system, [(c, COORDS[first], COORDS[second]) for c, first, second in terms])
-    return MeasurementModel(name=name, system=system, hamiltonian=hamiltonian,
-                            steps=steps, reference=reference)
+    return MeasurementModel(name=name, hamiltonian=hamiltonian, steps=steps,
+                            reference=reference)
 
 
 VON_NEUMANN_REFERENCE = Reference(
@@ -164,7 +162,10 @@ def von_neumann_model(hbar=1.0):
 NOISELESS_REFERENCE = Reference(
     notes={"repeatability": ("second readout reproduces the first within the "
                              "pointer spread: sigma(y)-approximate "
-                             "repeatability")},
+                             "repeatability"),
+           "realization": ("window factors into the back-action-evading shear "
+                           "followed by the stretch shear; the swapped order "
+                           "must miss")},
     # The second pointer reads the first, spread and offset: the deviation
     # is hypot(sigma_y, mean_y), which the sharpen_pointer match shares.
     deviation=math.hypot,
@@ -184,7 +185,8 @@ NOISELESS_REFERENCE = Reference(
             "repeatability sharpens without limit while the readout stays "
             "exact; there is no residual floor",
             {"deviation_matches_sigma_y": lambda row, hbar: (
-                row["deviation"], math.hypot(row["sigma_y"], 0.0), 1.0)},
+                row["deviation"],
+                NOISELESS_REFERENCE.deviation(row["sigma_y"], 0.0), 1.0)},
             {"deviation_decreases": ("deviation", 1)}),
     })
 
@@ -256,7 +258,6 @@ def disturbance(model, object_state, probe_state):
 class NoiseReport:
     """Noise-disturbance figures for one model on one preparation."""
 
-    model: str
     epsilon: float
     eta: float
     product: float
@@ -294,7 +295,6 @@ def _joint_verdict(model, joint, tol):
     sigma_x = states.std_dev(joint, model.measured)
     tradeoff = sigma_x * eta
     return NoiseReport(
-        model=model.name,
         epsilon=epsilon,
         eta=eta,
         product=epsilon * eta,

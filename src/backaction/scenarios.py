@@ -92,19 +92,6 @@ class ConfigError(ValueError):
     """Scenario file failed validation."""
 
 
-class ObjectPrep(NamedTuple):
-    """Object-mode preparation: one packet, or a superposition of packets."""
-
-    kind: str  # "gaussian" | "superposition"
-    components: tuple  # of (weight, GaussianSpec)
-
-    @property
-    def spec(self):
-        if self.kind != "gaussian":
-            raise ValueError("superposition preparation has no single spec")
-        return self.components[0][1]
-
-
 class GridParams(NamedTuple):
     nx: int = grid.DEFAULT_POINTS
     ny: int = grid.DEFAULT_POINTS
@@ -121,16 +108,17 @@ class SweepParams(NamedTuple):
 class Scenario:
     """A validated scenario, with its model and starting states built.
 
-    A moment state is None when its section is absent or, for the object,
-    a superposition; ``grid_state`` (hbar = 1) without grid_crosscheck.
+    hbar is ``model.system.hbar``.  ``object_prep`` holds the object's
+    (weight, GaussianSpec) components, one for a Gaussian packet.  A moment
+    state is None when its section is absent or, for the object, a
+    superposition; ``grid_state`` (hbar = 1) without grid_crosscheck.
     """
 
     name: str
     model: measurement.MeasurementModel
-    hbar: float = 1.0
     seed: int = 0
     checks: tuple = ()
-    object_prep: ObjectPrep | None = None
+    object_prep: tuple | None = None
     probe_spec: GaussianSpec | None = None
     object_state: states.MomentState | None = None
     probe_state: states.MomentState | None = None
@@ -214,7 +202,7 @@ def _object_prep(node, context, hbar):
     node = _require_mapping(node, context)
     kind = node.get("kind", "gaussian")
     if kind == "gaussian":
-        return ObjectPrep("gaussian", ((1.0, _gaussian_spec(node, context, hbar)),))
+        return ((1.0, _gaussian_spec(node, context, hbar)),)
     if kind != "superposition":
         raise ConfigError(
             f"{context}: kind must be 'gaussian' or 'superposition', got {kind!r}")
@@ -230,7 +218,7 @@ def _object_prep(node, context, hbar):
         item.pop("weight", None)
         spec = _gaussian_spec(item, sub, hbar, saturate_sigma_p=True)
         components.append((weight, spec))
-    return ObjectPrep("superposition", tuple(components))
+    return tuple(components)
 
 
 @contextmanager
@@ -240,7 +228,7 @@ def _refused_as(context):
         yield
     except (ValueError, grid.BoundaryMassError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
-    except ArithmeticError as exc:
+    except (ArithmeticError, MemoryError) as exc:
         raise ConfigError(f"{context}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -328,7 +316,7 @@ def parse_scenario(mapping, source="scenario"):
             f"{source}: 'model' must be one of {', '.join(MODELS)}, "
             f"got {model_name!r}")
 
-    hbar = _positive(mapping, "hbar", source, default=Scenario.hbar)
+    hbar = _positive(mapping, "hbar", source, default=1.0)
     seed = _integer(mapping, "seed", source, default=Scenario.seed, minimum=0)
 
     raw_checks = mapping.get("checks")
@@ -349,10 +337,10 @@ def parse_scenario(mapping, source="scenario"):
     if "object" in mapping:
         context = f"{source}.object"
         object_prep = _object_prep(mapping["object"], context, hbar)
-        if object_prep.kind == "gaussian":
+        if len(object_prep) == 1:
             with _refused_as(context):
                 object_state = states.from_gaussian(
-                    object_prep.spec, hbar=hbar, labels=("object",))
+                    object_prep[0][1], hbar=hbar, labels=("object",))
     probe_spec, probe_state = None, None
     if "probe" in mapping:
         context = f"{source}.probe"
@@ -406,7 +394,7 @@ def parse_scenario(mapping, source="scenario"):
         if probe_spec is None:
             raise ConfigError(
                 f"{source}: checks {needs_preps} require a 'probe' section")
-    if object_prep is not None and object_prep.kind == "superposition":
+    if object_prep is not None and object_state is None:
         extra = [c for c in checks if c != "grid_crosscheck"]
         if extra:
             raise ConfigError(
@@ -428,7 +416,7 @@ def parse_scenario(mapping, source="scenario"):
     if "grid_crosscheck" in checks:
         with _refused_as(f"{source}.grid"):
             components = [(w, grid.unit_hbar_spec(s, hbar))
-                          for w, s in object_prep.components]
+                          for w, s in object_prep]
             grid_state = grid.init_grid(
                 components, grid.unit_hbar_spec(probe_spec, hbar),
                 nx=grid_params.nx, ny=grid_params.ny,
@@ -437,7 +425,6 @@ def parse_scenario(mapping, source="scenario"):
     return Scenario(
         name=name,
         model=model,
-        hbar=hbar,
         seed=seed,
         checks=checks,
         object_prep=object_prep,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from backaction import cli, grid, scenarios
+from backaction import cli, grid, scenarios, states
 from backaction.canonical import LinearObservable
 from backaction.cli import main, render_json, render_text, run_scenario
 
@@ -269,6 +269,12 @@ class TestRunCommand:
          "object: {sigma_x: 1.0, sigma_p: 1.0}\n"
          "probe: {sigma_x: 1.0e154, sigma_p: 1.0, mean_x: 1.2e154}\n",
          "OverflowError: second moment is inf"),
+        # epsilon * eta is finite and the bound hbar/2 tiny: float division
+        # overflows to inf without raising, and JSON would read Infinity.
+        ("name: tiny-hbar\nmodel: von_neumann\nhbar: 1.0e-300\n"
+         "checks: [verdict]\nobject: {sigma_x: 1.0e5, sigma_p: 1.0e5}\n"
+         "probe: {sigma_x: 1.0e5, sigma_p: 1.0e5}\n",
+         "OverflowError: product_over_bound is inf"),
         # A finite window with entries near 3e199, whose squares overflow
         # the symplectic guard's size.
         (LARGE_SQUEEZE.format(c=230),
@@ -320,6 +326,7 @@ class TestRunCommand:
             "impure-probe", "ceiling-16", "ceiling-mean-p",
             "ceiling-probe", "inadmissible-object", "overflow-verdict",
             "overflow-repeatability", "overflow-second-moment",
+            "overflow-product-over-bound",
             "squeeze-230", "non-string-key", "superposition-probe",
             "wavepacket-object", "no-terms", "unhashable-coordinate",
             "unhashable-check", "unhashable-sweep-kind", "listed-model",
@@ -409,6 +416,28 @@ class TestRunCommand:
         path = _write(tmp_path, body)
         err = _exits_two(capsys, ["run", path])
         assert "born" in err and "noiseless" in err
+
+    @pytest.mark.parametrize("module, name, body, where", [
+        # The grid is built while the scenario loads.
+        (grid, "init_grid", GRID.format(
+            model="noiseless", n=131072, half_width=10, obj=PACKET,
+            probe=PACKET), "case.yaml.grid: MemoryError: Unable to allocate"),
+        # The born samples are drawn at run time.
+        (states, "sample_outcomes",
+         "name: many-samples\nmodel: noiseless\nchecks: [born]\n"
+         f"born: {{samples: 100000000000000}}\nobject: {PACKET}\n"
+         f"probe: {PACKET}\n", "error: MemoryError: Unable to allocate"),
+    ], ids=["grid-at-load", "born-samples-at-run"])
+    def test_allocation_refused_exits_two(self, tmp_path, capsys,
+                                          monkeypatch, module, name, body,
+                                          where):
+        # Whether the kernel refuses a huge array depends on its overcommit
+        # policy, so the allocating call refuses it here instead.
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 256. GiB for an array")
+
+        monkeypatch.setattr(module, name, refuse)
+        assert where in _exits_two(capsys, ["run", _write(tmp_path, body)])
 
     def test_bad_tol_exits_two(self, capsys):
         err = _exits_two(capsys, ["run", "noiseless-violation", "--tol", "nope=1"])

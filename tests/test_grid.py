@@ -41,38 +41,36 @@ def _default_grid(rng, **kwargs):
 
 class TestGridStateValidation:
     def test_sizes_must_be_large_powers_of_two(self):
-        amp = np.full((20, 16), 1.0, dtype=complex)
         with pytest.raises(ValueError, match="power of two"):
-            GridState(20, 16, 1.0, 1.0, amp)
+            GridState(1.0, np.full((20, 16), 1.0, dtype=complex))
         with pytest.raises(ValueError, match="power of two"):
-            GridState(8, 8, 1.0, 1.0, np.ones((8, 8), dtype=complex))
+            GridState(1.0, np.ones((8, 8), dtype=complex))
+        # The size is the array's shape, which must be 2-D.
+        with pytest.raises(ValueError, match="2-D"):
+            GridState(1.0, np.full(256, 0.5, dtype=complex))
 
     def test_box_must_be_positive(self):
         amp = np.full((16, 16), 0.5, dtype=complex)
         with pytest.raises(ValueError, match="lx"):
-            GridState(16, 16, -1.0, 1.0, amp)
-
-    def test_shape_must_match(self):
-        with pytest.raises(ValueError, match="shape"):
-            GridState(16, 32, 1.0, 1.0, np.ones((16, 16), dtype=complex))
+            GridState(-1.0, amp)
 
     def test_non_finite_rejected(self):
         amp = np.full((16, 16), 0.5, dtype=complex)
         amp[3, 3] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            GridState(16, 16, 1.0, 1.0, amp)
+            GridState(1.0, amp)
 
     def test_norm_enforced(self):
         amp = np.full((16, 16), 0.3, dtype=complex)
         with pytest.raises(ValueError, match="normalized"):
-            GridState(16, 16, 1.0, 1.0, amp)
+            GridState(1.0, amp)
 
     def test_amplitudes_kept_without_a_copy(self):
         amp = np.full((16, 16), 0.5, dtype=complex)
-        state = GridState(16, 16, 1.0, 1.0, amp)
+        state = GridState(1.0, amp)
         assert np.shares_memory(state.amplitudes, amp)
         assert not amp.flags.writeable
-        state = GridState(16, 16, 1.0, 1.0, np.full((16, 16), 0.5))
+        state = GridState(1.0, np.full((16, 16), 0.5))
         assert state.amplitudes.dtype == complex
 
     def test_amplitudes_read_only(self):
@@ -82,10 +80,14 @@ class TestGridStateValidation:
             state.amplitudes[0, 0] = 1.0
 
     def test_axes_span_the_box(self):
+        # Both axes span [-lx, lx); each one's size is the array's.
         rng = np.random.default_rng(1)
-        state = _default_grid(rng)
-        assert state.x[0] == -state.lx
+        state = _default_grid(rng, ny=2 * N)
+        assert (state.nx, state.ny) == state.amplitudes.shape == (N, 2 * N)
+        assert state.x[0] == state.y[0] == -state.lx
         assert state.x[-1] == pytest.approx(state.lx - state.dx)
+        assert state.y[-1] == pytest.approx(state.lx - state.dy)
+        assert state.dx == 2.0 * state.dy
         assert state.cell_area == pytest.approx(state.dx * state.dy)
 
 
@@ -231,24 +233,23 @@ class TestShears:
         assert boundary_mass(state) <= 1e-10
 
 
-def _flat_grid(nx, ny, lx, ly):
-    amp = np.full((nx, ny), 1.0 / math.sqrt(4.0 * lx * ly), dtype=complex)
-    return GridState(nx, ny, lx, ly, amp)
+def _flat_grid(nx, ny, lx):
+    amp = np.full((nx, ny), 1.0 / (2.0 * lx), dtype=complex)
+    return GridState(lx, amp)
 
 
-def _product_grid(ospec, pspec, nx, ny, lx, ly):
-    """Product packet on a box whose axes differ in size and extent."""
-    box = _flat_grid(nx, ny, lx, ly)
+def _product_grid(ospec, pspec, nx, ny, lx):
+    """Product packet on a square box whose axes differ in size."""
+    box = _flat_grid(nx, ny, lx)
     amp = np.outer(grid._pure_packet(box.x, ospec, "object"),
                    grid._pure_packet(box.y, pspec, "probe"))
     amp /= math.sqrt(float(np.sum(np.abs(amp) ** 2)) * box.cell_area)
-    return GridState(nx, ny, lx, ly, amp)
+    return GridState(lx, amp)
 
 
 class TestStackedEngine:
     @pytest.mark.parametrize("shape", [
-        (64, 64, 5.0, 5.0), (64, 128, 7.5, 3.0), (128, 32, 2.0, 9.0),
-        (256, 512, 12.0, 20.0)])
+        (64, 64, 5.0), (64, 128, 7.5), (128, 32, 2.0), (256, 512, 20.0)])
     @pytest.mark.parametrize("theta", [1.0, 0.37, -2.5])
     def test_factored_ramp_matches_direct_exp(self, shape, theta):
         box = _flat_grid(*shape)
@@ -306,7 +307,7 @@ class TestStackedEngine:
         ospec = GaussianSpec(0.9, 0.5 / 0.9, mean_x=0.4, mean_p=-0.3)
         pspec = GaussianSpec(0.7, 0.5 / (0.7 * math.sqrt(1.0 - 0.09)),
                              mean_x=-0.2, mean_p=0.5, correlation=0.3)
-        state = _product_grid(ospec, pspec, 256, 128, 12.0, 9.0)
+        state = _product_grid(ospec, pspec, 256, 128, 12.0)
         mean, cov = grid_moments(state)
         for spec, base in ((ospec, 0), (pspec, 2)):
             assert mean[base] == pytest.approx(spec.mean_x, abs=1e-10)

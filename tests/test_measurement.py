@@ -97,27 +97,28 @@ class TestIntermediateTimes:
 
 class TestModelType:
     def test_window_normalization_enforced(self):
-        # The Hamiltonian is the window's; neither its length nor a
-        # coupling strength can be set apart.
+        # The Hamiltonian is the window's; neither its length, a coupling
+        # strength nor the mode system it acts on can be set apart.
         good = von_neumann_model()
         assert good.dt == 1.0
+        assert good.system is good.hamiltonian.system
         np.testing.assert_array_equal(
             good.endpoint.matrix,
             canonical.propagate(good.hamiltonian, 1.0).matrix)
-        for key in ("dt", "coupling"):
+        for key in ("dt", "coupling", "system"):
             with pytest.raises(TypeError, match=key):
                 MeasurementModel(
-                    name="bad", system=good.system,
-                    hamiltonian=good.hamiltonian, **{key: 1.0})
+                    name="bad", hamiltonian=good.hamiltonian, **{key: 1.0})
 
     def test_measured_must_sit_on_object_mode(self):
         template = von_neumann_model()
         custom = MeasurementModel(
-            name="custom", system=template.system,
-            hamiltonian=template.hamiltonian)
+            name="custom", hamiltonian=template.hamiltonian)
         for model in (template, noiseless_model(), custom):
             np.testing.assert_array_equal(model.measured.coeffs, [1, 0, 0, 0])
-            np.testing.assert_array_equal(model.probe_obs.coeffs, [0, 0, 1, 0])
+            # The readout is the pointer position y pushed through the window.
+            np.testing.assert_array_equal(
+                model.readout.coeffs, model.endpoint.matrix.T @ [0, 0, 1, 0])
 
     def test_built_in_models_carry_their_shears(self):
         assert von_neumann_model().steps == grid.VON_NEUMANN_STEPS
@@ -128,8 +129,7 @@ class TestModelType:
     def test_custom_model_has_no_shears(self):
         template = von_neumann_model()
         model = MeasurementModel(
-            name="custom", system=template.system,
-            hamiltonian=template.hamiltonian)
+            name="custom", hamiltonian=template.hamiltonian)
         assert model.steps == ()
         assert model.reference is None
         with pytest.raises(ValueError, match="no shear factorization"):
@@ -142,8 +142,7 @@ class TestModelType:
         hamiltonian = canonical.build_quadratic(
             system, [(400.0, 0, 0), (-400.0, 1, 1)])
         with pytest.raises(ValueError, match="non-finite"):
-            MeasurementModel(
-                name="custom", system=system, hamiltonian=hamiltonian)
+            MeasurementModel(name="custom", hamiltonian=hamiltonian)
 
 
 class TestOperators:

@@ -139,8 +139,7 @@ def models(draw, kinds=("von_neumann", "noiseless", "custom")):
     system = ModeSystem(2, hbar=hbar)
     hamiltonian = canonical.QuadraticHamiltonian(
         system, draw(symmetric_forms(4)))
-    return measurement.MeasurementModel(
-        name="custom", system=system, hamiltonian=hamiltonian)
+    return measurement.MeasurementModel(name="custom", hamiltonian=hamiltonian)
 
 
 @settings(max_examples=300, deadline=None)

@@ -61,7 +61,9 @@ class TestTopLevelValidation:
     def test_minimal_scenario_parses(self):
         scenario = parse_scenario(_base())
         assert scenario.model.name == "von_neumann"
-        assert scenario.hbar == 1.0
+        assert scenario.model.system.hbar == 1.0
+        assert len(scenario.object_prep) == 1  # a Gaussian object
+        assert scenario.object_state is not None
         assert scenario.seed == 0
         assert scenario.checks == ("verdict",)
         assert scenario.born_samples == 100000
@@ -155,12 +157,12 @@ class TestPrepValidation:
                     {"sigma_x": 0.8, "mean_x": 2.0},
                 ],
             }))
-        assert scenario.object_prep.kind == "superposition"
+        assert len(scenario.object_prep) == 2
         assert scenario.object_state is None
-        weights = [w for w, _ in scenario.object_prep.components]
+        weights = [w for w, _ in scenario.object_prep]
         assert weights == [1.0, 1.0]
         # Omitted sigma_p saturates the pure-packet product.
-        for _, spec in scenario.object_prep.components:
+        for _, spec in scenario.object_prep:
             assert spec.uncertainty_product() == pytest.approx(0.5)
 
     def test_superposition_needs_two_components(self):
@@ -335,7 +337,8 @@ class TestBuiltAtLoad:
                         object={"sigma_x": 1.0, "sigma_p": 1.0},
                         probe={"sigma_x": 0.5, "sigma_p": 2.0})
         scenario = parse_scenario(mapping)
-        obj_unit = grid.unit_hbar_spec(scenario.object_prep.spec, 2.0)
+        ((_, obj_spec),) = scenario.object_prep
+        obj_unit = grid.unit_hbar_spec(obj_spec, 2.0)
         probe_unit = grid.unit_hbar_spec(scenario.probe_spec, 2.0)
         state = scenario.grid_state
         assert scenario.grid_params.half_width is None
@@ -455,7 +458,8 @@ class TestYamlNumbers:
     def test_exponent_floats_are_numbers(self, tmp_path, text, value):
         # YAML 1.1 would read these as strings; scenarios use YAML 1.2.
         scenario = self._load(tmp_path, text)
-        assert scenario.object_prep.spec.mean_x == value
+        ((_, spec),) = scenario.object_prep
+        assert spec.mean_x == value
 
     @pytest.mark.parametrize("text", [".inf", "-.inf", ".nan"])
     def test_non_finite_floats_still_rejected(self, tmp_path, text):
