@@ -189,8 +189,9 @@ def build_quadratic(system, terms):
         Each term contributes ``coefficient * r_i * r_j`` with r the
         coordinate vector.  Products of non-commuting coordinates are
         interpreted in the symmetrized (Weyl) order; the constant that
-        ordering discards must cancel across the whole list, otherwise the
-        term list does not describe a Hermitian combination and is rejected.
+        ordering discards must cancel across the whole list, within 1e-12 of
+        the largest coefficient at any hbar, otherwise the term list does
+        not describe a Hermitian combination and is rejected.
 
     Returns
     -------
@@ -200,7 +201,7 @@ def build_quadratic(system, terms):
     form = np.zeros((dim, dim))
     omega = system.omega()
     residual = 0.0
-    scale = 1.0
+    scale = 0.0
     for k, term in enumerate(terms):
         try:
             coefficient, i, j = term
@@ -217,7 +218,7 @@ def build_quadratic(system, terms):
         form[j, i] += c
         residual += c * omega[i, j]
         scale = max(scale, abs(c))
-    if abs(residual * system.hbar / 2.0) > _COEFF_TOL * scale:
+    if abs(residual) > _COEFF_TOL * scale:
         raise ValueError(
             "term list leaves a non-zero ordering constant "
             f"({residual * system.hbar / 2.0:.3e}); pair each x_k p_k term "

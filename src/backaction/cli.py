@@ -35,56 +35,40 @@ def _prep_size(sc):
 def _verdict_check(sc, tols):
     report = measurement.heisenberg_verdict(
         sc.model, sc.object_state, sc.probe_state, tol=tols["bound"])
-    values = {
-        "epsilon": report.epsilon,
-        "eta": report.eta,
-        "product": report.product,
-        "bound": report.bound,
-        "product_over_bound": states._finite(
-            report.product / report.bound, "product_over_bound"),
-        "product_meets_bound": report.satisfied,
-        "sigma_x": report.sigma_x,
-        "tradeoff": report.tradeoff,
-        "tradeoff_meets_bound": report.tradeoff_satisfied,
-    }
+    values = {**vars(report), "product_over_bound": states._finite(
+        report.product / report.bound, "product_over_bound")}
     if sc.model.exact_readout:
         expected = {"epsilon": 0.0, "product": 0.0,
                     "tradeoff_at_least": report.bound}
         # epsilon is rounding times the preparation's size, and eta is of
         # that size too, so the product's slack takes the factor twice.
         size = _prep_size(sc)
-        passed = (report.epsilon <= tols["exact"] * size
-                  and report.product <= tols["exact"] * size * size
-                  and report.tradeoff_satisfied)
+        conditions = {
+            "epsilon_zero": report.epsilon <= tols["exact"] * size,
+            "product_zero": report.product <= tols["exact"] * size * size,
+            "tradeoff_meets_bound": report.tradeoff_meets_bound}
         note = ("readout is exact and the noise-disturbance product sits at "
                 "zero, below the hbar/2 bound; the spread-disturbance "
                 "trade-off holds instead")
     elif sc.model.reference is not None:  # built in with noise: meets hbar/2
         expected = {"product_at_least": report.bound}
-        passed = report.satisfied
+        conditions = {"product_meets_bound": report.product_meets_bound}
         note = sc.model.reference.notes["verdict"]
     else:
-        expected = {}
-        passed = True
+        expected, conditions = {}, {}
         note = "custom model: figures reported, no reference behavior"
-    return {"passed": passed, "values": values, "expected": expected,
+    return {"conditions": conditions, "values": values, "expected": expected,
             "note": note}
 
 
 def _robertson_check(sc, tols):
-    values = {}
-    passed = True
-    for label, state in (("object", sc.object_state),
-                         ("probe", sc.probe_state)):
-        result = states.robertson_check(
-            state,
-            canonical.position(state.system, 0),
-            canonical.momentum(state.system, 0),
-            tol=tols["bound"])
-        values[label] = {"lhs": result.lhs, "bound": result.bound,
-                         "passed": result.passed}
-        passed = passed and result.passed
-    return {"passed": passed, "values": values,
+    values = {label: states.robertson_check(
+        state, canonical.position(state.system, 0),
+        canonical.momentum(state.system, 0), tol=tols["bound"])._asdict()
+        for label, state in (("object", sc.object_state),
+                             ("probe", sc.probe_state))}
+    return {"conditions": {label: v["passed"] for label, v in values.items()},
+            "values": values,
             "expected": {"lhs_at_least": sc.model.system.hbar / 2.0},
             "note": "preparation spreads obey sigma(x) sigma(p) >= hbar/2"}
 
@@ -103,7 +87,8 @@ def _born_check(sc, tols):
         alpha=tols["ks_alpha"])
     mean_gap = abs(outcome.mean - reference.mean)
     return {
-        "passed": result.passed and mean_gap <= tols["exact"] * _prep_size(sc),
+        "conditions": {"ks_shape": result.passed,
+                       "means_agree": mean_gap <= tols["exact"] * _prep_size(sc)},
         "values": {
             "ks_statistic": result.statistic,
             "critical_value": result.critical_value,
@@ -127,14 +112,16 @@ def _repeatability_check(sc, tols):
     values = {"deviation": deviation, "sigma_y": spec.sigma_x,
               "closed_form": None, "alpha": None, "alpha_repeatable": None}
     if reference is None:
-        return {"passed": True, "values": values, "expected": {},
+        return {"conditions": {}, "values": values, "expected": {},
                 "note": "custom model: deviation reported, no reference behavior"}
     closed = reference.deviation(spec.sigma_x, spec.mean_x)
     exact = tols["exact"] * _prep_size(sc)
     alpha = closed + exact
     values.update(closed_form=closed, alpha=alpha,
                   alpha_repeatable=deviation <= alpha)
-    return {"passed": abs(deviation - closed) <= exact and deviation <= alpha,
+    return {"conditions": {
+                "deviation_matches_closed_form": abs(deviation - closed) <= exact,
+                "alpha_repeatable": values["alpha_repeatable"]},
             "values": values, "expected": {"deviation": closed},
             "note": reference.notes["repeatability"]}
 
@@ -142,11 +129,12 @@ def _repeatability_check(sc, tols):
 def _realization_check(sc, tols):
     residual = measurement.realization_residual(sc.model)
     swapped = measurement.realization_residual(sc.model, swapped=True)
-    passed = residual <= tols["exact"] and swapped > 0.1
+    miss = 0.1  # the least a load-bearing order's swap must miss by
     return {
-        "passed": passed,
+        "conditions": {"residual_zero": residual <= tols["exact"],
+                       "swapped_misses": swapped > miss},
         "values": {"residual": residual, "swapped_residual": swapped},
-        "expected": {"residual": 0.0, "swapped_residual_above": 0.1},
+        "expected": {"residual": 0.0, "swapped_residual_above": miss},
         "note": sc.model.reference.notes["realization"],
     }
 
@@ -183,7 +171,7 @@ def _limit_sweep_check(sc, tols):
                 [columns] + [[row[key] for key in columns] for row in rows])
 
     return {
-        "passed": all(conditions.values()),
+        "conditions": conditions,
         "values": {"kind": kind, "conditions": conditions, "points": rows},
         "expected": {"all_conditions": True},
         "note": note,
@@ -206,11 +194,6 @@ def _grid_crosscheck(sc, tols):
     eps_moment = measurement.joint_noise(model, joint)
     eta_moment = measurement.joint_disturbance(model, joint)
 
-    conditions = {
-        "epsilon_routes_agree":
-            abs(eps_grid - eps_moment) <= tols["grid_match"],
-        "eta_routes_agree": abs(eta_grid - eta_moment) <= tols["grid_match"],
-    }
     values = {
         "epsilon_grid": eps_grid,
         "epsilon_moment": eps_moment,
@@ -221,6 +204,8 @@ def _grid_crosscheck(sc, tols):
         "half_width": state.lx,
         "boundary_mass": grid.boundary_mass(state),
     }
+    conditions = {f"{q}_routes_agree": values[f"{q}_gap"] <= tols["grid_match"]
+                  for q in ("epsilon", "eta")}
     if model.exact_readout:
         eps_tol = (tols["grid_epsilon"] if sc.object_state is not None
                    else tols["grid_epsilon_multi"])
@@ -234,7 +219,7 @@ def _grid_crosscheck(sc, tols):
         values["tv_distance"] = tv
     values["conditions"] = conditions
     return {
-        "passed": all(conditions.values()),
+        "conditions": conditions,
         "values": values,
         "expected": {"epsilon_gap_below": tols["grid_match"],
                      "eta_gap_below": tols["grid_match"]},
@@ -257,19 +242,20 @@ _RUNNERS = {
 def run_scenario(scenario, tol_overrides=None):
     """Execute a scenario's checks.
 
-    Returns (report, artifact_writers): the JSON-ready report dict and a
-    mapping of artifact filename to a callable that writes it.
+    Each runner returns its named ``conditions``; a check passes when all
+    of them hold, and this is the one place that decides it.  Returns
+    (report, artifact_writers): the JSON-ready report dict and a mapping of
+    artifact filename to a callable that writes it.
     """
-    tols = dict(DEFAULT_TOLERANCES)
-    tols.update(scenario.tolerances)
-    tols.update(tol_overrides or {})
+    tols = {**DEFAULT_TOLERANCES, **scenario.tolerances, **(tol_overrides or {})}
     checks = {}
     writers = {}
     for kind in scenario.checks:
         with np.errstate(over="raise"):  # an overflow exits 2, not inf
             outcome = _RUNNERS[kind](scenario, tols)
         writers.update(outcome.pop("artifact_writers", {}))
-        checks[kind] = outcome
+        checks[kind] = {"passed": all(outcome.pop("conditions").values()),
+                        **outcome}
     report = {
         "scenario": scenario.name,
         "model": scenario.model.name,
@@ -315,8 +301,7 @@ def render_text(report, verbose=False):
         status = "PASS" if check["passed"] else "FAIL"
         lines.append(f"  {kind:<17} {status}  {check['note']}")
         if verbose:
-            for key in sorted(check["values"]):
-                lines.extend(_value_lines("", {key: check["values"][key]}))
+            lines.extend(_value_lines("", check["values"]))
     if report["artifacts"]:
         lines.append(f"  artifacts: {', '.join(report['artifacts'])}")
     lines.append(f"  overall           {'PASS' if report['passed'] else 'FAIL'}")
@@ -345,9 +330,8 @@ def _load_target(target):
 
 def _run_command(args):
     overrides = _parse_tol_overrides(args.tol)
-    out_dir = args.out_dir
+    out_dir = None if args.out_dir is None else Path(args.out_dir)
     if out_dir is not None:
-        out_dir = Path(out_dir)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -418,12 +402,10 @@ def main(argv=None):
                 print(name)
             return 0
         return _run_command(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (states.PhysicalityError, grid.BoundaryMassError,
+    except (ConfigError, states.PhysicalityError, grid.BoundaryMassError,
             ArithmeticError, MemoryError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        name = "" if isinstance(exc, ConfigError) else f"{type(exc).__name__}: "
+        print(f"error: {name}{exc}", file=sys.stderr)
         return 2
 
 

@@ -262,10 +262,10 @@ class NoiseReport:
     eta: float
     product: float
     bound: float
-    satisfied: bool
+    product_meets_bound: bool
     sigma_x: float
     tradeoff: float
-    tradeoff_satisfied: bool
+    tradeoff_meets_bound: bool
 
     def __post_init__(self):
         for name in ("epsilon", "eta", "product", "bound", "sigma_x", "tradeoff"):
@@ -277,11 +277,12 @@ class NoiseReport:
 def heisenberg_verdict(model, object_state, probe_state, tol=ONE_SIDED_TOL):
     """Score epsilon * eta against hbar/2, and the trade-off that replaces it.
 
-    ``satisfied`` reports epsilon * eta >= hbar/2 - tol * max(1, hbar/2).
-    A False verdict on a physical preparation is the point: the rotated
-    coupling drives the product to zero.  ``tradeoff`` carries
-    sigma(x, t) * eta, which stays above hbar/2 whenever the disturbance
-    operator has the canonical commutator with position.
+    ``product_meets_bound`` reports epsilon * eta >= (hbar/2)(1 - tol), a
+    slack relative to the bound at any hbar.  A False verdict on a physical
+    preparation is the point: the rotated coupling drives the product to
+    zero.  ``tradeoff`` carries sigma(x, t) * eta, which stays above hbar/2
+    whenever the disturbance operator has the canonical commutator with
+    position; ``tradeoff_meets_bound`` scores it the same way.
     """
     return _joint_verdict(model, _joint(model, object_state, probe_state), tol)
 
@@ -291,7 +292,7 @@ def _joint_verdict(model, joint, tol):
     epsilon = joint_noise(model, joint)
     eta = joint_disturbance(model, joint)
     bound = model.system.hbar / 2.0
-    floor = bound - tol * max(1.0, bound)
+    floor = bound * (1.0 - tol)
     sigma_x = states.std_dev(joint, model.measured)
     tradeoff = sigma_x * eta
     return NoiseReport(
@@ -299,10 +300,10 @@ def _joint_verdict(model, joint, tol):
         eta=eta,
         product=epsilon * eta,
         bound=bound,
-        satisfied=epsilon * eta >= floor,
+        product_meets_bound=epsilon * eta >= floor,
         sigma_x=sigma_x,
         tradeoff=tradeoff,
-        tradeoff_satisfied=tradeoff >= floor,
+        tradeoff_meets_bound=tradeoff >= floor,
     )
 
 

@@ -361,25 +361,19 @@ def parse_scenario(mapping, source="scenario"):
     else:
         model = MODELS[model_name](hbar=hbar)
 
-    grid_params = GridParams()
-    if "grid" in mapping:
-        grid_params = _grid_params(mapping["grid"], f"{source}.grid")
+    grid_params = _grid_params(mapping.get("grid", {}), f"{source}.grid")
 
     sweep = None
     if "sweep" in mapping:
         sweep = _sweep_params(mapping["sweep"], f"{source}.sweep")
 
-    born_samples = Scenario.born_samples
-    if "born" in mapping:
-        born_node = _require_mapping(mapping["born"], f"{source}.born")
-        _check_keys(born_node, ("samples",), f"{source}.born")
-        born_samples = _integer(
-            born_node, "samples", f"{source}.born", default=born_samples,
-            minimum=10)
+    born_node = _require_mapping(mapping.get("born", {}), f"{source}.born")
+    _check_keys(born_node, ("samples",), f"{source}.born")
+    born_samples = _integer(born_node, "samples", f"{source}.born",
+                            default=Scenario.born_samples, minimum=10)
 
-    tolerances = {}
-    if "tolerances" in mapping:
-        tolerances = _tolerances(mapping["tolerances"], f"{source}.tolerances")
+    tolerances = _tolerances(mapping.get("tolerances", {}),
+                             f"{source}.tolerances")
 
     # Cross-field rules.
     for check, needs in CHECKS.items():
@@ -443,8 +437,19 @@ class _ScenarioLoader(yaml.CSafeLoader):
     """libyaml's safe loader that also reads YAML 1.2 floats such as 1e6.
 
     PyYAML follows YAML 1.1, whose float rule needs a dot and a signed
-    exponent, so plain 1e6 would come back as a string.
+    exponent, so plain 1e6 would come back as a string.  A key given twice
+    in one mapping is refused at its mark; libyaml would keep the last.
     """
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key, _ in node.value:
+            if isinstance(key, yaml.ScalarNode):
+                if (key.tag, key.value) in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"duplicate key {key.value!r}", key.start_mark)
+                seen.add((key.tag, key.value))
+        return super().construct_mapping(node, deep=deep)
 
 
 _ScenarioLoader.add_implicit_resolver(

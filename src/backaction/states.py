@@ -63,9 +63,8 @@ class GaussianSpec:
         return self.sigma_x * self.sigma_p * math.sqrt(1.0 - self.correlation ** 2)
 
     def admissible(self, hbar=1.0):
-        """Whether the spec meets hbar/2 within 1e-12 of max(1, hbar/2)."""
-        bound = hbar / 2.0
-        return self.uncertainty_product() >= bound - 1e-12 * max(1.0, bound)
+        """Whether the spec meets hbar/2 within a relative 1e-12 of it."""
+        return self.uncertainty_product() >= hbar / 2.0 * (1.0 - 1e-12)
 
     def mean_block(self):
         return np.array([self.mean_x, self.mean_p])
@@ -124,9 +123,7 @@ def from_gaussian(specs, hbar=1.0, labels=()):
     hbar, labels
         Passed to the ``ModeSystem`` the state lives on.
     """
-    if isinstance(specs, GaussianSpec):
-        specs = (specs,)
-    specs = tuple(specs)
+    specs = (specs,) if isinstance(specs, GaussianSpec) else tuple(specs)
     if not specs:
         raise ValueError("need at least one mode spec")
     system = ModeSystem(len(specs), hbar=hbar, labels=labels)
@@ -223,11 +220,18 @@ def robertson_check(state, a, b, tol=1e-12):
 
     For linear observables the commutator is a constant, so the bound is
     state-independent; the check must hold for every physical state and a
-    failure beyond ``tol`` * max(1, bound) means broken moments, not physics.
+    failure below bound * (1 - ``tol``), a slack relative to the bound at
+    any hbar, means broken moments, not physics.  Both sides are linear in
+    each coefficient scale, so each vector is divided by its largest |entry|
+    first: tiny coefficients would square to zero.
     """
+    scales = [float(np.max(np.abs(o.coeffs))) or 1.0 for o in (a, b)]
+    a, b = (canonical.LinearObservable(o.system, o.coeffs / n)
+            for o, n in zip((a, b), scales))
     lhs = std_dev(state, a) * std_dev(state, b)
     bound = abs(canonical.commutator_constant(a, b)) / 2.0
-    return RobertsonResult(lhs, bound, lhs >= bound - tol * max(1.0, bound))
+    size = scales[0] * scales[1]
+    return RobertsonResult(lhs * size, bound * size, lhs >= bound * (1.0 - tol))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,13 @@ def _write(tmp_path, body, name="case.yaml"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(body), encoding="utf-8")
     return str(path)
+
+
+def _with(model, name, value):
+    """Copy of a built model with one built field replaced."""
+    model = copy.copy(model)
+    object.__setattr__(model, name, value)
+    return model
 
 
 def _exits_two(capsys, argv):
@@ -320,6 +328,25 @@ class TestRunCommand:
         (CUSTOM_CHECK.format(check="grid_crosscheck"), "the grid_crosscheck "
          "check needs a shear factorization (built-in models have one), "
          "which model 'custom' lacks"),
+        # Below hbar ~ 2e-12 an absolute slack of 1e-12 on >= hbar/2 would
+        # exceed the bound; the slack is relative to it at every hbar.
+        ("name: tiny-hbar-object\nmodel: von_neumann\nhbar: 1.0e-13\n"
+         "checks: [verdict, robertson]\n"
+         "object: {sigma_x: 1.0e-20, sigma_p: 1.0e-20}\n"
+         "probe: {sigma_x: 1.0e-20, sigma_p: 1.0e-20}\n",
+         ".object: sigma_x*sigma_p*sqrt(1-rho^2) = 1e-40 < hbar/2 = 5e-14"),
+        # The lone x px term's ordering constant, hbar/2, is refused at
+        # every hbar, not only where it exceeds an absolute 1e-12.
+        (CUSTOM_CHECK.format(check="verdict").replace(
+            "first: x, second: py", "first: x, second: px")
+         + "hbar: 1.0e-13\n", ".interaction: term list leaves a non-zero "
+         "ordering constant (5.000e-14)"),
+        # libyaml would keep the last of two equal keys without a word.
+        ("name: twice\nchecks: [verdict]\nchecks: [realization]\n"
+         "model: noiseless\n",
+         "not valid YAML (duplicate key 'checks' at line 3, column 1)"),
+        (FAST_VERDICT.replace("sigma_p: 0.5}", "sigma_p: 0.5, sigma_p: 0.01}"),
+         "not valid YAML (duplicate key 'sigma_p' at line 4, column"),
     ], ids=["huge-spread", "huge-mean", "box", "sharpen-momentum-513",
             "sharpen-pointer-513", "sharpen-momentum-1075",
             "sharpen-pointer-1075", "invalid-yaml", "vanished", "tight-box",
@@ -331,7 +358,8 @@ class TestRunCommand:
             "wavepacket-object", "no-terms", "unhashable-coordinate",
             "unhashable-check", "unhashable-sweep-kind", "listed-model",
             "custom-born", "custom-realization", "custom-limit-sweep",
-            "custom-grid-crosscheck"])
+            "custom-grid-crosscheck", "tiny-hbar-object", "tiny-hbar-x-px",
+            "duplicate-key", "duplicate-nested-key"])
     def test_unrunnable_input_exits_two(self, tmp_path, capsys, body, where):
         path = _write(tmp_path, body)
         assert where in _exits_two(capsys, ["run", path])
@@ -458,6 +486,69 @@ class TestRunCommand:
         path = _write(tmp_path, FAST_VERDICT)
         assert main(["run", path, "--tol", "exact=1e-300"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("check, body, tol, change, condition", [
+        ("verdict", FAST_VERDICT, {}, lambda m: _with(
+            m, "disturbance_operator", LinearObservable(
+                m.system, 0.3 * m.disturbance_operator.coeffs)),
+         "tradeoff_meets_bound"),
+        ("born", FAST_VERDICT.replace("verdict, robertson", "born"), {},
+         lambda m: _with(m, "readout", LinearObservable(
+             m.system, 0.5 * m.readout.coeffs)), "ks_shape"),
+        ("repeatability", FAST_VERDICT.replace("verdict, robertson",
+                                               "repeatability"), {},
+         lambda m: _with(m, "reference", m.reference._replace(
+             deviation=lambda sigma_y, mean_y: 2.0 * math.hypot(
+                 sigma_y, mean_y))), "deviation_matches_closed_form"),
+        ("realization", FAILING_REALIZATION, {"exact": 1e-300}, None,
+         "residual_zero"),
+        ("limit_sweep", SWEEP.format(kind="sharpen_pointer", k_min=0,
+                                     k_max=10), {"exact": 1e-300}, None,
+         "epsilon_zero"),
+        ("grid_crosscheck", GRID.format(model="noiseless", n=64,
+                                        half_width=10, obj=PACKET,
+                                        probe=PACKET), {"tv": 1e-300},
+         None, "readout_matches_position_marginal"),
+    ], ids=["verdict", "born", "repeatability", "realization",
+            "limit-sweep", "grid-crosscheck"])
+    def test_one_failing_condition_fails_the_check(
+            self, tmp_path, capsys, monkeypatch, check, body, tol, change,
+            condition):
+        # A tightened tolerance or one changed model coefficient fails
+        # exactly one named condition, and with it the check and the run.
+        # robertson is absent: no scenario that loads can fail it.
+        if change is not None:
+            build = scenarios.MODELS["noiseless"]
+            monkeypatch.setitem(scenarios.MODELS, "noiseless",
+                                lambda hbar: change(build(hbar=hbar)))
+        path = _write(tmp_path, body)
+        outcome = cli._RUNNERS[check](scenarios.load_scenario(path),
+                                      {**scenarios.DEFAULT_TOLERANCES, **tol})
+        conditions = outcome["conditions"]
+        assert [name for name in conditions if not conditions[name]] == [
+            condition]
+        overrides = [arg for key, value in tol.items()
+                     for arg in ("--tol", f"{key}={value}")]
+        assert main(["run", path, "--format", "json", *overrides]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"][check]["passed"] is False
+        assert report["passed"] is False
+
+    def test_si_hbar_noiseless_product_misses_the_bound(self, tmp_path,
+                                                       capsys):
+        # At hbar ~ 1e-34 an absolute slack of 1e-12 on >= hbar/2 would
+        # pass any product; the noiseless product of ~1e-50 must miss.
+        body = ("name: si-noiseless\nmodel: noiseless\n"
+                "hbar: 1.054571817e-34\nchecks: [verdict, robertson]\n"
+                "object: {sigma_x: 1.0e-10, sigma_p: 1.0e-24}\n"
+                "probe: {sigma_x: 1.0e-11, sigma_p: 1.0e-23}\n")
+        path = _write(tmp_path, body)
+        assert main(["run", path, "--format", "json"]) == 0
+        values = json.loads(capsys.readouterr().out)["checks"]["verdict"][
+            "values"]
+        assert values["product"] < 1e-45 < values["bound"]
+        assert values["product_meets_bound"] is False
+        assert values["tradeoff_meets_bound"] is True
 
     def test_json_format_parses(self, tmp_path, capsys):
         path = _write(tmp_path, FAST_VERDICT)

@@ -224,11 +224,11 @@ class TestNoiseDisturbanceValues:
         rng = np.random.default_rng(103)
         obj, probe = _object_state(rng), _probe_state(rng)
         vn = heisenberg_verdict(von_neumann_model(), obj, probe)
-        assert vn.satisfied and vn.product >= 0.5 - 1e-12
+        assert vn.product_meets_bound and vn.product >= 0.5 - 1e-12
         nl = heisenberg_verdict(noiseless_model(), obj, probe)
-        assert not nl.satisfied
+        assert not nl.product_meets_bound
         assert nl.product <= 1e-12
-        assert nl.tradeoff_satisfied
+        assert nl.tradeoff_meets_bound
         assert nl.product == nl.epsilon * nl.eta
 
     def test_hbar_scales_the_bound(self):
@@ -236,7 +236,7 @@ class TestNoiseDisturbanceValues:
         probe = from_gaussian(GaussianSpec(1.0, 1.5), hbar=3.0, labels=("probe",))
         report = heisenberg_verdict(von_neumann_model(hbar=3.0), obj, probe)
         assert report.bound == pytest.approx(1.5)
-        assert report.satisfied
+        assert report.product_meets_bound
 
     def test_state_system_guards(self):
         model = von_neumann_model()

@@ -222,6 +222,25 @@ class TestRobertson:
             result = robertson_check(state, a, b)
             assert result.passed, (result, state.cov)
 
+    def test_tiny_coefficients_do_not_underflow(self):
+        # 1e-200 squares to zero: the variance alone would read 0.
+        state = from_gaussian(GaussianSpec(1.0, 0.5))
+        tiny = LinearObservable(state.system, [0.0, 1e-200])
+        result = robertson_check(state, position(state.system), tiny)
+        assert result.passed
+        assert result.lhs == pytest.approx(0.5e-200)
+        assert result.bound == pytest.approx(0.5e-200)
+
+    def test_slack_is_relative_to_the_bound_at_small_hbar(self):
+        # The moment constructor's absolute slack admits spreads of 1e-20
+        # at hbar = 1e-13; an absolute 1e-12 here would pass them too.
+        system = ModeSystem(1, hbar=1e-13)
+        state = MomentState(system, [0.0, 0.0], np.diag([1e-40, 1e-40]))
+        result = robertson_check(
+            state, position(system), momentum(system))
+        assert result.bound == pytest.approx(5e-14)
+        assert not result.passed
+
 
 class TestDistributionAndSampling:
     def test_cdf_reference_points(self):
