@@ -22,14 +22,15 @@ from .scenarios import DEFAULT_TOLERANCES, ConfigError
 
 
 def _prep_size(sc):
-    """max(1, largest |mean| or spread of the object and probe preparations).
+    """Largest |mean| or spread of the object and probe preparations.
 
     Moment-route figures carry rounding in proportion to the means and
     spreads they are built from, so the ``exact`` comparisons scale by this
-    factor instead of failing a far-off-centre preparation on rounding.
+    factor: a far-off-centre preparation does not fail on rounding, and one
+    far below unit scale gets no absolute slack to pass on.
     """
-    return max(1.0, *(max(abs(s.mean_x), abs(s.mean_p), s.sigma_x, s.sigma_p)
-                      for s in (sc.object_prep[0][1], sc.probe_spec)))
+    return max(max(abs(s.mean_x), abs(s.mean_p), s.sigma_x, s.sigma_p)
+               for s in (sc.object_prep[0][1], sc.probe_spec))
 
 
 def _verdict_check(sc, tols):
@@ -181,8 +182,8 @@ def _limit_sweep_check(sc, tols):
 
 def _grid_crosscheck(sc, tols):
     hbar, model, state = sc.model.system.hbar, sc.model, sc.grid_state
-    eps_grid, eta_unit, readout = grid.window_pass(state, model.steps)
-    eta_grid = hbar * eta_unit
+    window = grid.window_pass(state, model.steps)
+    eps_grid, eta_grid = window.epsilon, hbar * window.eta
 
     if sc.object_state is not None:  # a Gaussian object
         joint = states.product(sc.object_state, sc.probe_state)
@@ -203,6 +204,8 @@ def _grid_crosscheck(sc, tols):
         "eta_gap": abs(eta_grid - eta_moment),
         "half_width": state.lx,
         "boundary_mass": grid.boundary_mass(state),
+        "boundary_mass_max": window.boundary_mass_max,
+        "norm_drift": window.norm_drift,
     }
     conditions = {f"{q}_routes_agree": values[f"{q}_gap"] <= tols["grid_match"]
                   for q in ("epsilon", "eta")}
@@ -211,7 +214,7 @@ def _grid_crosscheck(sc, tols):
                    else tols["grid_epsilon_multi"])
         conditions["epsilon_grid_vanishes"] = eps_grid <= eps_tol
         edges = np.linspace(-state.lx, state.lx, 129)
-        hist_out, _ = np.histogram(state.y, bins=edges, weights=readout)
+        hist_out, _ = np.histogram(state.y, bins=edges, weights=window.readout)
         coords, masses = grid.position_marginal(state, axis=0)
         hist_ref, _ = np.histogram(coords, bins=edges, weights=masses)
         tv = grid.total_variation(hist_out, hist_ref)

@@ -12,13 +12,12 @@ rounding, implemented as an FFT phase ramp), and the error fields
 are integrated directly.  Agreement between the two routes is the
 acceptance evidence that the symplectic bookkeeping means what it claims.
 
-``window_pass`` shears psi, x psi and p_x psi as one (3, nx, ny) stack in
-place, one ramp and one FFT pair per step, and reads the pointer's readout
-off U psi on the way; ``output_histogram``, which shears psi alone, is the
-one-field reference.  Each ramp exp(-i theta q k) factors over ~sqrt(n)
-coarse and fine parts of the q index: O(n^1.5) complex exps, not n^2.  The
-disturbance field is integrated along k_x by Parseval, and ``grid_moments``
-reads the means and covariance off the Gram matrix of a (5, nx, ny) stack.
+``window_pass`` shears psi under the box guards, then x psi and p_x psi in
+turn in one second buffer, so no call holds over 2.5 complex fields beyond
+its input.  Each ramp exp(-i theta q k) factors over ~sqrt(n) coarse and
+fine parts of the q index (O(n^1.5) complex exps, not n^2) and is applied
+one such block of q at a time.  The disturbance field is integrated along
+k_x by Parseval, and ``grid_moments`` sums its Gram matrix over row blocks.
 
 Everything here works in hbar = 1 units; rescale momenta on the way in
 (``unit_hbar_spec``) and multiply eta by hbar on the way out.
@@ -152,13 +151,14 @@ class GridState:
 
 
 def _check_amplitudes(raw, cell_area):
-    """Refuse non-finite or unnormalized amplitudes without copying them."""
+    """Return |norm - 1|, refusing non-finite or unnormalized amplitudes."""
     norm_sq = float(np.vdot(raw, raw).real)
     if not math.isfinite(norm_sq) and not np.all(np.isfinite(raw)):
         raise ValueError("amplitudes contain non-finite entries")
     norm = math.sqrt(norm_sq * cell_area)
     if not abs(norm - 1.0) <= _NORM_TOL:
         raise ValueError(f"amplitudes must be normalized, got norm {norm!r}")
+    return abs(norm - 1.0)
 
 
 def unit_hbar_spec(spec, hbar):
@@ -192,23 +192,22 @@ def _boundary_mask(n):
     return mask
 
 
-def _density(raw, grid):
+def _density(raw, cell_area):
     """Probability mass per grid cell, |raw|^2 dA, in one buffer."""
     density = np.abs(raw)
     density *= density
-    density *= grid.cell_area
+    density *= cell_area
     return density
 
 
 def boundary_mass(state):
     """Probability mass inside the guard shell along either axis."""
-    return _shell_mass(_density(state.amplitudes, state), state)
+    return _shell_mass(_density(state.amplitudes, state.cell_area), state)
 
 
 def _shell_mass(density, grid):
-    in_x = _boundary_mask(grid.nx)
-    in_y = _boundary_mask(grid.ny)
-    shell = in_x[:, None] | in_y[None, :]
+    shell = np.logical_or.outer(_boundary_mask(grid.nx),
+                                _boundary_mask(grid.ny))
     return float(np.sum(density[shell]))
 
 
@@ -283,11 +282,12 @@ def init_grid(object_components, probe_spec, nx=DEFAULT_POINTS,
         object_wave += weight * _pure_packet(xs, spec, name)
     probe_wave = _pure_packet(ys, probe_spec, "probe")
     amplitudes = np.outer(object_wave, probe_wave)
-    norm = math.sqrt(float(np.sum(np.abs(amplitudes) ** 2))
+    norm = math.sqrt(float(np.sum(_density(amplitudes, 1.0)))
                      * (2.0 * half_width / nx) * (2.0 * half_width / ny))
     if norm == 0.0:
         raise ValueError("wavefunction vanished on the grid")
-    state = GridState(half_width, amplitudes / norm)
+    amplitudes /= norm
+    state = GridState(half_width, amplitudes)
     mass = boundary_mass(state)
     if mass > BOUNDARY_THRESHOLD:
         raise BoundaryMassError(
@@ -301,34 +301,47 @@ def init_gaussian_grid(object_spec, probe_spec, **kwargs):
     return init_grid([(1.0, object_spec)], probe_spec, **kwargs)
 
 
-def _phase_ramp(scale, start, spacing, n, k, q_axis):
-    """Phase ramp exp(1j * scale * q k) on q = start + spacing * arange(n).
+def _block(n):
+    """The ~sqrt(n) power of two that ramps factor over and slabs span."""
+    return 1 << (n.bit_length() // 2)
 
-    n must be a power of two, as GridState guarantees.  q runs along ``q_axis`` of the C-ordered result, k along the other.
-    Writing the index of q as a * block + b with block ~ sqrt(n) factors
-    the ramp into coarse[a] * fine[b] for each k: 2 sqrt(n) complex exps
-    per wavenumber instead of n, plus one multiply over the whole ramp.
+
+def _phase_ramp(scale, start, spacing, n, k, q_axis):
+    """(coarse, fine) of exp(1j scale q k) on q = start + spacing arange(n).
+
+    n is a power of two, as GridState guarantees.  Writing the index of q
+    as a * block + b with block = ``_block(n)`` factors the ramp into
+    coarse[a] * fine[b] for each k: 2 sqrt(n) complex exps per wavenumber
+    instead of n.  coarse[a] * fine is block a, q along ``q_axis``.
     """
-    block = 1 << (n.bit_length() // 2)
+    block = _block(n)
     sk = scale * k
-    coarse_q = start + spacing * np.arange(0, n, block)
+    coarse = np.exp(1j * np.multiply.outer(
+        start + spacing * np.arange(0, n, block), sk))
     fine_q = spacing * np.arange(block)
     if q_axis == 0:
-        ramp = (np.exp(1j * np.multiply.outer(coarse_q, sk))[:, None, :]
-                * np.exp(1j * np.multiply.outer(fine_q, sk))[None, :, :])
-        return ramp.reshape(n, -1)
-    ramp = (np.exp(1j * np.multiply.outer(sk, coarse_q))[:, :, None]
-            * np.exp(1j * np.multiply.outer(sk, fine_q))[:, None, :])
-    return ramp.reshape(-1, n)
+        return coarse, np.exp(1j * np.multiply.outer(fine_q, sk))
+    return coarse[:, :, None], np.exp(1j * np.multiply.outer(sk, fine_q))
 
 
 def _shear_ramp(grid, step):
-    """(FFT axis, ramp exp(-i s theta q_other k_moved) of shape (nx, ny))."""
+    """(FFT axis, coarse, fine): exp(-i s theta q_other k_moved), factored."""
     moved, sign = step.axes
     other = 1 - moved
-    return moved - 2, _phase_ramp(
+    return (moved - 2, *_phase_ramp(
         -sign * step.theta, -grid.lx, (grid.dx, grid.dy)[other],
-        (grid.nx, grid.ny)[other], grid.ky if moved else grid.kx, q_axis=other)
+        (grid.nx, grid.ny)[other], grid.ky if moved else grid.kx, other))
+
+
+def _shear_field(field, shears):
+    """Shear field in place, one ramp block at a time, with no guards."""
+    for axis, coarse, fine in shears:
+        np.fft.fft(field, axis=axis, out=field)
+        for block, part in zip(np.split(field, len(coarse), axis=-1 - axis),
+                               coarse):
+            block *= part * fine
+        np.fft.ifft(field, axis=axis, out=field)
+    return field
 
 
 def _wrap_guard(density, grid, step):
@@ -344,41 +357,40 @@ def _wrap_guard(density, grid, step):
             f"{abs(step.theta) * reach:.3g} across a box of span {span:.3g}")
 
 
-def _shear_stack(fields, grid, steps):
-    """Shear a writable (m, nx, ny) stack in place, step by step.
+def _guarded_shear(psi, grid, steps):
+    """Shear psi in place step by step, guarding the box at every step.
 
-    Every field goes through the same ramp and one FFT pair per step.  The
-    guards read fields[0] alone, which must be psi: the wrap guard before
-    each step, the boundary-mass guard after it.  Every transform writes
-    into the stack it reads, so only the ramp and psi's density are
-    allocated per step.
+    The wrap guard reads psi before each step, the boundary-mass guard
+    after it.  Returns each step's ``_shear_ramp``, for ``_shear_field`` to
+    replay on auxiliary fields, and the largest shell mass after any step.
     """
-    density = _density(fields[0], grid)
+    density = _density(psi, grid.cell_area)
+    shears, peak_mass = [], 0.0
     for step in steps:
-        axis, ramp = _shear_ramp(grid, step)
+        shears.append(_shear_ramp(grid, step))
         _wrap_guard(density, grid, step)
-        np.fft.fft(fields, axis=axis, out=fields)
-        fields *= ramp
-        del ramp  # free it before the next step builds its own
-        np.fft.ifft(fields, axis=axis, out=fields)
-        density = _density(fields[0], grid)
+        del density  # free it before the step's own is built
+        _shear_field(psi, shears[-1:])
+        density = _density(psi, grid.cell_area)
         mass = _shell_mass(density, grid)
         if mass > BOUNDARY_THRESHOLD:
             raise BoundaryMassError(
                 f"after shear {step.kind} theta={step.theta}: boundary mass "
                 f"{mass:.3e} exceeds {BOUNDARY_THRESHOLD:.3e}")
-    return fields
+        peak_mass = max(peak_mass, mass)
+    return shears, peak_mass
 
 
 def apply_steps(state, steps):
     """Apply a shear sequence with wrap and boundary guards at every step."""
-    fields = _shear_stack(state.amplitudes[None].copy(), state, steps)
-    return GridState(state.lx, fields[0])
+    psi = state.amplitudes.copy()
+    _guarded_shear(psi, state, steps)
+    return GridState(state.lx, psi)
 
 
-def _spectral_p(raw, k, axis):
+def _spectral_p(raw, k, axis, out=None):
     """Momentum operator -i d/dq along ``axis``; k broadcasts against raw."""
-    spec = np.fft.fft(raw, axis=axis)
+    spec = np.fft.fft(raw, axis=axis, out=out)
     spec *= k
     return np.fft.ifft(spec, axis=axis, out=spec)
 
@@ -393,37 +405,41 @@ def _sq_norm(raw):
     return float(np.sum(np.einsum("ij,ij->i", flat, flat)))
 
 
+class WindowPass(NamedTuple):
+    """Figures of one pass through the window, hbar = 1."""
+
+    epsilon: float
+    eta: float
+    readout: np.ndarray       # |U psi|^2 dA summed over x, along y
+    boundary_mass_max: float  # largest guard-shell mass after any step
+    norm_drift: float         # | ||U psi|| - 1 |
+
+
 def window_pass(state, steps):
-    """(epsilon, eta, readout) from one pass through the window, hbar = 1.
+    """``WindowPass`` of one pass through the window, hbar = 1.
 
     epsilon^2 integrates |y U psi - U x psi|^2: the pointer readout after
     the window against the position it was meant to record.  eta^2
     integrates |p_x U psi - U p_x psi|^2, evaluated along k_x by Parseval.
-    The auxiliary fields x psi and p_x psi ride through the same shears as
-    psi itself, as one stack.  readout is |U psi|^2 dA summed over x.
+    x psi and then p_x psi replay psi's ramps, unguarded, in one buffer.
     """
-    raw = state.amplitudes
-    # p_x psi sits next to psi so that fields[:2] is one block for the
-    # final transform along x.
-    fields = np.empty((3, state.nx, state.ny), dtype=complex)
-    fields[0] = raw
-    fields[1] = _spectral_p(raw, state.kx[:, None], axis=0)
-    np.multiply(state.x[:, None], raw, out=fields[2])
-    fields = _shear_stack(fields, state, steps)
-    u_psi = fields[0]
-    _check_amplitudes(u_psi, state.cell_area)
-    readout = _density(u_psi, state).sum(axis=0)  # before fft overwrites it
-
-    noise_field = fields[2]
-    noise_field -= state.y[None, :] * u_psi
+    raw, y = state.amplitudes, state.y
+    u_psi = raw.copy()
+    shears, peak_mass = _guarded_shear(u_psi, state, steps)
+    drift = _check_amplitudes(u_psi, state.cell_area)
+    readout = _density(u_psi, state.cell_area).sum(axis=0)
+    noise_field = _shear_field(state.x[:, None] * raw, shears)
+    block = _block(state.nx)
+    for a in range(0, state.nx, block):
+        noise_field[a:a + block] -= y * u_psi[a:a + block]
     epsilon = math.sqrt(_sq_norm(noise_field) * state.cell_area)
-
-    spectra = np.fft.fft(fields[:2], axis=1, out=fields[:2])
-    dist_spectrum = spectra[0]
+    u_px_psi = _shear_field(_spectral_p(
+        raw, state.kx[:, None], axis=0, out=noise_field), shears)
+    dist_spectrum = np.fft.fft(u_psi, axis=0, out=u_psi)
     dist_spectrum *= state.kx[:, None]
-    dist_spectrum -= spectra[1]
+    dist_spectrum -= np.fft.fft(u_px_psi, axis=0, out=u_px_psi)
     eta = math.sqrt(_sq_norm(dist_spectrum) / state.nx * state.cell_area)
-    return epsilon, eta, readout
+    return WindowPass(epsilon, eta, readout, peak_mass, drift)
 
 
 def grid_noise_disturbance(state, steps):
@@ -434,20 +450,21 @@ def grid_noise_disturbance(state, steps):
 def grid_moments(state):
     """Mean vector and covariance over (x, p_x, y, p_y), hbar = 1.
 
-    psi, x psi, p_x psi, y psi and p_y psi share one stack; the real Gram
-    matrix of its float view is Re <f_i, f_j> exactly.  Row 0 gives the means, and
-    centering is algebraic: Re <f_i - m_i psi, f_j - m_j psi>
-    = G_ij - m_i m_j (2 - G_00) once G is scaled by the cell area.
+    psi, x psi, p_x psi, y psi and p_y psi share one stack per row block;
+    the real Gram matrix of its float view, summed over blocks, is
+    Re <f_i, f_j>.  Row 0 gives the means, and centering is algebraic:
+    Re <f_i - m_i psi, f_j - m_j psi> = G_ij - m_i m_j (2 - G_00) once G is
+    scaled by the cell area.
     """
-    raw = state.amplitudes
-    fields = np.empty((5, state.nx, state.ny), dtype=complex)
-    fields[0] = raw
-    np.multiply(state.x[:, None], raw, out=fields[1])
-    fields[2] = _spectral_p(raw, state.kx[:, None], axis=0)
-    np.multiply(state.y[None, :], raw, out=fields[3])
-    fields[4] = _spectral_p(raw, state.ky[None, :], axis=1)
-    flat = fields.view(float).reshape(5, -1)
-    gram = flat @ flat.T
+    raw, x, y, ky = state.amplitudes, state.x, state.y, state.ky
+    p_x = _spectral_p(raw, state.kx[:, None], axis=0)
+    gram, block = np.zeros((5, 5)), _block(state.nx)
+    for rows in (slice(a, a + block) for a in range(0, state.nx, block)):
+        psi = raw[rows]
+        fields = np.stack([psi, x[rows, None] * psi, p_x[rows], y * psi,
+                           _spectral_p(psi, ky, axis=1)])
+        flat = fields.view(float).reshape(5, -1)
+        gram += flat @ flat.T
     gram = 0.5 * (gram + gram.T) * state.cell_area
     mean = gram[0, 1:]
     cov = gram[1:, 1:] - (2.0 - gram[0, 0]) * np.outer(mean, mean)
@@ -458,7 +475,7 @@ def position_marginal(state, axis=0):
     """(coordinates, probability masses) along x (axis 0) or y (axis 1)."""
     if axis not in (0, 1):
         raise ValueError("axis must be 0 (x) or 1 (y)")
-    masses = _density(state.amplitudes, state).sum(axis=1 - axis)
+    masses = _density(state.amplitudes, state.cell_area).sum(axis=1 - axis)
     coords = state.x if axis == 0 else state.y
     return coords, masses
 

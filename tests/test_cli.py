@@ -550,6 +550,30 @@ class TestRunCommand:
         assert values["product_meets_bound"] is False
         assert values["tradeoff_meets_bound"] is True
 
+    @pytest.mark.parametrize("noise, failing", [(None, []),
+                                                (0.005, ["epsilon_zero"])])
+    def test_si_scale_noise_is_judged_at_the_preparation_size(self, noise,
+                                                             failing):
+        # A noise operator of 0.005 x reads epsilon = 5e-13, half a percent
+        # of sigma_x = 1e-10: noise at the preparation's own scale, which a
+        # slack floored at exact * 1 would pass.  The noiseless model's
+        # epsilon, about 1e-27, is rounding at that scale and passes.
+        sc = scenarios.parse_scenario({
+            "name": "si-noise", "model": "noiseless",
+            "hbar": 1.054571817e-34, "checks": ["verdict"],
+            "object": {"sigma_x": 1.0e-10, "sigma_p": 1.0e-24},
+            "probe": {"sigma_x": 1.0e-11, "sigma_p": 1.0e-23}})
+        model = sc.model
+        if noise is not None:
+            model = _with(model, "noise_operator", LinearObservable(
+                model.system, noise * model.measured.coeffs))
+        sc = dataclasses.replace(sc, model=model)
+        conditions = cli._verdict_check(
+            sc, scenarios.DEFAULT_TOLERANCES)["conditions"]
+        assert [name for name in conditions if not conditions[name]] == failing
+        report, _ = run_scenario(sc)
+        assert report["checks"]["verdict"]["passed"] == (not failing)
+
     def test_json_format_parses(self, tmp_path, capsys):
         path = _write(tmp_path, FAST_VERDICT)
         assert main(["run", path, "--format", "json"]) == 0
@@ -573,13 +597,13 @@ def test_grid_crosscheck_shears_once(monkeypatch, name):
     # The noiseless readout histogram comes off the epsilon/eta pass.
     scenario = scenarios.load_bundled(name)
     calls = []
-    shear = grid._shear_stack
+    shear = grid._guarded_shear
 
     def counting(*args):
         calls.append(args)
         return shear(*args)
 
-    monkeypatch.setattr(grid, "_shear_stack", counting)
+    monkeypatch.setattr(grid, "_guarded_shear", counting)
     report, _ = run_scenario(scenario)
     assert report["checks"]["grid_crosscheck"]["passed"]
     assert len(calls) == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,14 +254,21 @@ class TestStackedEngine:
     @pytest.mark.parametrize("theta", [1.0, 0.37, -2.5])
     def test_factored_ramp_matches_direct_exp(self, shape, theta):
         box = _flat_grid(*shape)
-        axis, ramp = grid._shear_ramp(box, ShearStep("x_py", theta))
+        axis, ramp = self._assembled(box, ShearStep("x_py", theta))
         direct = np.exp(-1j * theta * np.outer(box.x, box.ky))
         assert axis == -1
         assert np.max(np.abs(ramp - direct)) <= 1e-12
-        axis, ramp = grid._shear_ramp(box, ShearStep("px_y", theta))
+        axis, ramp = self._assembled(box, ShearStep("px_y", theta))
         direct = np.exp(1j * theta * np.outer(box.kx, box.y))
         assert axis == -2
         assert np.max(np.abs(ramp - direct)) <= 1e-12
+
+    @staticmethod
+    def _assembled(box, step):
+        """(FFT axis, the ramp joined from the blocks the shear multiplies)."""
+        axis, coarse, fine = grid._shear_ramp(box, step)
+        return axis, np.concatenate([part * fine for part in coarse],
+                                    axis=-1 - axis)
 
     def test_input_amplitudes_untouched(self):
         rng = np.random.default_rng(50)
@@ -413,11 +421,95 @@ class TestWindowPass:
     def test_readout_and_figures_match_the_references(self, steps, obj):
         state = init_grid(_OBJECTS[obj], _PURE, nx=N, ny=N)
         edges = np.linspace(-state.lx, state.lx, 129)
-        epsilon, eta, readout = window_pass(state, steps)
+        epsilon, eta, readout = window_pass(state, steps)[:3]
         hist, _ = np.histogram(state.y, bins=edges, weights=readout)
         reference = output_histogram(state, steps, edges)
         assert hist.tobytes() == reference.tobytes()
         assert grid_noise_disturbance(state, steps) == (epsilon, eta)
+
+    @pytest.mark.parametrize("steps", [NOISELESS_STEPS, VON_NEUMANN_STEPS],
+                             ids=["noiseless", "von-neumann"])
+    def test_diagnostics_match_the_sheared_states(self, steps):
+        # The largest shell mass over the steps is the boundary mass of
+        # some prefix of the shears, and the norm drift is U psi's.
+        state = init_grid(_OBJECTS["two-packets"], _PURE, nx=N, ny=N)
+        passed = window_pass(state, steps)
+        sheared = [apply_steps(state, steps[:k])
+                   for k in range(1, len(steps) + 1)]
+        assert passed.boundary_mass_max == max(map(boundary_mass, sheared))
+        assert passed.boundary_mass_max <= grid.BOUNDARY_THRESHOLD
+        out = sheared[-1].amplitudes
+        norm = math.sqrt(float(np.vdot(out, out).real) * state.cell_area)
+        assert passed.norm_drift == abs(norm - 1.0) <= 1e-12
+
+
+def _gram_moments(state):
+    """``grid_moments`` from one whole (5, nx, ny) stack: its reference."""
+    raw = state.amplitudes
+    fields = np.stack([raw, state.x[:, None] * raw,
+                       grid._spectral_p(raw, state.kx[:, None], axis=0),
+                       state.y * raw, grid._spectral_p(raw, state.ky, axis=1)])
+    flat = fields.view(float).reshape(5, -1)
+    gram = flat @ flat.T
+    gram = 0.5 * (gram + gram.T) * state.cell_area
+    mean = gram[0, 1:]
+    return mean, gram[1:, 1:] - (2.0 - gram[0, 0]) * np.outer(mean, mean)
+
+
+class TestGridMoments:
+    @pytest.mark.parametrize("name", ["pure", "correlated", "bimodal",
+                                      "256x512"])
+    def test_row_blocks_match_the_whole_stack(self, name):
+        correlated = GaussianSpec(0.9, 0.5 / (0.9 * math.sqrt(1.0 - 0.16)),
+                                  mean_x=0.4, mean_p=-0.3, correlation=0.4)
+        state = {
+            "pure": lambda: init_grid([(1.0, _PURE)], _PURE, nx=N, ny=N),
+            "correlated": lambda: init_grid([(1.0, correlated)], _PURE,
+                                            nx=N, ny=N),
+            "bimodal": lambda: init_grid(_OBJECTS["two-packets"], _PURE,
+                                         nx=N, ny=N),
+            "256x512": lambda: init_grid(_OBJECTS["one-packet"], correlated,
+                                         nx=256, ny=512),
+        }[name]()
+        mean, cov = grid_moments(state)
+        ref_mean, ref_cov = _gram_moments(state)
+        scale = max(1.0, np.max(np.abs(ref_mean)), np.max(np.abs(ref_cov)))
+        assert np.max(np.abs(mean - ref_mean)) <= 1e-14 * scale
+        assert np.max(np.abs(cov - ref_cov)) <= 1e-14 * scale
+
+
+class TestMemoryBudget:
+    # One complex field at 512^2 is 4 MiB.  Each call may hold at most 2.5
+    # of them beyond its input state; init_grid's count includes the state
+    # it returns.  tracemalloc sees numpy's array buffers, not the FFT's
+    # per-line scratch.
+    FIELD = 16 * 512 * 512
+
+    @pytest.mark.parametrize("call", [
+        "init_grid", "grid_moments", "window_pass", "apply_steps",
+        "output_histogram", "position_marginal"])
+    def test_peak_stays_within_two_and_a_half_fields(self, call):
+        def build():
+            return init_grid(_OBJECTS["two-packets"], _PURE, nx=512, ny=512)
+
+        state = build()
+        edges = np.linspace(-state.lx, state.lx, 129)
+        run = {
+            "init_grid": build,
+            "grid_moments": lambda: grid_moments(state),
+            "window_pass": lambda: window_pass(state, NOISELESS_STEPS),
+            "apply_steps": lambda: apply_steps(state, NOISELESS_STEPS),
+            "output_histogram": lambda: output_histogram(
+                state, NOISELESS_STEPS, edges),
+            "position_marginal": lambda: position_marginal(state, axis=1),
+        }[call]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * self.FIELD, f"{peak / self.FIELD:.2f} fields"
 
 
 class TestHistogram:
