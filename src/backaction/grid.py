@@ -16,8 +16,18 @@ acceptance evidence that the symplectic bookkeeping means what it claims.
 turn in one second buffer, so no call holds over 2.5 complex fields beyond
 its input.  Each ramp exp(-i theta q k) factors over ~sqrt(n) coarse and
 fine parts of the q index (O(n^1.5) complex exps, not n^2) and is applied
-one such block of q at a time.  The disturbance field is integrated along
-k_x by Parseval, and ``grid_moments`` sums its Gram matrix over row blocks.
+one such block of q at a time.  When the first shear transforms along x,
+p_x psi enters it as k_x F_x psi, with no inverse and forward FFT between.
+The disturbance field is integrated along k_x by Parseval.  ``grid_moments``
+sums each entry of its Gram matrix from the row dot products of two fields,
+one row block at a time.
+
+Every field that takes an FFT along x is made by ``_field``, in rows of
+ny + 1 elements viewed as their first ny.  With rows a power of two apart,
+every element of a column falls in the same few cache sets, and an FFT
+along x costs about twice one along y; the padding changes no value.  The
+state ``init_grid`` returns stays compact, as numpy's elementwise passes
+run slower on padded rows.
 
 Everything here works in hbar = 1 units; rescale momenta on the way in
 (``unit_hbar_spec``) and multiply eta by hbar on the way out.
@@ -117,6 +127,8 @@ class GridState:
         if arr.ndim != 2 or any(n < 16 or n & (n - 1) for n in arr.shape):
             raise ValueError("amplitudes must be 2-D with each side a power "
                              f"of two >= 16, got shape {arr.shape}")
+        if arr.strides[1] != arr.itemsize:  # rows must have float views
+            arr = arr.copy()
         object.__setattr__(self, "amplitudes", arr)
         _check_amplitudes(arr, self.cell_area)
         arr.setflags(write=False)
@@ -152,7 +164,7 @@ class GridState:
 
 def _check_amplitudes(raw, cell_area):
     """Return |norm - 1|, refusing non-finite or unnormalized amplitudes."""
-    norm_sq = float(np.vdot(raw, raw).real)
+    norm_sq = _sq_norm(raw)
     if not math.isfinite(norm_sq) and not np.all(np.isfinite(raw)):
         raise ValueError("amplitudes contain non-finite entries")
     norm = math.sqrt(norm_sq * cell_area)
@@ -184,14 +196,6 @@ def _pure_packet(coords, spec, name):
     return np.exp(-alpha * shifted ** 2 + 1j * spec.mean_p * shifted)
 
 
-def _boundary_mask(n):
-    shell = max(1, int(round(BOUNDARY_SHELL * n)))
-    mask = np.zeros(n, dtype=bool)
-    mask[:shell] = True
-    mask[-shell:] = True
-    return mask
-
-
 def _density(raw, cell_area):
     """Probability mass per grid cell, |raw|^2 dA, in one buffer."""
     density = np.abs(raw)
@@ -202,13 +206,15 @@ def _density(raw, cell_area):
 
 def boundary_mass(state):
     """Probability mass inside the guard shell along either axis."""
-    return _shell_mass(_density(state.amplitudes, state.cell_area), state)
+    return _shell_mass(_density(state.amplitudes, state.cell_area))
 
 
-def _shell_mass(density, grid):
-    shell = np.logical_or.outer(_boundary_mask(grid.nx),
-                                _boundary_mask(grid.ny))
-    return float(np.sum(density[shell]))
+def _shell_mass(density):
+    """Mass in the shell rows, plus the shell columns of the other rows."""
+    sx, sy = (max(1, int(round(BOUNDARY_SHELL * n))) for n in density.shape)
+    inner = density[sx:-sx]
+    return float(density[:sx].sum() + density[-sx:].sum()
+                 + inner[:, :sy].sum() + inner[:, -sy:].sum())
 
 
 def auto_half_width(object_specs, probe_spec, n):
@@ -333,10 +339,22 @@ def _shear_ramp(grid, step):
         (grid.nx, grid.ny)[other], grid.ky if moved else grid.kx, other))
 
 
-def _shear_field(field, shears):
-    """Shear field in place, one ramp block at a time, with no guards."""
-    for axis, coarse, fine in shears:
-        np.fft.fft(field, axis=axis, out=field)
+def _field(raw, scale=None):
+    """raw, or scale * raw, in a new field whose rows lie ny + 1 apart."""
+    nx, ny = raw.shape
+    field = np.empty((nx, ny + 1), dtype=complex)[:, :ny]
+    if scale is None:
+        field[...] = raw
+        return field
+    return np.multiply(scale, raw, out=field)
+
+
+def _shear_field(field, shears, transformed=False):
+    """Shear field in place, one ramp block at a time, with no guards; a
+    ``transformed`` field holds its FFT along the first shear's axis."""
+    for k, (axis, coarse, fine) in enumerate(shears):
+        if k or not transformed:
+            np.fft.fft(field, axis=axis, out=field)
         for block, part in zip(np.split(field, len(coarse), axis=-1 - axis),
                                coarse):
             block *= part * fine
@@ -372,7 +390,7 @@ def _guarded_shear(psi, grid, steps):
         del density  # free it before the step's own is built
         _shear_field(psi, shears[-1:])
         density = _density(psi, grid.cell_area)
-        mass = _shell_mass(density, grid)
+        mass = _shell_mass(density)
         if mass > BOUNDARY_THRESHOLD:
             raise BoundaryMassError(
                 f"after shear {step.kind} theta={step.theta}: boundary mass "
@@ -383,7 +401,7 @@ def _guarded_shear(psi, grid, steps):
 
 def apply_steps(state, steps):
     """Apply a shear sequence with wrap and boundary guards at every step."""
-    psi = state.amplitudes.copy()
+    psi = _field(state.amplitudes)
     _guarded_shear(psi, state, steps)
     return GridState(state.lx, psi)
 
@@ -423,20 +441,26 @@ def window_pass(state, steps):
     integrates |p_x U psi - U p_x psi|^2, evaluated along k_x by Parseval.
     x psi and then p_x psi replay psi's ramps, unguarded, in one buffer.
     """
-    raw, y = state.amplitudes, state.y
-    u_psi = raw.copy()
+    raw, y, kx = state.amplitudes, state.y, state.kx[:, None]
+    u_psi = _field(raw)
     shears, peak_mass = _guarded_shear(u_psi, state, steps)
     drift = _check_amplitudes(u_psi, state.cell_area)
     readout = _density(u_psi, state.cell_area).sum(axis=0)
-    noise_field = _shear_field(state.x[:, None] * raw, shears)
+    noise_field = _shear_field(_field(raw, state.x[:, None]), shears)
     block = _block(state.nx)
     for a in range(0, state.nx, block):
         noise_field[a:a + block] -= y * u_psi[a:a + block]
     epsilon = math.sqrt(_sq_norm(noise_field) * state.cell_area)
-    u_px_psi = _shear_field(_spectral_p(
-        raw, state.kx[:, None], axis=0, out=noise_field), shears)
+    u_px_psi = noise_field  # p_x psi, kept as k_x F_x psi for an x shear
+    u_px_psi[...] = raw
+    np.fft.fft(u_px_psi, axis=0, out=u_px_psi)
+    u_px_psi *= kx
+    reuse = bool(shears) and shears[0][0] == -2
+    if not reuse:
+        np.fft.ifft(u_px_psi, axis=0, out=u_px_psi)
+    _shear_field(u_px_psi, shears, transformed=reuse)
     dist_spectrum = np.fft.fft(u_psi, axis=0, out=u_psi)
-    dist_spectrum *= state.kx[:, None]
+    dist_spectrum *= kx
     dist_spectrum -= np.fft.fft(u_px_psi, axis=0, out=u_px_psi)
     eta = math.sqrt(_sq_norm(dist_spectrum) / state.nx * state.cell_area)
     return WindowPass(epsilon, eta, readout, peak_mass, drift)
@@ -450,22 +474,25 @@ def grid_noise_disturbance(state, steps):
 def grid_moments(state):
     """Mean vector and covariance over (x, p_x, y, p_y), hbar = 1.
 
-    psi, x psi, p_x psi, y psi and p_y psi share one stack per row block;
-    the real Gram matrix of its float view, summed over blocks, is
-    Re <f_i, f_j>.  Row 0 gives the means, and centering is algebraic:
-    Re <f_i - m_i psi, f_j - m_j psi> = G_ij - m_i m_j (2 - G_00) once G is
-    scaled by the cell area.
+    psi, x psi, p_x psi, y psi and p_y psi are formed one row block at a
+    time, and each entry of the real Gram matrix Re <f_i, f_j> is the sum
+    of their row dot products.  Row 0 gives the means, and centering is
+    algebraic: Re <f_i - m_i psi, f_j - m_j psi> = G_ij - m_i m_j (2 - G_00)
+    once G is scaled by the cell area.
     """
     raw, x, y, ky = state.amplitudes, state.x, state.y, state.ky
-    p_x = _spectral_p(raw, state.kx[:, None], axis=0)
-    gram, block = np.zeros((5, 5)), _block(state.nx)
+    p_x = _field(raw)
+    _spectral_p(p_x, state.kx[:, None], axis=0, out=p_x)
+    dots, block = np.zeros((5, 5, state.nx)), _block(state.nx)
     for rows in (slice(a, a + block) for a in range(0, state.nx, block)):
         psi = raw[rows]
-        fields = np.stack([psi, x[rows, None] * psi, p_x[rows], y * psi,
-                           _spectral_p(psi, ky, axis=1)])
-        flat = fields.view(float).reshape(5, -1)
-        gram += flat @ flat.T
-    gram = 0.5 * (gram + gram.T) * state.cell_area
+        flat = [f.view(float) for f in (
+            psi, x[rows, None] * psi, p_x[rows], y * psi,
+            _spectral_p(psi, ky, axis=1))]
+        for i, j in zip(*np.triu_indices(5)):
+            np.einsum("ij,ij->i", flat[i], flat[j], out=dots[i, j, rows])
+    gram = dots.sum(axis=-1)
+    gram = (gram + np.triu(gram, 1).T) * state.cell_area
     mean = gram[0, 1:]
     cov = gram[1:, 1:] - (2.0 - gram[0, 0]) * np.outer(mean, mean)
     return mean, cov

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -166,7 +167,8 @@ def _positive(mapping, key, context, default=None, required=False):
     return value
 
 
-def _integer(mapping, key, context, default=None, minimum=None):
+def _integer(mapping, key, context, default=None, minimum=None,
+             maximum=None):
     if key not in mapping:
         return default
     value = mapping[key]
@@ -174,6 +176,8 @@ def _integer(mapping, key, context, default=None, minimum=None):
         raise ConfigError(f"{context}: {key!r} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{context}: {key!r} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{context}: {key!r} must be <= {maximum}, got {value}")
     return value
 
 
@@ -190,12 +194,13 @@ def _gaussian_spec(mapping, context, hbar, saturate_sigma_p=False):
         sigma_p = hbar / (2.0 * sigma_x * math.sqrt(1.0 - correlation ** 2))
     else:
         sigma_p = _positive(mapping, "sigma_p", context, required=True)
-    return GaussianSpec(
-        sigma_x=sigma_x,
-        sigma_p=sigma_p,
-        mean_x=_number(mapping, "mean_x", context, default=0.0),
-        mean_p=_number(mapping, "mean_p", context, default=0.0),
-        correlation=correlation)
+    mean_x = _number(mapping, "mean_x", context, default=0.0)
+    mean_p = _number(mapping, "mean_p", context, default=0.0)
+    # At an extreme sigma_x the saturating sigma_p overflows to inf or
+    # underflows to zero, and GaussianSpec refuses it.
+    with _refused_as(context):
+        return GaussianSpec(sigma_x=sigma_x, sigma_p=sigma_p, mean_x=mean_x,
+                            mean_p=mean_p, correlation=correlation)
 
 
 def _object_prep(node, context, hbar):
@@ -369,8 +374,10 @@ def parse_scenario(mapping, source="scenario"):
 
     born_node = _require_mapping(mapping.get("born", {}), f"{source}.born")
     _check_keys(born_node, ("samples",), f"{source}.born")
+    # numpy cannot shape an array of more than sys.maxsize elements.
     born_samples = _integer(born_node, "samples", f"{source}.born",
-                            default=Scenario.born_samples, minimum=10)
+                            default=Scenario.born_samples, minimum=10,
+                            maximum=sys.maxsize)
 
     tolerances = _tolerances(mapping.get("tolerances", {}),
                              f"{source}.tolerances")

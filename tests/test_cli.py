@@ -121,6 +121,17 @@ GRID = """\
 
 PACKET = "{sigma_x: 1, sigma_p: 0.5}"
 
+# A superposition whose first component takes the saturating sigma_p.
+SATURATED = """\
+name: saturated
+model: noiseless
+checks: [grid_crosscheck]
+object:
+  kind: superposition
+  components: [{{sigma_x: {sigma_x}, mean_x: -3.0}}, {{sigma_x: 0.6, mean_x: 3.0}}]
+probe: {{sigma_x: 0.5, sigma_p: 1.0}}
+"""
+
 
 class TestListCommand:
     def test_lists_bundled_names(self, capsys):
@@ -347,6 +358,18 @@ class TestRunCommand:
          "not valid YAML (duplicate key 'checks' at line 3, column 1)"),
         (FAST_VERDICT.replace("sigma_p: 0.5}", "sigma_p: 0.5, sigma_p: 0.01}"),
          "not valid YAML (duplicate key 'sigma_p' at line 4, column"),
+        # A component's saturating sigma_p overflows to inf, or underflows
+        # to zero, at an extreme sigma_x.
+        (SATURATED.format(sigma_x="1.0e-320"),
+         ".object.components[0]: sigma_p must be finite"),
+        (SATURATED.format(sigma_x="1.0e+308"),
+         ".object.components[0]: spreads must be positive"),
+        # More samples than numpy can shape, refused before any is drawn.
+        ("name: huge-born\nmodel: noiseless\nchecks: [born]\n"
+         f"object: {PACKET}\nprobe: {{sigma_x: 0.5, sigma_p: 1.0}}\n"
+         "born: {samples: 1000000000000000000000000}\n",
+         ".born: 'samples' must be <= 9223372036854775807, got "
+         "1000000000000000000000000"),
     ], ids=["huge-spread", "huge-mean", "box", "sharpen-momentum-513",
             "sharpen-pointer-513", "sharpen-momentum-1075",
             "sharpen-pointer-1075", "invalid-yaml", "vanished", "tight-box",
@@ -359,7 +382,8 @@ class TestRunCommand:
             "unhashable-check", "unhashable-sweep-kind", "listed-model",
             "custom-born", "custom-realization", "custom-limit-sweep",
             "custom-grid-crosscheck", "tiny-hbar-object", "tiny-hbar-x-px",
-            "duplicate-key", "duplicate-nested-key"])
+            "duplicate-key", "duplicate-nested-key", "saturated-tiny-sigma-x",
+            "saturated-huge-sigma-x", "born-samples-beyond-numpy"])
     def test_unrunnable_input_exits_two(self, tmp_path, capsys, body, where):
         path = _write(tmp_path, body)
         assert where in _exits_two(capsys, ["run", path])

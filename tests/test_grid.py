@@ -74,6 +74,13 @@ class TestGridStateValidation:
         state = GridState(1.0, np.full((16, 16), 0.5))
         assert state.amplitudes.dtype == complex
 
+    def test_rows_are_made_contiguous(self):
+        # Row sums read each row as floats, so a transposed array is copied.
+        amp = np.full((16, 32), 0.5, dtype=complex)
+        state = GridState(1.0, amp.T)
+        assert state.amplitudes.strides[1] == state.amplitudes.itemsize
+        assert state.amplitudes.tobytes() == amp.T.tobytes()
+
     def test_amplitudes_read_only(self):
         rng = np.random.default_rng(0)
         state = _default_grid(rng)
@@ -431,7 +438,8 @@ class TestWindowPass:
                              ids=["noiseless", "von-neumann"])
     def test_diagnostics_match_the_sheared_states(self, steps):
         # The largest shell mass over the steps is the boundary mass of
-        # some prefix of the shears, and the norm drift is U psi's.
+        # some prefix of the shears, and the norm drift is U psi's, summed
+        # as GridState sums it.
         state = init_grid(_OBJECTS["two-packets"], _PURE, nx=N, ny=N)
         passed = window_pass(state, steps)
         sheared = [apply_steps(state, steps[:k])
@@ -439,7 +447,7 @@ class TestWindowPass:
         assert passed.boundary_mass_max == max(map(boundary_mass, sheared))
         assert passed.boundary_mass_max <= grid.BOUNDARY_THRESHOLD
         out = sheared[-1].amplitudes
-        norm = math.sqrt(float(np.vdot(out, out).real) * state.cell_area)
+        norm = math.sqrt(grid._sq_norm(out) * state.cell_area)
         assert passed.norm_drift == abs(norm - 1.0) <= 1e-12
 
 
@@ -476,6 +484,66 @@ class TestGridMoments:
         scale = max(1.0, np.max(np.abs(ref_mean)), np.max(np.abs(ref_cov)))
         assert np.max(np.abs(mean - ref_mean)) <= 1e-14 * scale
         assert np.max(np.abs(cov - ref_cov)) <= 1e-14 * scale
+
+
+def _explicit_eta(state, steps):
+    """eta with p_x psi formed in position space and then sheared whole:
+    the path ``window_pass`` shortens when the first shear runs along x."""
+    raw, kx = state.amplitudes, state.kx[:, None]
+    shears = [grid._shear_ramp(state, step) for step in steps]
+    u_psi = grid._shear_field(raw.copy(), shears)
+    u_px_psi = grid._shear_field(grid._spectral_p(raw, kx, axis=0), shears)
+    spectrum = np.fft.fft(u_psi, axis=0) * kx - np.fft.fft(u_px_psi, axis=0)
+    return math.sqrt(grid._sq_norm(spectrum) / state.nx * state.cell_area)
+
+
+class TestPaddedLayout:
+    @pytest.mark.parametrize("shape", [(N, N), (N, 2 * N), (2 * N, N)])
+    @pytest.mark.parametrize("obj", sorted(_OBJECTS))
+    def test_compact_and_padded_states_agree_to_the_bit(self, shape, obj):
+        nx, ny = shape
+        padded = apply_steps(init_grid(_OBJECTS[obj], _PURE, nx=nx, ny=ny),
+                             ())
+        compact = GridState(padded.lx, padded.amplitudes.copy())
+        assert padded.amplitudes.strides[0] == 16 * (ny + 1)
+        assert compact.amplitudes.strides[0] == 16 * ny
+        for steps in (NOISELESS_STEPS, VON_NEUMANN_STEPS):
+            got = window_pass(padded, steps)
+            want = window_pass(compact, steps)
+            for name, a, b in zip(want._fields, want, got):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+            assert (apply_steps(padded, steps).amplitudes.tobytes()
+                    == apply_steps(compact, steps).amplitudes.tobytes())
+        for a, b in zip(grid_moments(compact), grid_moments(padded)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("theta", [1.0, 0.37, -1.3])
+    @pytest.mark.parametrize("x_first", [True, False],
+                             ids=["px_y-first", "x_py-first"])
+    def test_reused_spectrum_matches_the_explicit_path(self, theta, x_first):
+        steps = (ShearStep("px_y", theta), ShearStep("x_py", theta))
+        steps = steps if x_first else steps[::-1]
+        state = init_grid(_OBJECTS["one-packet"], _PURE, nx=N, ny=N)
+        eta, reference = window_pass(state, steps).eta, _explicit_eta(
+            state, steps)
+        assert abs(eta - reference) <= 1e-14 * max(1.0, reference)
+
+    def test_sheared_rows_are_not_a_power_of_two_apart(self):
+        state = init_grid(_OBJECTS["two-packets"], _PURE, nx=N, ny=N)
+        out = apply_steps(state, NOISELESS_STEPS).amplitudes
+        stride = out.strides[0] // out.itemsize
+        assert stride > out.shape[1] and stride & (stride - 1)
+
+    @pytest.mark.parametrize("shape", [(16, 64), (64, 16), (N, 2 * N)])
+    def test_shell_mass_matches_the_mask(self, shape):
+        def edge(n):
+            shell = max(1, round(grid.BOUNDARY_SHELL * n))
+            return (np.arange(n) < shell) | (np.arange(n) >= n - shell)
+
+        density = np.random.default_rng(shape[0]).random(shape)
+        mask = np.logical_or.outer(edge(shape[0]), edge(shape[1]))
+        assert grid._shell_mass(density) == pytest.approx(
+            float(np.sum(density[mask])), rel=1e-14)
 
 
 class TestMemoryBudget:
