@@ -16,18 +16,24 @@ acceptance evidence that the symplectic bookkeeping means what it claims.
 turn in one second buffer, so no call holds over 2.5 complex fields beyond
 its input.  Each ramp exp(-i theta q k) factors over ~sqrt(n) coarse and
 fine parts of the q index (O(n^1.5) complex exps, not n^2) and is applied
-one such block of q at a time.  When the first shear transforms along x,
-p_x psi enters it as k_x F_x psi, with no inverse and forward FFT between.
-The disturbance field is integrated along k_x by Parseval.  ``grid_moments``
-sums each entry of its Gram matrix from the row dot products of two fields,
-one row block at a time.
+one slab of ~sqrt(n) rows at a time.  When the first shear transforms
+along x, p_x psi enters it as k_x F_x psi, with no inverse and forward FFT
+between.  The disturbance field is integrated along k_x by Parseval.  The
+pointer readout is the density the last box guard read, summed over x;
+``window_pass`` and ``output_histogram`` take it from that one density.
+``grid_moments`` sums each entry of its Gram matrix from the row dot
+products of two fields, one row block at a time.
 
-Every field that takes an FFT along x is made by ``_field``, in rows of
-ny + 1 elements viewed as their first ny.  With rows a power of two apart,
-every element of a column falls in the same few cache sets, and an FFT
-along x costs about twice one along y; the padding changes no value.  The
-state ``init_grid`` returns stays compact, as numpy's elementwise passes
-run slower on padded rows.
+Every field that takes an FFT along x is made by ``_field``: a view of the
+first ny columns of an (nx, ny + 1) buffer whose pad column is zero.  With
+rows a power of two apart, every element of a column falls in the same few
+cache sets, and an FFT along x costs about twice one along y.  numpy's
+elementwise passes run slower on padded rows than on contiguous ones, so
+those on a padded field (densities, ramps, the k_x and y multiplies and
+the differences they feed) run over its whole buffer, where the pad stays
+zero.  FFTs along y run over the view, since the pad would enter each
+row's transform, and sums run over the view.  The padding changes no
+value.  The state ``init_grid`` returns stays compact.
 
 Everything here works in hbar = 1 units; rescale momenta on the way in
 (``unit_hbar_spec``) and multiply eta by hbar on the way out.
@@ -340,24 +346,47 @@ def _shear_ramp(grid, step):
 
 
 def _field(raw, scale=None):
-    """raw, or scale * raw, in a new field whose rows lie ny + 1 apart."""
+    """raw, or scale * raw, in a new field: the first ny columns of an
+    (nx, ny + 1) buffer whose pad column is zero."""
     nx, ny = raw.shape
-    field = np.empty((nx, ny + 1), dtype=complex)[:, :ny]
+    whole = np.empty((nx, ny + 1), dtype=complex)
+    whole[:, ny] = 0.0
+    field = whole[:, :ny]
     if scale is None:
         field[...] = raw
         return field
     return np.multiply(scale, raw, out=field)
 
 
+def _whole(field):
+    """The contiguous buffer a ``_field`` views; a field that owns its data
+    is its own buffer."""
+    return field if field.base is None else field.base
+
+
 def _shear_field(field, shears, transformed=False):
-    """Shear field in place, one ramp block at a time, with no guards; a
-    ``transformed`` field holds its FFT along the first shear's axis."""
+    """Shear field in place with no guards; a ``transformed`` field holds its
+    FFT along the first shear's axis.  Each ramp multiplies the buffer one
+    row slab at a time: the products coarse[a] * fine, then ones against
+    the pad column.  FFTs run over the field: along y, over the buffer, the
+    pad would enter each row's transform.
+    """
+    whole, (nx, ny) = _whole(field), field.shape
+    slab = np.ones((_block(nx), whole.shape[1]), dtype=complex)
     for k, (axis, coarse, fine) in enumerate(shears):
         if k or not transformed:
             np.fft.fft(field, axis=axis, out=field)
-        for block, part in zip(np.split(field, len(coarse), axis=-1 - axis),
-                               coarse):
-            block *= part * fine
+        if axis == -1:  # q = x: block a of q is a slab of rows
+            for a, part in enumerate(coarse):
+                np.multiply(part, fine, out=slab[:, :ny])
+                whole[a * len(slab):(a + 1) * len(slab)] *= slab
+        else:  # q = y: each k_x row of a slab takes every block of q
+            cells = slab[:, :ny].reshape(len(slab), len(coarse), -1)
+            for a in range(0, nx, len(slab)):
+                rows = slice(a, a + len(slab))
+                np.multiply(coarse[:, rows].swapaxes(0, 1), fine[rows, None],
+                            out=cells)
+                whole[rows] *= slab
         np.fft.ifft(field, axis=axis, out=field)
     return field
 
@@ -380,23 +409,32 @@ def _guarded_shear(psi, grid, steps):
 
     The wrap guard reads psi before each step, the boundary-mass guard
     after it.  Returns each step's ``_shear_ramp``, for ``_shear_field`` to
-    replay on auxiliary fields, and the largest shell mass after any step.
+    replay on auxiliary fields, the largest shell mass after any step, and
+    the density of psi after the last step.
     """
-    density = _density(psi, grid.cell_area)
+    density = _density(_whole(psi), grid.cell_area)[:, :grid.ny]
     shears, peak_mass = [], 0.0
     for step in steps:
         shears.append(_shear_ramp(grid, step))
         _wrap_guard(density, grid, step)
         del density  # free it before the step's own is built
         _shear_field(psi, shears[-1:])
-        density = _density(psi, grid.cell_area)
+        density = _density(_whole(psi), grid.cell_area)[:, :grid.ny]
         mass = _shell_mass(density)
         if mass > BOUNDARY_THRESHOLD:
             raise BoundaryMassError(
                 f"after shear {step.kind} theta={step.theta}: boundary mass "
                 f"{mass:.3e} exceeds {BOUNDARY_THRESHOLD:.3e}")
         peak_mass = max(peak_mass, mass)
-    return shears, peak_mass
+    return shears, peak_mass, density
+
+
+def _sheared_readout(psi, grid, steps):
+    """``_guarded_shear`` of psi, then (shears, peak shell mass, norm drift,
+    readout), the readout being the last density summed over x."""
+    shears, peak_mass, density = _guarded_shear(psi, grid, steps)
+    drift = _check_amplitudes(psi, grid.cell_area)
+    return shears, peak_mass, drift, density.sum(axis=0)
 
 
 def apply_steps(state, steps):
@@ -441,28 +479,28 @@ def window_pass(state, steps):
     integrates |p_x U psi - U p_x psi|^2, evaluated along k_x by Parseval.
     x psi and then p_x psi replay psi's ramps, unguarded, in one buffer.
     """
-    raw, y, kx = state.amplitudes, state.y, state.kx[:, None]
+    raw, kx = state.amplitudes, state.kx[:, None]
     u_psi = _field(raw)
-    shears, peak_mass = _guarded_shear(u_psi, state, steps)
-    drift = _check_amplitudes(u_psi, state.cell_area)
-    readout = _density(u_psi, state.cell_area).sum(axis=0)
+    shears, peak_mass, drift, readout = _sheared_readout(u_psi, state, steps)
     noise_field = _shear_field(_field(raw, state.x[:, None]), shears)
+    whole_u, whole_n = _whole(u_psi), _whole(noise_field)
+    y = np.append(state.y, 0.0)  # zero against the pad column
     block = _block(state.nx)
     for a in range(0, state.nx, block):
-        noise_field[a:a + block] -= y * u_psi[a:a + block]
+        whole_n[a:a + block] -= y * whole_u[a:a + block]
     epsilon = math.sqrt(_sq_norm(noise_field) * state.cell_area)
     u_px_psi = noise_field  # p_x psi, kept as k_x F_x psi for an x shear
     u_px_psi[...] = raw
-    np.fft.fft(u_px_psi, axis=0, out=u_px_psi)
-    u_px_psi *= kx
+    np.fft.fft(whole_n, axis=0, out=whole_n)
+    whole_n *= kx
     reuse = bool(shears) and shears[0][0] == -2
     if not reuse:
-        np.fft.ifft(u_px_psi, axis=0, out=u_px_psi)
+        np.fft.ifft(whole_n, axis=0, out=whole_n)
     _shear_field(u_px_psi, shears, transformed=reuse)
-    dist_spectrum = np.fft.fft(u_psi, axis=0, out=u_psi)
-    dist_spectrum *= kx
-    dist_spectrum -= np.fft.fft(u_px_psi, axis=0, out=u_px_psi)
-    eta = math.sqrt(_sq_norm(dist_spectrum) / state.nx * state.cell_area)
+    np.fft.fft(whole_u, axis=0, out=whole_u)  # u_psi is now the spectrum
+    whole_u *= kx
+    whole_u -= np.fft.fft(whole_n, axis=0, out=whole_n)
+    eta = math.sqrt(_sq_norm(u_psi) / state.nx * state.cell_area)
     return WindowPass(epsilon, eta, readout, peak_mass, drift)
 
 
@@ -482,7 +520,7 @@ def grid_moments(state):
     """
     raw, x, y, ky = state.amplitudes, state.x, state.y, state.ky
     p_x = _field(raw)
-    _spectral_p(p_x, state.kx[:, None], axis=0, out=p_x)
+    _spectral_p(_whole(p_x), state.kx[:, None], axis=0, out=_whole(p_x))
     dots, block = np.zeros((5, 5, state.nx)), _block(state.nx)
     for rows in (slice(a, a + block) for a in range(0, state.nx, block)):
         psi = raw[rows]
@@ -509,8 +547,8 @@ def position_marginal(state, axis=0):
 
 def output_histogram(state, steps, edges):
     """Histogram of psi alone sheared: the reference for ``window_pass``."""
-    coords, masses = position_marginal(apply_steps(state, steps), axis=1)
-    return np.histogram(coords, bins=edges, weights=masses)[0]
+    readout = _sheared_readout(_field(state.amplitudes), state, steps)[-1]
+    return np.histogram(state.y, bins=edges, weights=readout)[0]
 
 
 def total_variation(p, q):

@@ -191,13 +191,16 @@ def _gaussian_spec(mapping, context, hbar, saturate_sigma_p=False):
     if abs(correlation) >= 1:
         raise ConfigError(f"{context}: |correlation| must be < 1")
     if saturate_sigma_p and "sigma_p" not in mapping:
-        sigma_p = hbar / (2.0 * sigma_x * math.sqrt(1.0 - correlation ** 2))
+        spread = 2.0 * sigma_x * math.sqrt(1.0 - correlation ** 2)
+        sigma_p = hbar / spread if spread else math.inf
+        if not 0.0 < sigma_p < math.inf:  # at an extreme sigma_x
+            raise ConfigError(
+                f"{context}: sigma_x = {sigma_x} gives a saturating sigma_p "
+                f"of {sigma_p}; give sigma_p")
     else:
         sigma_p = _positive(mapping, "sigma_p", context, required=True)
     mean_x = _number(mapping, "mean_x", context, default=0.0)
     mean_p = _number(mapping, "mean_p", context, default=0.0)
-    # At an extreme sigma_x the saturating sigma_p overflows to inf or
-    # underflows to zero, and GaussianSpec refuses it.
     with _refused_as(context):
         return GaussianSpec(sigma_x=sigma_x, sigma_p=sigma_p, mean_x=mean_x,
                             mean_p=mean_p, correlation=correlation)

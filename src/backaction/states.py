@@ -25,7 +25,9 @@ import numpy as np
 from . import canonical
 from .canonical import ModeSystem, _check_compatible, _frozen_vector
 
-# Slack allowed on the least eigenvalue of cov + i (hbar/2) Omega.
+# Slack allowed on the least eigenvalue of cov + i (hbar/2) Omega, and on
+# cov's asymmetry, relative to max(hbar/2, max|cov|): an absolute floor
+# would exceed hbar/2 itself at small hbar.
 PHYSICALITY_TOL = 1e-10
 
 # Variances this far below zero (relative to scale) are rounding debris and
@@ -97,7 +99,7 @@ class MomentState:
             raise ValueError(f"cov must have shape ({dim}, {dim}), got {cov.shape}")
         if not np.all(np.isfinite(cov)):
             raise ValueError("cov contains non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(cov))))
+        scale = max(0.5 * self.system.hbar, float(np.max(np.abs(cov))))
         if np.max(np.abs(cov - cov.T)) > PHYSICALITY_TOL * scale:
             raise ValueError("cov must be symmetric")
         # Halving first keeps huge entries finite; halving a subnormal rounds.
@@ -157,7 +159,7 @@ def _block_diagonal(system, blocks, gaussian):
     """MomentState of uncorrelated (mean, cov) blocks, each already physical.
 
     cov + i(hbar/2)Omega is then block-diagonal, so it is PSD exactly when
-    every block is, and max(1, max|cov|) is at least each block's scale:
+    every block is, and max(hbar/2, max|cov|) is at least each block's scale:
     the constructor would accept the state, so its checks are skipped.
     """
     mean = np.concatenate([m for m, _ in blocks])

@@ -361,9 +361,14 @@ class TestRunCommand:
         # A component's saturating sigma_p overflows to inf, or underflows
         # to zero, at an extreme sigma_x.
         (SATURATED.format(sigma_x="1.0e-320"),
-         ".object.components[0]: sigma_p must be finite"),
+         ".object.components[0]: sigma_x = 1e-320 gives a saturating "
+         "sigma_p of inf; give sigma_p"),
         (SATURATED.format(sigma_x="1.0e+308"),
-         ".object.components[0]: spreads must be positive"),
+         ".object.components[0]: sigma_x = 1e+308 gives a saturating "
+         "sigma_p of 0.0; give sigma_p"),
+        (SATURATED.format(sigma_x="5.0e-324, correlation: 0.9999999999999999"),
+         ".object.components[0]: sigma_x = 5e-324 gives a saturating "
+         "sigma_p of inf; give sigma_p"),
         # More samples than numpy can shape, refused before any is drawn.
         ("name: huge-born\nmodel: noiseless\nchecks: [born]\n"
          f"object: {PACKET}\nprobe: {{sigma_x: 0.5, sigma_p: 1.0}}\n"
@@ -383,7 +388,8 @@ class TestRunCommand:
             "custom-born", "custom-realization", "custom-limit-sweep",
             "custom-grid-crosscheck", "tiny-hbar-object", "tiny-hbar-x-px",
             "duplicate-key", "duplicate-nested-key", "saturated-tiny-sigma-x",
-            "saturated-huge-sigma-x", "born-samples-beyond-numpy"])
+            "saturated-huge-sigma-x", "saturated-zero-spread",
+            "born-samples-beyond-numpy"])
     def test_unrunnable_input_exits_two(self, tmp_path, capsys, body, where):
         path = _write(tmp_path, body)
         assert where in _exits_two(capsys, ["run", path])

@@ -497,6 +497,17 @@ def _explicit_eta(state, steps):
     return math.sqrt(grid._sq_norm(spectrum) / state.nx * state.cell_area)
 
 
+def _marginal_histogram(state, steps, edges):
+    """``output_histogram`` as the y marginal of ``apply_steps``: its
+    reference, and its definition before the readout was shared."""
+    coords, masses = position_marginal(apply_steps(state, steps), axis=1)
+    return np.histogram(coords, bins=edges, weights=masses)[0]
+
+
+_STEPS = {"noiseless": NOISELESS_STEPS, "von-neumann": VON_NEUMANN_STEPS,
+          "reversed": NOISELESS_STEPS[::-1]}
+
+
 class TestPaddedLayout:
     @pytest.mark.parametrize("shape", [(N, N), (N, 2 * N), (2 * N, N)])
     @pytest.mark.parametrize("obj", sorted(_OBJECTS))
@@ -533,6 +544,61 @@ class TestPaddedLayout:
         out = apply_steps(state, NOISELESS_STEPS).amplitudes
         stride = out.strides[0] // out.itemsize
         assert stride > out.shape[1] and stride & (stride - 1)
+
+    @pytest.mark.parametrize("shape", [(N, N), (N, 2 * N), (2 * N, N)])
+    @pytest.mark.parametrize("obj", sorted(_OBJECTS))
+    def test_histogram_is_the_marginal_of_the_sheared_state(self, shape, obj):
+        nx, ny = shape
+        state = init_grid(_OBJECTS[obj], _PURE, nx=nx, ny=ny)
+        edges = np.linspace(-state.lx, state.lx, 129)
+        for steps in _STEPS.values():
+            assert (output_histogram(state, steps, edges).tobytes()
+                    == _marginal_histogram(state, steps, edges).tobytes())
+            whole = apply_steps(state, steps).amplitudes.base
+            assert whole.shape == (nx, ny + 1)
+            assert np.all(whole[:, ny] == 0)
+
+    @pytest.mark.parametrize("kind", sorted(grid.SHEARS))
+    @pytest.mark.parametrize("shape", [(N, 2 * N), (2 * N, N)])
+    def test_row_slabs_multiply_the_assembled_ramp(self, kind, shape):
+        state = init_grid(_OBJECTS["two-packets"], _PURE, nx=shape[0],
+                          ny=shape[1])
+        step = ShearStep(kind, 0.37)
+        axis, ramp = TestStackedEngine._assembled(state, step)
+        want = np.fft.ifft(np.fft.fft(state.amplitudes, axis=axis) * ramp,
+                           axis=axis)
+        got = grid._shear_field(grid._field(state.amplitudes),
+                                [grid._shear_ramp(state, step)])
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("steps, message", [
+        ((ShearStep("px_y", 1.0), ShearStep("x_py", 50.0)),
+         "would translate"),
+        ((ShearStep("x_py", 2.0), ShearStep("px_y", 1.0)), "boundary mass"),
+    ], ids=["wrap", "boundary-mass"])
+    def test_histogram_guards_raise_as_the_window_pass(self, steps, message):
+        state = init_gaussian_grid(GaussianSpec(1.0, 0.5),
+                                   GaussianSpec(0.5, 1.0),
+                                   nx=N, ny=N, half_width=10.0)
+        edges = np.linspace(-state.lx, state.lx, 65)
+        with pytest.raises(BoundaryMassError, match=message) as histogram:
+            output_histogram(state, steps, edges)
+        with pytest.raises(BoundaryMassError) as window:
+            window_pass(state, steps)
+        assert str(histogram.value) == str(window.value)
+
+    def test_histogram_shears_psi_once(self, monkeypatch):
+        calls, guarded = [], grid._guarded_shear
+
+        def counted(*args):
+            calls.append(args)
+            return guarded(*args)
+
+        monkeypatch.setattr(grid, "_guarded_shear", counted)
+        state = init_grid(_OBJECTS["two-packets"], _PURE, nx=N, ny=N)
+        output_histogram(state, NOISELESS_STEPS,
+                         np.linspace(-state.lx, state.lx, 129))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("shape", [(16, 64), (64, 16), (N, 2 * N)])
     def test_shell_mass_matches_the_mask(self, shape):

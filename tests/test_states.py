@@ -119,6 +119,15 @@ class TestMomentState:
         with pytest.raises(PhysicalityError):
             MomentState(ModeSystem(1), np.zeros(2), np.diag([0.04, 0.04]))
 
+    def test_physicality_slack_is_relative_at_small_hbar(self):
+        # An absolute slack of 1e-10 would exceed hbar/2 = 5e-14 and pass
+        # spreads of 1e-20; relative to max(hbar/2, max|cov|) it does not.
+        system = ModeSystem(1, hbar=1e-13)
+        with pytest.raises(PhysicalityError, match="eigenvalue -5.000e-14"):
+            MomentState(system, np.zeros(2), np.diag([1e-40, 1e-40]))
+        state = MomentState(system, np.zeros(2), np.diag([5e-14, 5e-14]))
+        assert state.cov[0, 0] == 5e-14
+
     def test_boundary_state_accepted(self):
         state = MomentState(ModeSystem(1), np.zeros(2), np.diag([0.5, 0.5]))
         assert not state.gaussian
@@ -232,10 +241,11 @@ class TestRobertson:
         assert result.bound == pytest.approx(0.5e-200)
 
     def test_slack_is_relative_to_the_bound_at_small_hbar(self):
-        # The moment constructor's absolute slack admits spreads of 1e-20
-        # at hbar = 1e-13; an absolute 1e-12 here would pass them too.
+        # Spreads of 1e-20 at hbar = 1e-13, assembled without the
+        # constructor's check; an absolute 1e-12 here would pass them.
         system = ModeSystem(1, hbar=1e-13)
-        state = MomentState(system, [0.0, 0.0], np.diag([1e-40, 1e-40]))
+        state = states._block_diagonal(
+            system, [(np.zeros(2), np.diag([1e-40, 1e-40]))], gaussian=False)
         result = robertson_check(
             state, position(system), momentum(system))
         assert result.bound == pytest.approx(5e-14)
