@@ -140,31 +140,20 @@ def _realization_check(sc, tols):
     }
 
 
-def _decreasing(xs, slack):
-    """Whether no step rises by more than slack: ties on a rounding floor pass."""
-    return all(b <= a + slack for a, b in zip(xs, xs[1:]))
-
-
 def _limit_sweep_check(sc, tols):
     exact, hbar, kind = tols["exact"], sc.model.system.hbar, sc.sweep.kind
-    points_of, columns, size = scenarios.SWEEPS[kind]
+    points_of, columns = scenarios.SWEEPS[kind]
     ks = list(range(sc.sweep.k_min, sc.sweep.k_max + 1))
     rows = []
     for k, point in zip(ks, points_of(sc.model, [2.0 ** -k for k in ks])):
         values = {"k": k, **vars(point.report), **point._asdict()}
         rows.append({key: values[key] for key in columns})
-    note, closed_forms, trends = sc.model.reference.sweeps[kind]
+    note, closed_forms = sc.model.reference.sweeps[kind]
     conditions = {}
-    if sc.model.exact_readout:
-        conditions["epsilon_zero"] = all(
-            row["epsilon"] <= exact * size(row, hbar) for row in rows)
     for name, form in closed_forms.items():
         matches = (form(row, hbar) for row in rows)
         conditions[name] = all(abs(value - closed) <= exact * scale
                                for value, closed, scale in matches)
-    for name, (column, sign) in trends.items():
-        conditions[name] = _decreasing([row[column] for row in rows][::sign],
-                                       exact)
 
     def write(path):
         with open(path, "w", encoding="utf-8", newline="") as handle:

@@ -54,13 +54,13 @@ class Reference(NamedTuple):
     """A built-in model's notes and closed forms, kept beside its terms.
 
     A sweep's closed form maps (row, hbar) to (value, form, scale), met
-    within exact * scale at every row; its trend names a column that falls
-    (1) or rises (-1) along the sweep, each step within exact.
+    within exact * scale at every row.  Each form halves or doubles from
+    one row to the next, so rows that meet their forms are in order too.
     """
 
     notes: dict  # check -> the note its report prints
     deviation: Callable  # cascade deviation of the probe's (sigma_y, mean_y)
-    sweeps: dict  # kind -> (note, {condition: closed form}, {condition: trend})
+    sweeps: dict  # kind -> (note, {condition: closed form})
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,14 +142,12 @@ VON_NEUMANN_REFERENCE = Reference(
             "minimum-uncertainty preparations pin the stretch coupling "
             "exactly at the hbar/2 bound at every sharpness",
             {"product_at_bound": lambda row, hbar: (
-                row["product"], hbar / 2.0, 1.0)},
-            {}),
+                row["product"], hbar / 2.0, 1.0)}),
         "sharpen_pointer": (
             "deviation tracks sqrt(2) sigma(y) for the stretch coupling",
             {"deviation_matches_sqrt2_sigma_y": lambda row, hbar: (
                 row["deviation"],
-                VON_NEUMANN_REFERENCE.deviation(row["sigma_y"], 0.0), 1.0)},
-            {"deviation_decreases": ("deviation", 1)}),
+                VON_NEUMANN_REFERENCE.deviation(row["sigma_y"], 0.0), 1.0)}),
     })
 
 
@@ -173,21 +171,24 @@ NOISELESS_REFERENCE = Reference(
         "sharpen_momentum": (
             "precision is free of the momentum spread: epsilon stays zero "
             "while the kick is paid by the object position spread afterwards",
-            {"eta_matches_sqrt2_sigma_p": lambda row, hbar: (
+            # epsilon is rounding at the size of either packet: sigma_p, or
+            # sigma_x = hbar / (2 sigma_p).
+            {"epsilon_zero": lambda row, hbar: (
+                row["epsilon"], 0.0,
+                max(1.0, hbar / (2.0 * row["sigma_p"]), row["sigma_p"])),
+             "eta_matches_sqrt2_sigma_p": lambda row, hbar: (
                 row["eta"], math.sqrt(2.0) * row["sigma_p"], 1.0),
              "sigma_x_post_matches_closed_form": lambda row, hbar: (
                 row["sigma_x_post"],
                 math.sqrt(2.0) * hbar / (2.0 * row["sigma_p"]),
-                max(1.0, row["sigma_x_post"]))},
-            {"eta_decreases": ("eta", 1),
-             "sigma_x_post_increases": ("sigma_x_post", -1)}),
+                max(1.0, row["sigma_x_post"]))}),
         "sharpen_pointer": (
             "repeatability sharpens without limit while the readout stays "
             "exact; there is no residual floor",
-            {"deviation_matches_sigma_y": lambda row, hbar: (
+            {"epsilon_zero": lambda row, hbar: (row["epsilon"], 0.0, 1.0),
+             "deviation_matches_sigma_y": lambda row, hbar: (
                 row["deviation"],
-                NOISELESS_REFERENCE.deviation(row["sigma_y"], 0.0), 1.0)},
-            {"deviation_decreases": ("deviation", 1)}),
+                NOISELESS_REFERENCE.deviation(row["sigma_y"], 0.0), 1.0)}),
     })
 
 

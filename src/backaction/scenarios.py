@@ -58,17 +58,13 @@ CHECKS = {
                                   "a shear factorization (built-in models have one)"),
 }
 
-# Per sweep kind: its points, its CSV columns (k, then point or report
-# fields), and the size a row's epsilon rounds at.
+# Per sweep kind: its points and CSV columns (k, then point or report fields).
 SWEEPS = {
     "sharpen_momentum": (
         measurement.limit_sweep,
-        ("k", "sigma_p", "epsilon", "eta", "product", "sigma_x_post"),
-        # Both packets have sigma_p and sigma_x = hbar / (2 sigma_p).
-        lambda row, hbar: max(1.0, hbar / (2.0 * row["sigma_p"]), row["sigma_p"])),
+        ("k", "sigma_p", "epsilon", "eta", "product", "sigma_x_post")),
     "sharpen_pointer": (cascade.repeatability_sweep,
-                        ("k", "sigma_y", "deviation", "epsilon", "eta"),
-                        lambda row, hbar: 1.0),
+                        ("k", "sigma_y", "deviation", "epsilon", "eta")),
 }
 
 DEFAULT_TOLERANCES = {
@@ -377,10 +373,11 @@ def parse_scenario(mapping, source="scenario"):
 
     born_node = _require_mapping(mapping.get("born", {}), f"{source}.born")
     _check_keys(born_node, ("samples",), f"{source}.born")
-    # numpy cannot shape an array of more than sys.maxsize elements.
+    # numpy cannot shape an array of more than sys.maxsize bytes, and a
+    # float64 sample takes 8.
     born_samples = _integer(born_node, "samples", f"{source}.born",
                             default=Scenario.born_samples, minimum=10,
-                            maximum=sys.maxsize)
+                            maximum=sys.maxsize // 8)
 
     tolerances = _tolerances(mapping.get("tolerances", {}),
                              f"{source}.tolerances")

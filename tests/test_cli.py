@@ -8,11 +8,16 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backaction import cli, grid, scenarios, states
 from backaction.canonical import LinearObservable
 from backaction.cli import main, render_json, render_text, run_scenario
+from test_gallery_reports import EXTRA
 
 
 def _write(tmp_path, body, name="case.yaml"):
@@ -42,6 +47,21 @@ def _exits_two(capsys, argv):
     assert len(lines) == 1 and captured.err.endswith("\n")
     assert lines[0].startswith("error:")
     return lines[0]
+
+
+def _fails_one_condition(capsys, target, check, condition, tol=None):
+    """Exactly the named condition of check fails, and with it the run."""
+    tol = tol or {}
+    outcome = cli._RUNNERS[check](cli._load_target(target),
+                                  {**scenarios.DEFAULT_TOLERANCES, **tol})
+    conditions = outcome["conditions"]
+    assert [name for name in conditions if not conditions[name]] == [condition]
+    overrides = [arg for key, value in tol.items()
+                 for arg in ("--tol", f"{key}={value}")]
+    assert main(["run", target, "--format", "json", *overrides]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"][check]["passed"] is False
+    assert report["passed"] is False
 
 
 FAST_VERDICT = """\
@@ -369,12 +389,18 @@ class TestRunCommand:
         (SATURATED.format(sigma_x="5.0e-324, correlation: 0.9999999999999999"),
          ".object.components[0]: sigma_x = 5e-324 gives a saturating "
          "sigma_p of inf; give sigma_p"),
-        # More samples than numpy can shape, refused before any is drawn.
+        # More samples than numpy can shape, refused at load before any
+        # is drawn: numpy's limit is sys.maxsize bytes, 8 per sample.
         ("name: huge-born\nmodel: noiseless\nchecks: [born]\n"
          f"object: {PACKET}\nprobe: {{sigma_x: 0.5, sigma_p: 1.0}}\n"
          "born: {samples: 1000000000000000000000000}\n",
-         ".born: 'samples' must be <= 9223372036854775807, got "
+         ".born: 'samples' must be <= 1152921504606846975, got "
          "1000000000000000000000000"),
+        ("name: huge-born\nmodel: noiseless\nchecks: [born]\n"
+         f"object: {PACKET}\nprobe: {{sigma_x: 0.5, sigma_p: 1.0}}\n"
+         "born: {samples: 4611686018427387904}\n",
+         ".born: 'samples' must be <= 1152921504606846975, got "
+         "4611686018427387904"),
     ], ids=["huge-spread", "huge-mean", "box", "sharpen-momentum-513",
             "sharpen-pointer-513", "sharpen-momentum-1075",
             "sharpen-pointer-1075", "invalid-yaml", "vanished", "tight-box",
@@ -389,7 +415,7 @@ class TestRunCommand:
             "custom-grid-crosscheck", "tiny-hbar-object", "tiny-hbar-x-px",
             "duplicate-key", "duplicate-nested-key", "saturated-tiny-sigma-x",
             "saturated-huge-sigma-x", "saturated-zero-spread",
-            "born-samples-beyond-numpy"])
+            "born-samples-beyond-numpy", "born-samples-beyond-numpy-bytes"])
     def test_unrunnable_input_exits_two(self, tmp_path, capsys, body, where):
         path = _write(tmp_path, body)
         assert where in _exits_two(capsys, ["run", path])
@@ -405,16 +431,12 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("k_max", [80, 200])
     def test_sharp_pointer_sweep_passes(self, tmp_path, capsys, k_max):
-        # From k = 78 the deviation ties on its rounding floor, 2.2e-16.
+        # Once sigma_y = 2^-k falls below 2.2e-16 the deviation stops at
+        # that rounding floor, which is still within exact of sigma_y.
         path = _write(tmp_path, SWEEP.format(
             kind="sharpen_pointer", k_min=0, k_max=k_max))
         assert main(["run", path]) == 0
         assert "overall           PASS" in capsys.readouterr().out
-
-    def test_decreasing_allows_ties_but_not_rises(self):
-        exact = 1e-12
-        assert cli._decreasing([1.0, 1.0, 0.5], exact)
-        assert not cli._decreasing([1.0, 0.5, 0.5 + 2 * exact], exact)
 
     def test_saturating_preparation_at_large_hbar_passes(self, tmp_path,
                                                          capsys):
@@ -551,18 +573,35 @@ class TestRunCommand:
             build = scenarios.MODELS["noiseless"]
             monkeypatch.setitem(scenarios.MODELS, "noiseless",
                                 lambda hbar: change(build(hbar=hbar)))
-        path = _write(tmp_path, body)
-        outcome = cli._RUNNERS[check](scenarios.load_scenario(path),
-                                      {**scenarios.DEFAULT_TOLERANCES, **tol})
-        conditions = outcome["conditions"]
-        assert [name for name in conditions if not conditions[name]] == [
-            condition]
-        overrides = [arg for key, value in tol.items()
-                     for arg in ("--tol", f"{key}={value}")]
-        assert main(["run", path, "--format", "json", *overrides]) == 1
-        report = json.loads(capsys.readouterr().out)
-        assert report["checks"][check]["passed"] is False
-        assert report["passed"] is False
+        _fails_one_condition(capsys, _write(tmp_path, body), check, condition,
+                             tol)
+
+    @pytest.mark.parametrize("name, kind, take, condition", [
+        ("bk-refutation-sweep", "sharpen_pointer",
+         lambda point, other: point._replace(deviation=other.deviation),
+         "deviation_matches_sigma_y"),
+        ("sql-refutation-sweep", "sharpen_momentum",
+         lambda point, other: point._replace(report=dataclasses.replace(
+             point.report, eta=other.report.eta)),
+         "eta_matches_sqrt2_sigma_p"),
+    ], ids=["deviation", "eta"])
+    def test_rows_out_of_order_fail_their_closed_form(
+            self, capsys, monkeypatch, name, kind, take, condition):
+        # One column swapped between rows k = 4 and 5 puts the sweep out of
+        # order.  The closed form each row must meet is the one condition
+        # that fails: no trend condition is needed to see it.
+        points_of = scenarios.SWEEPS[kind][0]
+
+        def swapped(model, values):
+            points = points_of(model, values)
+            if len(points) > 5:  # not the lone sharpest point built at load
+                points[4], points[5] = (take(points[4], points[5]),
+                                        take(points[5], points[4]))
+            return points
+
+        monkeypatch.setitem(scenarios.SWEEPS, kind,
+                            (swapped, *scenarios.SWEEPS[kind][1:]))
+        _fails_one_condition(capsys, name, "limit_sweep", condition)
 
     def test_si_hbar_noiseless_product_misses_the_bound(self, tmp_path,
                                                        capsys):
@@ -653,6 +692,90 @@ def test_runs_without_scipy():
                          text=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert run.stderr.splitlines()[-1] == "0 []", run.stderr
+
+
+# Values no scenario node should take, each in place of one node or of a
+# whole section.
+HOSTILE = (None, [], {}, "hostile", True, 1e308, -1e308, 1e-320,
+           math.nan, math.inf, 10 ** 400, 2 ** 62, sys.maxsize, 0, -1)
+
+
+def _fuzz_bases():
+    """Raw mappings of the gallery and EXTRA scenarios, grids at 64^2."""
+    bases = [yaml.load((scenarios._gallery_root() / f"{name}.yaml")
+                       .read_text(encoding="utf-8"),
+                       Loader=scenarios._ScenarioLoader)
+             for name in scenarios.bundled_names()]
+    bases += [yaml.safe_load(f"name: {name}\n" + body)
+              for name, body in EXTRA.items()]
+    for base in bases:
+        if "grid" in base:  # small enough that the grid route runs
+            base["grid"].update(nx=64, ny=64)
+    return bases
+
+
+def _node_paths(node, path=()):
+    """Path of every node under node, node itself first."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _node_paths(child, (*path, key))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    node = copy.deepcopy(node)
+    parent = node
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return node
+
+
+def test_hostile_values_exit_cleanly(tmp_path, capsys, monkeypatch):
+    # Any node of a working scenario, or a whole section, replaced by a
+    # hostile value: the run exits 0, 1 or 2, exit 2 prints one line, and
+    # no exception escapes main.  No case may allocate big: the grid is
+    # refused above 128^2 cells and the born samples above 10^6, with the
+    # MemoryError a host would raise.  A count numpy cannot shape at all
+    # raises numpy's own ValueError first, as the real draw would.
+    init_grid, sample_outcomes = grid.init_grid, states.sample_outcomes
+
+    def small_grid(*args, nx=grid.DEFAULT_POINTS, ny=grid.DEFAULT_POINTS,
+                   **kwargs):
+        if nx * ny > 128 ** 2:
+            raise MemoryError(f"Unable to allocate a {nx} x {ny} grid")
+        return init_grid(*args, nx=nx, ny=ny, **kwargs)
+
+    def few_samples(distribution, count, seed):
+        if count > 10 ** 6:
+            np.broadcast_to(0.0, (count,))  # numpy's size check, no memory
+            raise MemoryError(f"Unable to allocate {count} samples")
+        return sample_outcomes(distribution, count, seed)
+
+    monkeypatch.setattr(grid, "init_grid", small_grid)
+    monkeypatch.setattr(states, "sample_outcomes", few_samples)
+    bases = _fuzz_bases()
+    path = tmp_path / "fuzz.yaml"
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=200)
+    @given(data=st.data())
+    def run(data):
+        base = data.draw(st.sampled_from(bases))
+        node = data.draw(st.sampled_from(list(_node_paths(base))))
+        path.write_text(yaml.safe_dump(_replaced(
+            base, node, data.draw(st.sampled_from(HOSTILE)))),
+            encoding="utf-8")
+        status = main(["run", str(path)])
+        captured = capsys.readouterr()
+        assert status in (0, 1, 2)
+        if status == 2:
+            assert len(captured.err.splitlines()) == 1
+
+    run()
 
 
 class TestReports:
