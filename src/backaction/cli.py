@@ -117,12 +117,11 @@ def _repeatability_check(sc, tols):
                 "note": "custom model: deviation reported, no reference behavior"}
     closed = reference.deviation(spec.sigma_x, spec.mean_x)
     exact = tols["exact"] * _prep_size(sc)
-    alpha = closed + exact
+    alpha = closed + exact  # |deviation - closed| <= exact implies <= alpha
     values.update(closed_form=closed, alpha=alpha,
                   alpha_repeatable=deviation <= alpha)
     return {"conditions": {
-                "deviation_matches_closed_form": abs(deviation - closed) <= exact,
-                "alpha_repeatable": values["alpha_repeatable"]},
+                "deviation_matches_closed_form": abs(deviation - closed) <= exact},
             "values": values, "expected": {"deviation": closed},
             "note": reference.notes["repeatability"]}
 
@@ -329,9 +328,15 @@ def _run_command(args):
         except OSError as exc:
             raise ConfigError(f"--out-dir: {exc}") from exc
     all_passed = True
-    outputs = []
+    outputs, names = [], set()
     for target in args.targets:
         scenario = _load_target(target)
+        if out_dir is not None and scenario.name in names:
+            raise ConfigError(
+                f"--out-dir: {target}: scenario name {scenario.name!r} is "
+                "already taken by an earlier target, whose reports it would "
+                "overwrite")
+        names.add(scenario.name)
         if args.seed is not None:
             scenario = scenarios.with_seed(scenario, args.seed)
         report, writers = run_scenario(scenario, overrides)

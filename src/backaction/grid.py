@@ -14,15 +14,15 @@ acceptance evidence that the symplectic bookkeeping means what it claims.
 
 ``window_pass`` shears psi under the box guards, then x psi and p_x psi in
 turn in one second buffer, so no call holds over 2.5 complex fields beyond
-its input.  Each ramp exp(-i theta q k) factors over ~sqrt(n) coarse and
-fine parts of the q index (O(n^1.5) complex exps, not n^2) and is applied
-one slab of ~sqrt(n) rows at a time.  When the first shear transforms
-along x, p_x psi enters it as k_x F_x psi, with no inverse and forward FFT
-between.  The disturbance field is integrated along k_x by Parseval.  The
-pointer readout is the density the last box guard read, summed over x;
-``window_pass`` and ``output_histogram`` take it from that one density.
-``grid_moments`` sums each entry of its Gram matrix from the row dot
-products of two fields, one row block at a time.
+its input.  For either shear kind, each ramp factors over ~sqrt(n) coarse
+and fine parts of its row coordinate, x or k_x (O(n^1.5) complex exps, not
+n^2), and is applied one slab of ~sqrt(n) rows at a time.  When the first
+shear transforms along x, p_x psi enters it as k_x F_x psi, with no inverse
+and forward FFT between.  The disturbance field is integrated along k_x by
+Parseval.  The pointer readout is the density the last box guard read,
+summed over x; ``window_pass`` and ``output_histogram`` take it from that
+one density.  ``grid_moments`` sums each entry of its Gram matrix from the
+row dot products of two fields, one row block at a time.
 
 Every field that takes an FFT along x is made by ``_field``: a view of the
 first ny columns of an (nx, ny + 1) buffer whose pad column is zero.  With
@@ -318,31 +318,23 @@ def _block(n):
     return 1 << (n.bit_length() // 2)
 
 
-def _phase_ramp(scale, start, spacing, n, k, q_axis):
-    """(coarse, fine) of exp(1j scale q k) on q = start + spacing arange(n).
-
-    n is a power of two, as GridState guarantees.  Writing the index of q
-    as a * block + b with block = ``_block(n)`` factors the ramp into
-    coarse[a] * fine[b] for each k: 2 sqrt(n) complex exps per wavenumber
-    instead of n.  coarse[a] * fine is block a, q along ``q_axis``.
-    """
-    block = _block(n)
-    sk = scale * k
-    coarse = np.exp(1j * np.multiply.outer(
-        start + spacing * np.arange(0, n, block), sk))
-    fine_q = spacing * np.arange(block)
-    if q_axis == 0:
-        return coarse, np.exp(1j * np.multiply.outer(fine_q, sk))
-    return coarse[:, :, None], np.exp(1j * np.multiply.outer(sk, fine_q))
-
-
 def _shear_ramp(grid, step):
-    """(FFT axis, coarse, fine): exp(-i s theta q_other k_moved), factored."""
+    """(FFT axis, coarse, fine) of the ramp exp(i c r v), c = -s theta.
+
+    After the FFT along the moved axis, r is the row coordinate (x for
+    'x_py', k_x for 'px_y') and v the column one (k_y or y).  Writing the
+    row index as a * block + b with block = ``_block(nx)`` factors the ramp
+    into coarse[a] * fine[b], the rows of block a: 2 sqrt(nx) complex exps
+    per column instead of nx.  k_x is evenly spaced within each half of its
+    fftfreq range, and block divides nx / 2, so no block straddles the wrap.
+    """
     moved, sign = step.axes
-    other = 1 - moved
-    return (moved - 2, *_phase_ramp(
-        -sign * step.theta, -grid.lx, (grid.dx, grid.dy)[other],
-        (grid.nx, grid.ny)[other], grid.ky if moved else grid.kx, other))
+    r, v = (grid.x, grid.ky) if moved else (grid.kx, grid.y)
+    dr = grid.dx if moved else r[1]  # x[1] - x[0] may differ from dx
+    cv, block = -sign * step.theta * v, _block(grid.nx)
+    coarse = np.exp(1j * np.multiply.outer(r[::block], cv))
+    fine = np.exp(1j * np.multiply.outer(dr * np.arange(block), cv))
+    return moved - 2, coarse, fine
 
 
 def _field(raw, scale=None):
@@ -367,26 +359,18 @@ def _whole(field):
 def _shear_field(field, shears, transformed=False):
     """Shear field in place with no guards; a ``transformed`` field holds its
     FFT along the first shear's axis.  Each ramp multiplies the buffer one
-    row slab at a time: the products coarse[a] * fine, then ones against
+    row slab at a time: slab a holds coarse[a] * fine, then ones against
     the pad column.  FFTs run over the field: along y, over the buffer, the
     pad would enter each row's transform.
     """
-    whole, (nx, ny) = _whole(field), field.shape
-    slab = np.ones((_block(nx), whole.shape[1]), dtype=complex)
+    whole, block = _whole(field), _block(field.shape[0])
+    slab = np.ones((block, whole.shape[1]), dtype=complex)
     for k, (axis, coarse, fine) in enumerate(shears):
         if k or not transformed:
             np.fft.fft(field, axis=axis, out=field)
-        if axis == -1:  # q = x: block a of q is a slab of rows
-            for a, part in enumerate(coarse):
-                np.multiply(part, fine, out=slab[:, :ny])
-                whole[a * len(slab):(a + 1) * len(slab)] *= slab
-        else:  # q = y: each k_x row of a slab takes every block of q
-            cells = slab[:, :ny].reshape(len(slab), len(coarse), -1)
-            for a in range(0, nx, len(slab)):
-                rows = slice(a, a + len(slab))
-                np.multiply(coarse[:, rows].swapaxes(0, 1), fine[rows, None],
-                            out=cells)
-                whole[rows] *= slab
+        for a, part in enumerate(coarse):
+            np.multiply(part, fine, out=slab[:, :field.shape[1]])
+            whole[a * block:(a + 1) * block] *= slab
         np.fft.ifft(field, axis=axis, out=field)
     return field
 

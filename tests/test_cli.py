@@ -208,6 +208,24 @@ class TestRunCommand:
                                       "json", "--out-dir", str(out_dir)])
             assert "--out-dir" in err and str(where) in err
 
+    def test_out_dir_refuses_a_repeated_scenario_name(self, tmp_path,
+                                                       capsys):
+        # A second scenario named noiseless-violation would overwrite the
+        # bundled one's reports; it is refused before it runs.
+        alone, both = tmp_path / "alone", tmp_path / "both"
+        assert main(["run", "noiseless-violation", "--format", "both",
+                     "--out-dir", str(alone)]) == 0
+        capsys.readouterr()
+        path = _write(tmp_path, FAST_VERDICT.replace(
+            "name: fast-verdict", "name: noiseless-violation").replace(
+            "model: noiseless", "model: von_neumann").replace(
+            ", robertson", ""))
+        err = _exits_two(capsys, ["run", "noiseless-violation", path,
+                                  "--format", "both", "--out-dir", str(both)])
+        assert path in err and "'noiseless-violation'" in err
+        assert ({f.name: f.read_bytes() for f in both.iterdir()}
+                == {f.name: f.read_bytes() for f in alone.iterdir()})
+
     def test_negative_seed_exits_two(self, capsys):
         err = _exits_two(capsys, ["run", "noiseless-violation", "--seed", "-1"])
         assert "--seed" in err and ">= 0" in err
@@ -552,6 +570,13 @@ class TestRunCommand:
          lambda m: _with(m, "reference", m.reference._replace(
              deviation=lambda sigma_y, mean_y: 2.0 * math.hypot(
                  sigma_y, mean_y))), "deviation_matches_closed_form"),
+        # A closed form below the deviation: |deviation - closed| > exact
+        # also puts the deviation above alpha = closed + exact.
+        ("repeatability", FAST_VERDICT.replace("verdict, robertson",
+                                               "repeatability"), {},
+         lambda m: _with(m, "reference", m.reference._replace(
+             deviation=lambda sigma_y, mean_y: 0.5 * math.hypot(
+                 sigma_y, mean_y))), "deviation_matches_closed_form"),
         ("realization", FAILING_REALIZATION, {"exact": 1e-300}, None,
          "residual_zero"),
         ("limit_sweep", SWEEP.format(kind="sharpen_pointer", k_min=0,
@@ -561,8 +586,8 @@ class TestRunCommand:
                                         half_width=10, obj=PACKET,
                                         probe=PACKET), {"tv": 1e-300},
          None, "readout_matches_position_marginal"),
-    ], ids=["verdict", "born", "repeatability", "realization",
-            "limit-sweep", "grid-crosscheck"])
+    ], ids=["verdict", "born", "repeatability", "repeatability-halved",
+            "realization", "limit-sweep", "grid-crosscheck"])
     def test_one_failing_condition_fails_the_check(
             self, tmp_path, capsys, monkeypatch, check, body, tol, change,
             condition):

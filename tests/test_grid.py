@@ -257,7 +257,9 @@ def _product_grid(ospec, pspec, nx, ny, lx):
 
 class TestStackedEngine:
     @pytest.mark.parametrize("shape", [
-        (64, 64, 5.0), (64, 128, 7.5), (128, 32, 2.0), (256, 512, 20.0)])
+        (64, 64, 5.0), (64, 128, 7.5), (128, 32, 2.0), (256, 512, 20.0),
+        # nx = 16: each half of k_x holds two blocks of rows.
+        (16, 16, 3.0), (16, 64, 3.0)])
     @pytest.mark.parametrize("theta", [1.0, 0.37, -2.5])
     def test_factored_ramp_matches_direct_exp(self, shape, theta):
         box = _flat_grid(*shape)
@@ -272,10 +274,10 @@ class TestStackedEngine:
 
     @staticmethod
     def _assembled(box, step):
-        """(FFT axis, the ramp joined from the blocks the shear multiplies)."""
+        """(FFT axis, the ramp joined from the row blocks the shear
+        multiplies)."""
         axis, coarse, fine = grid._shear_ramp(box, step)
-        return axis, np.concatenate([part * fine for part in coarse],
-                                    axis=-1 - axis)
+        return axis, np.concatenate([part * fine for part in coarse])
 
     def test_input_amplitudes_untouched(self):
         rng = np.random.default_rng(50)
