@@ -30,7 +30,7 @@ def _prep_size(sc):
     far below unit scale gets no absolute slack to pass on.
     """
     return max(max(abs(s.mean_x), abs(s.mean_p), s.sigma_x, s.sigma_p)
-               for s in (sc.object_prep[0][1], sc.probe_spec))
+               for s in (*(s for _, s in sc.object_prep), sc.probe_spec))
 
 
 def _verdict_check(sc, tols):
@@ -173,13 +173,7 @@ def _grid_crosscheck(sc, tols):
     window = grid.window_pass(state, model.steps)
     eps_grid, eta_grid = window.epsilon, hbar * window.eta
 
-    if sc.object_state is not None:  # a Gaussian object
-        joint = states.product(sc.object_state, sc.probe_state)
-    else:
-        mean_unit, cov_unit = grid.grid_moments(state)
-        scale = np.diag([1.0, hbar, 1.0, hbar])
-        joint = states.MomentState(
-            model.system, scale @ mean_unit, scale @ cov_unit @ scale)
+    joint = states.product(sc.object_state, sc.probe_state)
     eps_moment = measurement.joint_noise(model, joint)
     eta_moment = measurement.joint_disturbance(model, joint)
 
@@ -198,7 +192,7 @@ def _grid_crosscheck(sc, tols):
     conditions = {f"{q}_routes_agree": values[f"{q}_gap"] <= tols["grid_match"]
                   for q in ("epsilon", "eta")}
     if model.exact_readout:
-        eps_tol = (tols["grid_epsilon"] if sc.object_state is not None
+        eps_tol = (tols["grid_epsilon"] if sc.object_state.gaussian
                    else tols["grid_epsilon_multi"])
         conditions["epsilon_grid_vanishes"] = eps_grid <= eps_tol
         edges = np.linspace(-state.lx, state.lx, 129)

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import GaussianSpec
+from .states import GaussianSpec, pure_packet
 
 DEFAULT_POINTS = 512
 
@@ -66,9 +66,6 @@ BOUNDARY_SHELL = 0.05
 _WRAP_FRACTION = 0.9
 
 _NORM_TOL = 1e-9
-
-# Pure single packets force sigma_x sigma_p sqrt(1 - rho^2) = 1/2 exactly.
-PURITY_TOL = 1e-9
 
 # Smallest box half-width ``auto_half_width`` returns.
 MIN_HALF_WIDTH = 10.0
@@ -191,15 +188,9 @@ def unit_hbar_spec(spec, hbar):
 
 def _pure_packet(coords, spec, name):
     """Minimum-uncertainty 1-D packet with x-p correlation, hbar = 1."""
-    if abs(spec.uncertainty_product() - 0.5) > PURITY_TOL:
-        raise ValueError(
-            f"grid packets are pure states: the {name} has sigma_x * sigma_p "
-            f"* sqrt(1 - rho^2) = {spec.uncertainty_product():.6g} hbar, "
-            "not hbar/2")
-    alpha = (1.0 / (4.0 * spec.sigma_x ** 2)
-             - 0.5j * spec.correlation * spec.sigma_p / spec.sigma_x)
+    alpha, q = pure_packet(spec, 1.0, name)
     shifted = coords - spec.mean_x
-    return np.exp(-alpha * shifted ** 2 + 1j * spec.mean_p * shifted)
+    return np.exp(-alpha * shifted ** 2 + 1j * q * shifted)
 
 
 def _density(raw, cell_area):

@@ -106,9 +106,9 @@ class Scenario:
     """A validated scenario, with its model and starting states built.
 
     hbar is ``model.system.hbar``.  ``object_prep`` holds the object's
-    (weight, GaussianSpec) components, one for a Gaussian packet.  A moment
-    state is None when its section is absent or, for the object, a
-    superposition; ``grid_state`` (hbar = 1) without grid_crosscheck.
+    (weight, GaussianSpec) components: one packet gives a Gaussian
+    ``object_state``, more a superposition's.  A moment state is None only
+    without its section; ``grid_state`` (hbar = 1) without grid_crosscheck.
     """
 
     name: str
@@ -341,10 +341,11 @@ def parse_scenario(mapping, source="scenario"):
     if "object" in mapping:
         context = f"{source}.object"
         object_prep = _object_prep(mapping["object"], context, hbar)
-        if len(object_prep) == 1:
-            with _refused_as(context):
-                object_state = states.from_gaussian(
-                    object_prep[0][1], hbar=hbar, labels=("object",))
+        with _refused_as(context):
+            object_state = (
+                states.from_gaussian(object_prep[0][1], hbar, ("object",))
+                if len(object_prep) == 1 else
+                states.from_superposition(object_prep, hbar, ("object",)))
     probe_spec, probe_state = None, None
     if "probe" in mapping:
         context = f"{source}.probe"
@@ -395,12 +396,10 @@ def parse_scenario(mapping, source="scenario"):
         if probe_spec is None:
             raise ConfigError(
                 f"{source}: checks {needs_preps} require a 'probe' section")
-    if object_prep is not None and object_state is None:
-        extra = [c for c in checks if c != "grid_crosscheck"]
-        if extra:
-            raise ConfigError(
-                f"{source}: a superposition object only supports the "
-                f"grid_crosscheck check, also got {extra}")
+    if "born" in checks and not object_state.gaussian:
+        raise ConfigError(
+            f"{source}: the born check needs a Gaussian object: the moments "
+            "of a superposition do not fix its outcome distribution")
     for check in checks:
         if not CHECKS[check].accepts(model):
             raise ConfigError(

@@ -30,6 +30,9 @@ from .canonical import ModeSystem, _check_compatible, _frozen_vector
 # would exceed hbar/2 itself at small hbar.
 PHYSICALITY_TOL = 1e-10
 
+# Pure packets force sigma_x sigma_p sqrt(1 - rho^2) = hbar/2 exactly.
+PURITY_TOL = 1e-9
+
 # Variances this far below zero (relative to scale) are rounding debris and
 # get clamped; anything worse is a real error.
 _VARIANCE_TOL = 1e-10
@@ -139,6 +142,53 @@ def from_gaussian(specs, hbar=1.0, labels=()):
     return _block_diagonal(
         system, [(spec.mean_block(), spec.cov_block()) for spec in specs],
         gaussian=True)
+
+
+def pure_packet(spec, hbar, name):
+    """(a, q) of exp(-a (x - m)^2 + i q (x - m)), the pure packet of spec,
+    which must meet sigma_x sigma_p sqrt(1 - rho^2) = hbar/2."""
+    product = spec.uncertainty_product() / hbar
+    if abs(product - 0.5) > PURITY_TOL:
+        raise ValueError(
+            f"grid packets are pure states: the {name} has sigma_x * sigma_p "
+            f"* sqrt(1 - rho^2) = {product:.6g} hbar, not hbar/2")
+    return (1.0 / (4.0 * spec.sigma_x ** 2) - 0.5j * spec.correlation
+            * (spec.sigma_p / hbar) / spec.sigma_x), spec.mean_p / hbar
+
+
+def from_superposition(components, hbar=1.0, labels=()):
+    """Moment state, not Gaussian, of sum_k w_k phi_k over (w_k, spec_k).
+
+    In u = x - m_j, conj(phi_j) phi_k = exp(-A u^2 + B u + C) integrates to
+    sqrt(pi/A) exp(B^2/4A + C), of mean B/2A and variance 1/2A; p phi_k is
+    (c + c1 u) phi_k.  Each moment sums pairs (j, k) about packet 0's (x, p),
+    its momentum in the weights, and variances are central: no offset squared.
+    """
+    a, q = np.array([pure_packet(spec, hbar, f"object component {k}")
+                     for k, (_, spec) in enumerate(components)]).T
+    ref = components[0][1]
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        m = np.array([spec.mean_x for _, spec in components]) - ref.mean_x
+        w = np.array([w for w, _ in components]) * np.exp(-1j * q[0].real * m)
+        q, d = q.real - q[0].real, m - m[:, None]  # d = m_k - m_j, k a column
+        big_a, big_b = a.conj()[:, None] + a, 2.0 * a * d + 1j * (q - q[:, None])
+        mu, var = big_b / (2.0 * big_a), 0.5 / big_a
+        weight = (w.conj()[:, None] * w * np.sqrt(np.pi / big_a)
+                  * np.exp(big_b * mu / 2.0 - a * d * d - 1j * q * d))
+        if not 0.0 < (norm := weight.sum().real) < math.inf:
+            raise ValueError(f"the superposition vanishes: its norm is {norm!r}")
+        weight /= norm
+        c1 = 2j * hbar * a  # ket side; the bra's is its conjugate
+        x, ket = m[:, None] + mu, hbar * q - c1 * d + c1 * mu  # pair means
+        x_mean, p_mean = (weight * x).sum().real, (weight * ket).sum().real
+        dx, dp = x - x_mean, ket - p_mean
+        dbra = hbar * q[:, None] + c1.conj()[:, None] * mu - p_mean
+        var_x, cov_xp, var_p = ((weight * terms).sum().real for terms in (
+            dx * dx + var, dx * dp + c1 * var,
+            dbra * dp + c1.conj()[:, None] * c1 * var))
+    return MomentState(ModeSystem(1, hbar=hbar, labels=labels),
+                       [ref.mean_x + x_mean, ref.mean_p + p_mean],
+                       [[var_x, cov_xp], [cov_xp, var_p]])
 
 
 def product(*parts):

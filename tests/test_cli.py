@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +248,23 @@ class TestRunCommand:
         assert main(["run", path, "--format", "json"]) == 0
         values = json.loads(capsys.readouterr().out)["checks"]["verdict"]["values"]
         assert values["eta"] > 1e6 and values["product"] > 1e-6
+
+    def test_every_superposition_component_sets_the_exact_slack(
+            self, tmp_path, capsys):
+        # Only the second packet moves fast, and it makes eta ~ 7e5 and
+        # the product ~ 1e-10: the slack scales with the largest component.
+        path = _write(tmp_path, """\
+            name: far-component
+            model: noiseless
+            checks: [verdict, repeatability]
+            object:
+              kind: superposition
+              components: [{sigma_x: 1.0}, {sigma_x: 1.0, mean_p: 1e6}]
+            probe: {sigma_x: 0.5, sigma_p: 1.0, mean_x: 3.0}
+            """)
+        assert main(["run", path, "--format", "json"]) == 0
+        values = json.loads(capsys.readouterr().out)["checks"]["verdict"]["values"]
+        assert values["eta"] > 1e5 and values["product"] > 1e-12
 
     def test_large_custom_window_runs(self, tmp_path, capsys):
         path = _write(tmp_path, LARGE_SQUEEZE.format(c=6))
@@ -801,6 +819,32 @@ def test_hostile_values_exit_cleanly(tmp_path, capsys, monkeypatch):
             assert len(captured.err.splitlines()) == 1
 
     run()
+
+
+# A superposition's moments are a closed form over pairs of packets; each
+# value overflows some step of it, which load refuses in one line.
+@pytest.mark.parametrize("component", [
+    "{sigma_x: 1.0, mean_x: 1.25, weight: 1.0e308}",
+    "{sigma_x: 1.0, mean_x: 1.25, mean_p: 1.0e300}",
+    "{sigma_x: 1.0e-300, mean_x: 1.25}",
+    "{sigma_x: 1.0e300, mean_x: 1.25}",
+    "{sigma_x: 1.0, mean_x: 1.0e200}",
+], ids=["weight", "mean_p", "narrow", "wide", "far"])
+def test_hostile_superposition_values_exit_cleanly(tmp_path, capsys,
+                                                   component):
+    path = _write(tmp_path, f"""\
+        name: hostile
+        model: noiseless
+        checks: [verdict]
+        object:
+          kind: superposition
+          components: [{{sigma_x: 1.0, mean_x: -1.25}}, {component}]
+        probe: {{sigma_x: 0.5, sigma_p: 1.0}}
+        """)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning escapes main
+        line = _exits_two(capsys, ["run", path])
+    assert ".object: " in line
 
 
 class TestReports:

@@ -1,13 +1,16 @@
 """Property tests: shear maps against the grid, the shear factorization,
 the cascade gap against two composed windows, the uncertainty
 relations that hold for every measurement, propagation under random
-quadratic Hamiltonians, minimum-uncertainty scenarios at every hbar, and
-states assembled from checked blocks against the public constructor.
+quadratic Hamiltonians, minimum-uncertainty scenarios at every hbar,
+states assembled from checked blocks against the public constructor, and
+the closed-form moments of superpositions against the grid and under
+translation.
 
 Hypothesis draws the inputs; every identity is checked at the tolerance
 its fixed-seed counterpart uses, every inequality at 1e-12 of its scale.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -314,3 +317,55 @@ def test_states_from_checked_blocks_match_the_public_constructor(data, hbar,
             np.concatenate([part.mean for part in parts]),
             scipy.linalg.block_diag(*(part.cov for part in parts)),
             gaussian=all(part.gaussian for part in parts)))
+
+
+@st.composite
+def superpositions(draw, hbar):
+    """Two or three pure packets close enough that they interfere."""
+    components = []
+    for _ in range(draw(st.integers(2, 3))):
+        sigma_x = draw(st.floats(0.6, 1.4))
+        rho = draw(st.floats(-0.5, 0.5))
+        components.append((draw(st.floats(0.3, 1.5)), GaussianSpec(
+            sigma_x=sigma_x,
+            sigma_p=hbar / (2.0 * sigma_x * math.sqrt(1.0 - rho ** 2)),
+            mean_x=draw(st.floats(-1.5, 1.5)),
+            mean_p=hbar * draw(st.floats(-1.0, 1.0)),
+            correlation=rho)))
+    return components
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), hbar=st.sampled_from((0.5, 1.0, 2.0)))
+def test_superposition_moments_match_the_grid(data, hbar):
+    # Over 150 seeded draws at 256^2 the two routes met within 1.4e-15 of
+    # max(1, max|cov|).  Dropping the cross terms (j != k) moves these
+    # overlapping packets' moments by far more than the bound.
+    components = data.draw(superpositions(hbar))
+    state = states.from_superposition(components, hbar)
+    mean, cov = grid.grid_moments(grid.init_grid(
+        [(w, grid.unit_hbar_spec(s, hbar)) for w, s in components],
+        GaussianSpec(1.0, 0.5), nx=256, ny=256))
+    scale = np.array([1.0, hbar])
+    bound = 1e-13 * max(1.0, np.max(np.abs(state.cov)))
+    assert np.max(np.abs(state.mean - scale * mean[:2])) <= bound
+    assert np.max(np.abs(state.cov - np.outer(scale, scale) * cov[:2, :2])) <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), hbar=st.floats(0.1, 10.0),
+       offset=st.sampled_from((1e3, 1e6, 1e9)))
+def test_superposition_moments_translate_with_the_packets(data, hbar, offset):
+    # Moments about the first packet, variances as central sums: a common
+    # offset leaves cov as it was to the rounding of the moved means.
+    components = data.draw(superpositions(hbar))
+    moved = [(w, dataclasses.replace(s, mean_x=s.mean_x + offset))
+             for w, s in components]
+    state, shifted = (states.from_superposition(c, hbar)
+                      for c in (components, moved))
+    size = max(max(abs(s.mean_x), abs(s.mean_p), s.sigma_x, s.sigma_p)
+               for _, s in moved)
+    exact = scenarios.DEFAULT_TOLERANCES["exact"] * size
+    assert abs(shifted.mean[0] - state.mean[0] - offset) <= exact
+    assert abs(shifted.mean[1] - state.mean[1]) <= exact
+    assert np.max(np.abs(shifted.cov - state.cov)) <= exact

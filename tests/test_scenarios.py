@@ -4,7 +4,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from backaction import grid, measurement, scenarios
+from backaction import grid, measurement, scenarios, states
 from backaction.cli import run_scenario
 from backaction.scenarios import (
     ConfigError,
@@ -158,7 +158,12 @@ class TestPrepValidation:
                 ],
             }))
         assert len(scenario.object_prep) == 2
-        assert scenario.object_state is None
+        # The closed-form moments: symmetric peaks, so the mean is zero.
+        state = scenario.object_state
+        assert isinstance(state, states.MomentState) and not state.gaussian
+        assert state.system.labels == ("object",)
+        assert state.mean.tolist() == [0.0, 0.0]
+        assert state.cov[0, 0] > 2.0 ** 2
         weights = [w for w, _ in scenario.object_prep]
         assert weights == [1.0, 1.0]
         # Omitted sigma_p saturates the pure-packet product.
@@ -173,18 +178,20 @@ class TestPrepValidation:
                 object={"kind": "superposition",
                         "components": [{"sigma_x": 0.8}]}))
 
-    def test_superposition_only_supports_grid_crosscheck(self):
-        with pytest.raises(ConfigError, match="grid_crosscheck"):
+    def test_superposition_takes_every_check_but_born(self):
+        superposition = {"kind": "superposition", "components": [
+            {"sigma_x": 0.8, "mean_x": -2.0}, {"sigma_x": 0.8, "mean_x": 2.0}]}
+        for model in ("noiseless", "von_neumann"):
+            scenario = parse_scenario(_base(
+                model=model, checks=["verdict", "robertson", "repeatability"],
+                object=superposition))
+            assert run_scenario(scenario)[0]["passed"]
+        with pytest.raises(ConfigError, match=(
+                "the born check needs a Gaussian object: the moments of a "
+                "superposition do not fix its outcome distribution")):
             parse_scenario(_base(
-                model="noiseless",
-                checks=["verdict"],
-                object={
-                    "kind": "superposition",
-                    "components": [
-                        {"sigma_x": 0.8, "mean_x": -2.0},
-                        {"sigma_x": 0.8, "mean_x": 2.0},
-                    ],
-                }))
+                model="noiseless", checks=["verdict", "born"],
+                object=superposition))
 
     def test_born_needs_gaussian_object(self):
         with pytest.raises(ConfigError, match="born"):
@@ -253,10 +260,10 @@ class TestCrossFieldRules:
                 sweep={"kind": "sharpen_pointer", "k_min": 4, "k_max": 2}))
 
     def test_inadmissible_superposition_component_refused(self):
-        # Components meet the grid's purity rule, which is stricter than
+        # Components are pure packets, a rule stricter than
         # sigma_x sigma_p sqrt(1 - rho^2) >= hbar/2.
         with pytest.raises(ConfigError, match=(
-                r"\.grid: .*pure.*object component 1 .*0\.08")):
+                r"\.object: .*pure.*object component 1 .*0\.08")):
             parse_scenario(_base(
                 model="noiseless",
                 checks=["grid_crosscheck"],
