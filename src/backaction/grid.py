@@ -14,15 +14,18 @@ acceptance evidence that the symplectic bookkeeping means what it claims.
 
 ``window_pass`` shears psi under the box guards, then x psi and p_x psi in
 turn in one second buffer, so no call holds over 2.5 complex fields beyond
-its input.  For either shear kind, each ramp factors over ~sqrt(n) coarse
-and fine parts of its row coordinate, x or k_x (O(n^1.5) complex exps, not
-n^2), and is applied one slab of ~sqrt(n) rows at a time.  When the first
-shear transforms along x, p_x psi enters it as k_x F_x psi, with no inverse
-and forward FFT between.  The disturbance field is integrated along k_x by
-Parseval.  The pointer readout is the density the last box guard read,
-summed over x; ``window_pass`` and ``output_histogram`` take it from that
-one density.  ``grid_moments`` sums each entry of its Gram matrix from the
-row dot products of two fields, one row block at a time.
+its input.  A y shear acts row by row, so when every step moves y,
+U x psi = x U psi and x psi is not sheared: epsilon^2 is the sum of
+(y - x)^2 over the last density.  For either shear kind, each ramp factors
+over ~sqrt(n) coarse and fine parts of its row coordinate, x or k_x
+(O(n^1.5) complex exps, not n^2), and is applied one slab of ~sqrt(n) rows
+at a time.  When the first shear transforms along x, p_x psi enters it as
+k_x F_x psi, with no inverse and forward FFT between.  The disturbance
+field is integrated along k_x by Parseval.  A ``GridState`` keeps the x and
+y marginals and the shell mass of the density its norm check builds, and
+the guards build one density after each step, whose sum over x is the
+pointer readout.  ``grid_moments`` sums each entry of its Gram matrix from
+the row dot products of two fields, one row block at a time.
 
 Every field that takes an FFT along x is made by ``_field``: a view of the
 first ny columns of an (nx, ny + 1) buffer whose pad column is zero.  With
@@ -115,7 +118,8 @@ MODEL_STEPS = {
 @dataclass(frozen=True, eq=False)
 class GridState:
     """Normalized two-mode wavefunction on the periodic box [-lx, lx)^2,
-    with (nx, ny) the shape of ``amplitudes``."""
+    with (nx, ny) the shape of ``amplitudes``; ``marginals`` (along x, y)
+    and ``shell_mass`` are read-only masses of its density."""
 
     lx: float
     amplitudes: np.ndarray
@@ -133,8 +137,12 @@ class GridState:
         if arr.strides[1] != arr.itemsize:  # rows must have float views
             arr = arr.copy()
         object.__setattr__(self, "amplitudes", arr)
-        _check_amplitudes(arr, self.cell_area)
-        arr.setflags(write=False)
+        density = _density(arr, self.cell_area)
+        marginals = density.sum(axis=1), density.sum(axis=0)
+        _check_norm(float(np.sum(marginals[0])), arr)
+        for array in (arr, *marginals):
+            array.setflags(write=False)
+        self.__dict__.update(marginals=marginals, shell_mass=_shell_mass(density))
 
     @property
     def dx(self):
@@ -165,12 +173,11 @@ class GridState:
         return 2.0 * math.pi * np.fft.fftfreq(self.ny, d=self.dy)
 
 
-def _check_amplitudes(raw, cell_area):
-    """Return |norm - 1|, refusing non-finite or unnormalized amplitudes."""
-    norm_sq = _sq_norm(raw)
+def _check_norm(norm_sq, raw):
+    """Return |norm - 1| from norm_sq, refusing non-finite or unnormalized raw."""
     if not math.isfinite(norm_sq) and not np.all(np.isfinite(raw)):
         raise ValueError("amplitudes contain non-finite entries")
-    norm = math.sqrt(norm_sq * cell_area)
+    norm = math.sqrt(norm_sq)
     if not abs(norm - 1.0) <= _NORM_TOL:
         raise ValueError(f"amplitudes must be normalized, got norm {norm!r}")
     return abs(norm - 1.0)
@@ -203,7 +210,7 @@ def _density(raw, cell_area):
 
 def boundary_mass(state):
     """Probability mass inside the guard shell along either axis."""
-    return _shell_mass(_density(state.amplitudes, state.cell_area))
+    return state.shell_mass
 
 
 def _shell_mass(density):
@@ -291,8 +298,7 @@ def init_grid(object_components, probe_spec, nx=DEFAULT_POINTS,
         raise ValueError("wavefunction vanished on the grid")
     amplitudes /= norm
     state = GridState(half_width, amplitudes)
-    mass = boundary_mass(state)
-    if mass > BOUNDARY_THRESHOLD:
+    if (mass := state.shell_mass) > BOUNDARY_THRESHOLD:
         raise BoundaryMassError(
             f"initial state already puts mass {mass:.3e} in the guard shell; "
             "enlarge half_width")
@@ -366,12 +372,11 @@ def _shear_field(field, shears, transformed=False):
     return field
 
 
-def _wrap_guard(density, grid, step):
-    """Refuse shears that translate occupied columns across the box."""
+def _wrap_guard(marginal, grid, step):
+    """Refuse shears that translate the marginal's occupied cells across the box."""
     moved, _ = step.axes
-    occupied = density.sum(axis=moved) > 1e-14
     coords = grid.x if moved else grid.y
-    reach = float(np.max(np.abs(coords[occupied]), initial=0.0))
+    reach = float(np.max(np.abs(coords[marginal > 1e-14]), initial=0.0))
     span = 2.0 * grid.lx
     if abs(step.theta) * reach >= _WRAP_FRACTION * span:
         raise BoundaryMassError(
@@ -380,18 +385,19 @@ def _wrap_guard(density, grid, step):
 
 
 def _guarded_shear(psi, grid, steps):
-    """Shear psi in place step by step, guarding the box at every step.
+    """Shear psi, grid's amplitudes, in place, guarding the box every step.
 
-    The wrap guard reads psi before each step, the boundary-mass guard
-    after it.  Returns each step's ``_shear_ramp``, for ``_shear_field`` to
-    replay on auxiliary fields, the largest shell mass after any step, and
-    the density of psi after the last step.
+    The wrap guard reads psi's marginal before each step (grid's, first),
+    the boundary-mass guard psi's density after it.  Returns each step's
+    ``_shear_ramp``, for ``_shear_field`` to replay on auxiliary fields, the
+    largest shell mass after any step, and psi's last density.
     """
-    density = _density(_whole(psi), grid.cell_area)[:, :grid.ny]
-    shears, peak_mass = [], 0.0
+    shears, peak_mass, density = [], 0.0, None
     for step in steps:
         shears.append(_shear_ramp(grid, step))
-        _wrap_guard(density, grid, step)
+        moved, _ = step.axes
+        _wrap_guard(grid.marginals[1 - moved] if density is None
+                    else density.sum(axis=moved), grid, step)
         del density  # free it before the step's own is built
         _shear_field(psi, shears[-1:])
         density = _density(_whole(psi), grid.cell_area)[:, :grid.ny]
@@ -401,15 +407,9 @@ def _guarded_shear(psi, grid, steps):
                 f"after shear {step.kind} theta={step.theta}: boundary mass "
                 f"{mass:.3e} exceeds {BOUNDARY_THRESHOLD:.3e}")
         peak_mass = max(peak_mass, mass)
+    if density is None:  # no steps
+        density = _density(_whole(psi), grid.cell_area)[:, :grid.ny]
     return shears, peak_mass, density
-
-
-def _sheared_readout(psi, grid, steps):
-    """``_guarded_shear`` of psi, then (shears, peak shell mass, norm drift,
-    readout), the readout being the last density summed over x."""
-    shears, peak_mass, density = _guarded_shear(psi, grid, steps)
-    drift = _check_amplitudes(psi, grid.cell_area)
-    return shears, peak_mass, drift, density.sum(axis=0)
 
 
 def apply_steps(state, steps):
@@ -452,20 +452,31 @@ def window_pass(state, steps):
     epsilon^2 integrates |y U psi - U x psi|^2: the pointer readout after
     the window against the position it was meant to record.  eta^2
     integrates |p_x U psi - U p_x psi|^2, evaluated along k_x by Parseval.
-    x psi and then p_x psi replay psi's ramps, unguarded, in one buffer.
+    x psi (unless every step moves y) and then p_x psi replay psi's ramps,
+    unguarded, in one second buffer.
     """
     raw, kx = state.amplitudes, state.kx[:, None]
     u_psi = _field(raw)
-    shears, peak_mass, drift, readout = _sheared_readout(u_psi, state, steps)
-    noise_field = _shear_field(_field(raw, state.x[:, None]), shears)
-    whole_u, whole_n = _whole(u_psi), _whole(noise_field)
-    y = np.append(state.y, 0.0)  # zero against the pad column
-    block = _block(state.nx)
-    for a in range(0, state.nx, block):
-        whole_n[a:a + block] -= y * whole_u[a:a + block]
-    epsilon = math.sqrt(_sq_norm(noise_field) * state.cell_area)
-    u_px_psi = noise_field  # p_x psi, kept as k_x F_x psi for an x shear
-    u_px_psi[...] = raw
+    shears, peak_mass, density = _guarded_shear(u_psi, state, steps)
+    drift = _check_norm(_sq_norm(u_psi) * state.cell_area, u_psi)
+    readout, block = density.sum(axis=0), _block(state.nx)
+    if all(axis == -1 for axis, _, _ in shears):  # U x psi = x U psi
+        gaps = np.concatenate([np.einsum(
+            "ij,ij->i", np.square(state.y - state.x[a:a + block, None]),
+            density[a:a + block]) for a in range(0, state.nx, block)])
+        del density
+        epsilon = math.sqrt(float(np.sum(gaps)))
+        u_px_psi = _field(raw)
+    else:
+        del density
+        noise_field = _shear_field(_field(raw, state.x[:, None]), shears)
+        y = np.append(state.y, 0.0)  # zero against the pad column
+        for a in range(0, state.nx, block):
+            _whole(noise_field)[a:a + block] -= y * _whole(u_psi)[a:a + block]
+        epsilon = math.sqrt(_sq_norm(noise_field) * state.cell_area)
+        u_px_psi = noise_field  # p_x psi, kept as k_x F_x psi for an x shear
+        u_px_psi[...] = raw
+    whole_u, whole_n = _whole(u_psi), _whole(u_px_psi)
     np.fft.fft(whole_n, axis=0, out=whole_n)
     whole_n *= kx
     reuse = bool(shears) and shears[0][0] == -2
@@ -515,15 +526,13 @@ def position_marginal(state, axis=0):
     """(coordinates, probability masses) along x (axis 0) or y (axis 1)."""
     if axis not in (0, 1):
         raise ValueError("axis must be 0 (x) or 1 (y)")
-    masses = _density(state.amplitudes, state.cell_area).sum(axis=1 - axis)
-    coords = state.x if axis == 0 else state.y
-    return coords, masses
+    return (state.x if axis == 0 else state.y), state.marginals[axis]
 
 
 def output_histogram(state, steps, edges):
     """Histogram of psi alone sheared: the reference for ``window_pass``."""
-    readout = _sheared_readout(_field(state.amplitudes), state, steps)[-1]
-    return np.histogram(state.y, bins=edges, weights=readout)[0]
+    density = _guarded_shear(_field(state.amplitudes), state, steps)[-1]
+    return np.histogram(state.y, bins=edges, weights=density.sum(axis=0))[0]
 
 
 def total_variation(p, q):

@@ -721,6 +721,16 @@ def test_grid_crosscheck_shears_once(monkeypatch, name):
     assert len(calls) == 1
 
 
+def test_flipped_x_py_sign_fails_von_neumann_epsilon(monkeypatch):
+    # epsilon of a y-only window is read off the sheared density, which a
+    # sign flip in SHEARS moves as it moved the sheared x psi.
+    monkeypatch.setitem(grid.SHEARS, "x_py", (1, -1.0))
+    report, _ = run_scenario(scenarios.load_bundled("von-neumann-bound"))
+    conditions = report["checks"]["grid_crosscheck"]["values"]["conditions"]
+    assert conditions == {"epsilon_routes_agree": False,
+                          "eta_routes_agree": True}
+
+
 def test_runs_without_scipy():
     # numpy is the only numeric dependency at run time: the born check
     # (KS quantile and normal CDF) and the FFT grid load no scipy module.
@@ -823,15 +833,15 @@ def test_hostile_values_exit_cleanly(tmp_path, capsys, monkeypatch):
 
 # A superposition's moments are a closed form over pairs of packets; each
 # value overflows some step of it, which load refuses in one line.
-@pytest.mark.parametrize("component", [
-    "{sigma_x: 1.0, mean_x: 1.25, weight: 1.0e308}",
-    "{sigma_x: 1.0, mean_x: 1.25, mean_p: 1.0e300}",
-    "{sigma_x: 1.0e-300, mean_x: 1.25}",
-    "{sigma_x: 1.0e300, mean_x: 1.25}",
-    "{sigma_x: 1.0, mean_x: 1.0e200}",
+@pytest.mark.parametrize("component, names", [
+    ("{sigma_x: 1.0, mean_x: 1.25, weight: 1.0e308}", ""),
+    ("{sigma_x: 1.0, mean_x: 1.25, mean_p: 1.0e300}", ""),
+    ("{sigma_x: 1.0e-300, mean_x: 1.25}", "sigma_x = 1e-300"),
+    ("{sigma_x: 1.0e300, mean_x: 1.25}", "sigma_x = 1e+300"),
+    ("{sigma_x: 1.0, mean_x: 1.0e200}", ""),
 ], ids=["weight", "mean_p", "narrow", "wide", "far"])
 def test_hostile_superposition_values_exit_cleanly(tmp_path, capsys,
-                                                   component):
+                                                   component, names):
     path = _write(tmp_path, f"""\
         name: hostile
         model: noiseless
@@ -844,7 +854,7 @@ def test_hostile_superposition_values_exit_cleanly(tmp_path, capsys,
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a RuntimeWarning escapes main
         line = _exits_two(capsys, ["run", path])
-    assert ".object: " in line
+    assert ".object: " in line and names in line
 
 
 class TestReports:

@@ -87,6 +87,28 @@ class TestGridStateValidation:
         with pytest.raises(ValueError):
             state.amplitudes[0, 0] = 1.0
 
+    @pytest.mark.parametrize("shape", [(N, N), (N, 2 * N)])
+    @pytest.mark.parametrize("steps", [(), NOISELESS_STEPS, VON_NEUMANN_STEPS],
+                             ids=["init_grid", "noiseless", "von-neumann"])
+    def test_kept_density_figures_are_a_fresh_density_read_only(self, shape,
+                                                                steps):
+        rng = np.random.default_rng(2)
+        state = _default_grid(rng, nx=shape[0], ny=shape[1])
+        if steps:
+            state = apply_steps(state, steps)
+        density = grid._density(state.amplitudes, state.cell_area)
+        x_masses, y_masses = state.marginals
+        assert x_masses.tobytes() == density.sum(axis=1).tobytes()
+        assert y_masses.tobytes() == density.sum(axis=0).tobytes()
+        assert state.shell_mass == grid._shell_mass(density)
+        assert boundary_mass(state) == state.shell_mass
+        for axis, masses in enumerate(state.marginals):
+            assert position_marginal(state, axis)[1] is masses
+            with pytest.raises(ValueError, match="read-only"):
+                masses[0] = 1.0
+        with pytest.raises(AttributeError):
+            state.shell_mass = 0.0
+
     def test_axes_span_the_box(self):
         # Both axes span [-lx, lx); each one's size is the array's.
         rng = np.random.default_rng(1)

