@@ -19,8 +19,8 @@ U x psi = x U psi and x psi is not sheared: epsilon^2 is the sum of
 (y - x)^2 over the last density.  For either shear kind, each ramp factors
 over ~sqrt(n) coarse and fine parts of its row coordinate, x or k_x
 (O(n^1.5) complex exps, not n^2), and is applied one slab of ~sqrt(n) rows
-at a time.  When the first shear transforms along x, p_x psi enters it as
-k_x F_x psi, with no inverse and forward FFT between.  The disturbance
+at a time.  The first FFT of psi, x psi or p_x psi is taken on one 1-D
+factor of ``init_grid``'s product state phi(x) xi(y).  The disturbance
 field is integrated along k_x by Parseval.  A ``GridState`` keeps the x and
 y marginals and the shell mass of the density its norm check builds, and
 the guards build one density after each step, whose sum over x is the
@@ -123,6 +123,7 @@ class GridState:
 
     lx: float
     amplitudes: np.ndarray
+    factors = None  # init_grid's read-only 1-D (object, probe) waves
 
     nx = property(lambda self: self.amplitudes.shape[0])
     ny = property(lambda self: self.amplitudes.shape[1])
@@ -290,14 +291,15 @@ def init_grid(object_components, probe_spec, nx=DEFAULT_POINTS,
     for k, (weight, spec) in enumerate(components):
         name = f"object component {k}" if len(components) > 1 else "object"
         object_wave += weight * _pure_packet(xs, spec, name)
-    probe_wave = _pure_packet(ys, probe_spec, "probe")
-    amplitudes = np.outer(object_wave, probe_wave)
-    norm = math.sqrt(float(np.sum(_density(amplitudes, 1.0)))
-                     * (2.0 * half_width / nx) * (2.0 * half_width / ny))
-    if norm == 0.0:
-        raise ValueError("wavefunction vanished on the grid")
-    amplitudes /= norm
-    state = GridState(half_width, amplitudes)
+    factors = object_wave, _pure_packet(ys, probe_spec, "probe")
+    for wave in factors:  # an outer product's norm is the factors' product
+        norm = math.sqrt(_density(wave, 2.0 * half_width / len(wave)).sum())
+        if norm == 0.0:
+            raise ValueError("wavefunction vanished on the grid")
+        wave /= norm
+        wave.setflags(write=False)
+    state = GridState(half_width, np.outer(*factors))
+    object.__setattr__(state, "factors", factors)
     if (mass := state.shell_mass) > BOUNDARY_THRESHOLD:
         raise BoundaryMassError(
             f"initial state already puts mass {mass:.3e} in the guard shell; "
@@ -335,9 +337,9 @@ def _shear_ramp(grid, step):
 
 
 def _field(raw, scale=None):
-    """raw, or scale * raw, in a new field: the first ny columns of an
-    (nx, ny + 1) buffer whose pad column is zero."""
-    nx, ny = raw.shape
+    """raw, or scale * raw (broadcast), in a new field: the first ny columns
+    of an (nx, ny + 1) buffer whose pad column is zero."""
+    nx, ny = np.broadcast_shapes(raw.shape, np.shape(scale))
     whole = np.empty((nx, ny + 1), dtype=complex)
     whole[:, ny] = 0.0
     field = whole[:, :ny]
@@ -372,6 +374,32 @@ def _shear_field(field, shears, transformed=False):
     return field
 
 
+def _first_transform(state, axis, weight=None):
+    """A new field holding the FFT along ``axis`` (-2: x, -1: y, None: no
+    FFT) of psi, x psi (weight "x") or p_x psi (weight "p"), taken on one
+    1-D factor of a factored state.  Otherwise it is formed whole, p_x psi
+    as k_x F_x psi before an FFT along x; with no FFT, p_x psi then keeps
+    psi's rounding, which k_x would amplify in eta."""
+    if state.factors is not None and axis is not None:
+        a, b = state.factors
+        a = state.x * a if weight == "x" else a
+        a = _spectral_p(a, state.kx, axis=0) if weight == "p" else a
+        a, b = (np.fft.fft(a), b) if axis == -2 else (a, np.fft.fft(b))
+        return _field(b, a[:, None])
+    field = _field(state.amplitudes,
+                   state.x[:, None] if weight == "x" else None)
+    whole = _whole(field)
+    if weight == "p":
+        np.fft.fft(whole, axis=0, out=whole)
+        whole *= state.kx[:, None]
+        if axis == -2:
+            return field
+        np.fft.ifft(whole, axis=0, out=whole)
+    if axis is not None:
+        np.fft.fft(field, axis=axis, out=field)
+    return field
+
+
 def _wrap_guard(marginal, grid, step):
     """Refuse shears that translate the marginal's occupied cells across the box."""
     moved, _ = step.axes
@@ -384,14 +412,15 @@ def _wrap_guard(marginal, grid, step):
             f"{abs(step.theta) * reach:.3g} across a box of span {span:.3g}")
 
 
-def _guarded_shear(psi, grid, steps):
-    """Shear psi, grid's amplitudes, in place, guarding the box every step.
+def _guarded_shear(grid, steps):
+    """Shear grid's psi from ``_first_transform``, guarding the box each step.
 
     The wrap guard reads psi's marginal before each step (grid's, first),
-    the boundary-mass guard psi's density after it.  Returns each step's
-    ``_shear_ramp``, for ``_shear_field`` to replay on auxiliary fields, the
-    largest shell mass after any step, and psi's last density.
+    the boundary-mass guard psi's density after it.  Returns psi, each
+    step's ``_shear_ramp``, for ``_shear_field`` to replay on auxiliary
+    fields, the largest shell mass after any step, and psi's last density.
     """
+    psi = _first_transform(grid, steps[0].axes[0] - 2 if steps else None)
     shears, peak_mass, density = [], 0.0, None
     for step in steps:
         shears.append(_shear_ramp(grid, step))
@@ -399,7 +428,7 @@ def _guarded_shear(psi, grid, steps):
         _wrap_guard(grid.marginals[1 - moved] if density is None
                     else density.sum(axis=moved), grid, step)
         del density  # free it before the step's own is built
-        _shear_field(psi, shears[-1:])
+        _shear_field(psi, shears[-1:], transformed=len(shears) == 1)
         density = _density(_whole(psi), grid.cell_area)[:, :grid.ny]
         mass = _shell_mass(density)
         if mass > BOUNDARY_THRESHOLD:
@@ -409,14 +438,12 @@ def _guarded_shear(psi, grid, steps):
         peak_mass = max(peak_mass, mass)
     if density is None:  # no steps
         density = _density(_whole(psi), grid.cell_area)[:, :grid.ny]
-    return shears, peak_mass, density
+    return psi, shears, peak_mass, density
 
 
 def apply_steps(state, steps):
     """Apply a shear sequence with wrap and boundary guards at every step."""
-    psi = _field(state.amplitudes)
-    _guarded_shear(psi, state, steps)
-    return GridState(state.lx, psi)
+    return GridState(state.lx, _guarded_shear(state, steps)[0])
 
 
 def _spectral_p(raw, k, axis, out=None):
@@ -453,38 +480,32 @@ def window_pass(state, steps):
     the window against the position it was meant to record.  eta^2
     integrates |p_x U psi - U p_x psi|^2, evaluated along k_x by Parseval.
     x psi (unless every step moves y) and then p_x psi replay psi's ramps,
-    unguarded, in one second buffer.
+    unguarded, in one second buffer; each starts from ``_first_transform``.
     """
-    raw, kx = state.amplitudes, state.kx[:, None]
-    u_psi = _field(raw)
-    shears, peak_mass, density = _guarded_shear(u_psi, state, steps)
+    u_psi, shears, peak_mass, density = _guarded_shear(state, steps)
     drift = _check_norm(_sq_norm(u_psi) * state.cell_area, u_psi)
     readout, block = density.sum(axis=0), _block(state.nx)
+    first = shears[0][0] if shears else None
     if all(axis == -1 for axis, _, _ in shears):  # U x psi = x U psi
         gaps = np.concatenate([np.einsum(
             "ij,ij->i", np.square(state.y - state.x[a:a + block, None]),
             density[a:a + block]) for a in range(0, state.nx, block)])
         del density
         epsilon = math.sqrt(float(np.sum(gaps)))
-        u_px_psi = _field(raw)
     else:
         del density
-        noise_field = _shear_field(_field(raw, state.x[:, None]), shears)
+        noise_field = _shear_field(_first_transform(state, first, "x"),
+                                   shears, transformed=True)
         y = np.append(state.y, 0.0)  # zero against the pad column
         for a in range(0, state.nx, block):
             _whole(noise_field)[a:a + block] -= y * _whole(u_psi)[a:a + block]
         epsilon = math.sqrt(_sq_norm(noise_field) * state.cell_area)
-        u_px_psi = noise_field  # p_x psi, kept as k_x F_x psi for an x shear
-        u_px_psi[...] = raw
+        del noise_field
+    u_px_psi = _shear_field(_first_transform(state, first, "p"), shears,
+                            transformed=True)
     whole_u, whole_n = _whole(u_psi), _whole(u_px_psi)
-    np.fft.fft(whole_n, axis=0, out=whole_n)
-    whole_n *= kx
-    reuse = bool(shears) and shears[0][0] == -2
-    if not reuse:
-        np.fft.ifft(whole_n, axis=0, out=whole_n)
-    _shear_field(u_px_psi, shears, transformed=reuse)
     np.fft.fft(whole_u, axis=0, out=whole_u)  # u_psi is now the spectrum
-    whole_u *= kx
+    whole_u *= state.kx[:, None]
     whole_u -= np.fft.fft(whole_n, axis=0, out=whole_n)
     eta = math.sqrt(_sq_norm(u_psi) / state.nx * state.cell_area)
     return WindowPass(epsilon, eta, readout, peak_mass, drift)
@@ -498,21 +519,25 @@ def grid_noise_disturbance(state, steps):
 def grid_moments(state):
     """Mean vector and covariance over (x, p_x, y, p_y), hbar = 1.
 
-    psi, x psi, p_x psi, y psi and p_y psi are formed one row block at a
-    time, and each entry of the real Gram matrix Re <f_i, f_j> is the sum
-    of their row dot products.  Row 0 gives the means, and centering is
-    algebraic: Re <f_i - m_i psi, f_j - m_j psi> = G_ij - m_i m_j (2 - G_00)
-    once G is scaled by the cell area.
+    psi, x psi, p_x psi, y psi and p_y psi (p_x psi, p_y psi from 1-D
+    derivatives if factored) are formed one row block at a time, and each
+    entry of the real Gram matrix Re <f_i, f_j> sums their row dot products.
+    Centering is algebraic, row 0 giving the means: Re <f_i - m_i psi,
+    f_j - m_j psi> = G_ij - m_i m_j (2 - G_00), G scaled by the cell area.
     """
     raw, x, y, ky = state.amplitudes, state.x, state.y, state.ky
-    p_x = _field(raw)
-    _spectral_p(_whole(p_x), state.kx[:, None], axis=0, out=_whole(p_x))
+    if state.factors is None:
+        p_x = _first_transform(state, None, "p")
+    else:
+        phi, xi = state.factors
+        p_phi, p_xi = _spectral_p(phi, state.kx, 0), _spectral_p(xi, ky, 0)
     dots, block = np.zeros((5, 5, state.nx)), _block(state.nx)
     for rows in (slice(a, a + block) for a in range(0, state.nx, block)):
         psi = raw[rows]
+        p_psi = ((p_phi[rows, None] * xi, phi[rows, None] * p_xi)
+                 if state.factors else (p_x[rows], _spectral_p(psi, ky, 1)))
         flat = [f.view(float) for f in (
-            psi, x[rows, None] * psi, p_x[rows], y * psi,
-            _spectral_p(psi, ky, axis=1))]
+            psi, x[rows, None] * psi, p_psi[0], y * psi, p_psi[1])]
         for i, j in zip(*np.triu_indices(5)):
             np.einsum("ij,ij->i", flat[i], flat[j], out=dots[i, j, rows])
     gram = dots.sum(axis=-1)
@@ -531,7 +556,7 @@ def position_marginal(state, axis=0):
 
 def output_histogram(state, steps, edges):
     """Histogram of psi alone sheared: the reference for ``window_pass``."""
-    density = _guarded_shear(_field(state.amplitudes), state, steps)[-1]
+    density = _guarded_shear(state, steps)[-1]
     return np.histogram(state.y, bins=edges, weights=density.sum(axis=0))[0]
 
 

@@ -183,10 +183,15 @@ def from_superposition(components, hbar=1.0, labels=()):
         q, d = q.real - q[0].real, m - m[:, None]  # d = m_k - m_j, k a column
         big_a, big_b = a.conj()[:, None] + a, 2.0 * a * d + 1j * (q - q[:, None])
         mu, var = big_b / (2.0 * big_a), 0.5 / big_a
-        weight = (w.conj()[:, None] * w * np.sqrt(np.pi / big_a)
-                  * np.exp(big_b * mu / 2.0 - a * d * d - 1j * q * d))
+        refusal = "the superposition's weights ({})".format(
+            ", ".join(f"{v:.4g}" for v, _ in components))
+        try:
+            pairs = w.conj()[:, None] * w * np.sqrt(np.pi / big_a)
+        except FloatingPointError:
+            raise ValueError(f"{refusal} overflow its norm") from None
+        weight = pairs * np.exp(big_b * mu / 2.0 - a * d * d - 1j * q * d)
         if not 0.0 < (norm := weight.sum().real) < math.inf:
-            raise ValueError(f"the superposition vanishes: its norm is {norm!r}")
+            raise ValueError(f"{refusal} make it vanish: norm {norm:.4g}")
         weight /= norm
         c1 = 2j * hbar * a  # ket side; the bra's is its conjugate
         x, ket = m[:, None] + mu, hbar * q - c1 * d + c1 * mu  # pair means

@@ -832,15 +832,20 @@ def test_hostile_values_exit_cleanly(tmp_path, capsys, monkeypatch):
 
 
 # A superposition's moments are a closed form over pairs of packets; each
-# value overflows some step of it, which load refuses in one line.
-@pytest.mark.parametrize("component, names", [
-    ("{sigma_x: 1.0, mean_x: 1.25, weight: 1.0e308}", ""),
-    ("{sigma_x: 1.0, mean_x: 1.25, mean_p: 1.0e300}", ""),
-    ("{sigma_x: 1.0e-300, mean_x: 1.25}", "sigma_x = 1e-300"),
-    ("{sigma_x: 1.0e300, mean_x: 1.25}", "sigma_x = 1e+300"),
-    ("{sigma_x: 1.0, mean_x: 1.0e200}", ""),
-], ids=["weight", "mean_p", "narrow", "wide", "far"])
-def test_hostile_superposition_values_exit_cleanly(tmp_path, capsys,
+# value overflows (or, for weights, underflows) some step of it, which load
+# refuses in one line.  The first packet is {sigma_x: 1.0, mean_x: -1.25}
+# with the given weight.
+@pytest.mark.parametrize("weight, component, names", [
+    ("1.0", "{sigma_x: 1.0, mean_x: 1.25, weight: 1.0e308}",
+     "weights (1, 1e+308) overflow"),
+    ("1.0e-320", "{sigma_x: 1.0, mean_x: 1.25, weight: 1.0e-320}",
+     "weights (1e-320, 1e-320) make it vanish: norm 0"),
+    ("1.0", "{sigma_x: 1.0, mean_x: 1.25, mean_p: 1.0e300}", ""),
+    ("1.0", "{sigma_x: 1.0e-300, mean_x: 1.25}", "sigma_x = 1e-300"),
+    ("1.0", "{sigma_x: 1.0e300, mean_x: 1.25}", "sigma_x = 1e+300"),
+    ("1.0", "{sigma_x: 1.0, mean_x: 1.0e200}", ""),
+], ids=["weight", "vanishing-weights", "mean_p", "narrow", "wide", "far"])
+def test_hostile_superposition_values_exit_cleanly(tmp_path, capsys, weight,
                                                    component, names):
     path = _write(tmp_path, f"""\
         name: hostile
@@ -848,7 +853,8 @@ def test_hostile_superposition_values_exit_cleanly(tmp_path, capsys,
         checks: [verdict]
         object:
           kind: superposition
-          components: [{{sigma_x: 1.0, mean_x: -1.25}}, {component}]
+          components: [{{sigma_x: 1.0, mean_x: -1.25, weight: {weight}}},
+                       {component}]
         probe: {{sigma_x: 0.5, sigma_p: 1.0}}
         """)
     with warnings.catch_warnings():

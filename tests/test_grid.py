@@ -475,6 +475,44 @@ class TestWindowPass:
         assert passed.norm_drift == abs(norm - 1.0) <= 1e-12
 
 
+class TestFactoredStates:
+    @pytest.mark.parametrize("shape", [(N, N), (N // 2, N)])
+    @pytest.mark.parametrize("obj", sorted(_OBJECTS))
+    def test_amplitudes_are_the_outer_product_of_read_only_factors(
+            self, shape, obj):
+        state = init_grid(_OBJECTS[obj], _PURE, nx=shape[0], ny=shape[1])
+        phi, xi = state.factors
+        assert (phi.shape, xi.shape) == ((shape[0],), (shape[1],))
+        assert state.amplitudes.tobytes() == np.outer(phi, xi).tobytes()
+        for factor in (phi, xi):
+            with pytest.raises(ValueError, match="read-only"):
+                factor[0] = 1.0
+        # Only init_grid's own state is a product it can vouch for.
+        assert GridState(state.lx, state.amplitudes).factors is None
+        assert apply_steps(state, ()).factors is None
+        with pytest.raises(AttributeError):
+            state.factors = None
+
+    @pytest.mark.parametrize("factored", [True, False],
+                             ids=["factored", "plain"])
+    @pytest.mark.parametrize("obj", sorted(_OBJECTS))
+    def test_empty_window_has_no_disturbance(self, factored, obj):
+        # eta is |p_x psi - p_x psi|, zero to rounding; epsilon is the rms
+        # of y - x over the initial density.
+        state = init_grid(_OBJECTS[obj], _PURE, nx=N, ny=N // 2)
+        if not factored:
+            state = GridState(state.lx, state.amplitudes)
+        passed = window_pass(state, ())
+        density = grid._density(state.amplitudes, state.cell_area)
+        epsilon = math.sqrt(float(np.sum(
+            (state.y - state.x[:, None]) ** 2 * density)))
+        assert passed.eta <= 1e-15
+        assert abs(passed.epsilon - epsilon) <= 1e-14 * epsilon
+        assert passed.boundary_mass_max == 0.0
+        assert passed.norm_drift <= 1e-12
+        assert np.max(np.abs(passed.readout - state.marginals[1])) <= 1e-16
+
+
 def _gram_moments(state):
     """``grid_moments`` from one whole (5, nx, ny) stack: its reference."""
     raw = state.amplitudes
