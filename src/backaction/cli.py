@@ -185,16 +185,14 @@ def _grid_crosscheck(sc, tols):
         "epsilon_gap": abs(eps_grid - eps_moment),
         "eta_gap": abs(eta_grid - eta_moment),
         "half_width": state.lx,
-        "boundary_mass": grid.boundary_mass(state),
+        "boundary_mass": state.shell_mass,
         "boundary_mass_max": window.boundary_mass_max,
         "norm_drift": window.norm_drift,
     }
     conditions = {f"{q}_routes_agree": values[f"{q}_gap"] <= tols["grid_match"]
                   for q in ("epsilon", "eta")}
     if model.exact_readout:
-        eps_tol = (tols["grid_epsilon"] if sc.object_state.gaussian
-                   else tols["grid_epsilon_multi"])
-        conditions["epsilon_grid_vanishes"] = eps_grid <= eps_tol
+        conditions["epsilon_grid_vanishes"] = eps_grid <= tols["grid_epsilon"]
         edges = np.linspace(-state.lx, state.lx, 129)
         hist_out, _ = np.histogram(state.y, bins=edges, weights=window.readout)
         coords, masses = grid.position_marginal(state, axis=0)

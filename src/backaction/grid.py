@@ -119,7 +119,8 @@ MODEL_STEPS = {
 class GridState:
     """Normalized two-mode wavefunction on the periodic box [-lx, lx)^2,
     with (nx, ny) the shape of ``amplitudes``; ``marginals`` (along x, y)
-    and ``shell_mass`` are read-only masses of its density."""
+    and ``shell_mass`` (inside the guard shell along either axis) are
+    read-only masses of its density."""
 
     lx: float
     amplitudes: np.ndarray
@@ -207,11 +208,6 @@ def _density(raw, cell_area):
     density *= density
     density *= cell_area
     return density
-
-
-def boundary_mass(state):
-    """Probability mass inside the guard shell along either axis."""
-    return state.shell_mass
 
 
 def _shell_mass(density):
@@ -446,9 +442,9 @@ def apply_steps(state, steps):
     return GridState(state.lx, _guarded_shear(state, steps)[0])
 
 
-def _spectral_p(raw, k, axis, out=None):
+def _spectral_p(raw, k, axis):
     """Momentum operator -i d/dq along ``axis``; k broadcasts against raw."""
-    spec = np.fft.fft(raw, axis=axis, out=out)
+    spec = np.fft.fft(raw, axis=axis)
     spec *= k
     return np.fft.ifft(spec, axis=axis, out=spec)
 

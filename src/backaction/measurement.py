@@ -142,9 +142,11 @@ VON_NEUMANN_REFERENCE = Reference(
             "minimum-uncertainty preparations pin the stretch coupling "
             "exactly at the hbar/2 bound at every sharpness",
             {"product_at_bound": lambda row, hbar: (
-                row["product"], hbar / 2.0, 1.0)}),
+                row["product"], hbar / 2.0, hbar / 2.0)}),
         "sharpen_pointer": (
             "deviation tracks sqrt(2) sigma(y) for the stretch coupling",
+            # Scale 1.0, as in the noiseless sharpen_pointer forms: the
+            # sweep object's fixed sigma_x = 1 (cascade.repeatability_sweep).
             {"deviation_matches_sqrt2_sigma_y": lambda row, hbar: (
                 row["deviation"],
                 VON_NEUMANN_REFERENCE.deviation(row["sigma_y"], 0.0), 1.0)}),
@@ -175,13 +177,13 @@ NOISELESS_REFERENCE = Reference(
             # sigma_x = hbar / (2 sigma_p).
             {"epsilon_zero": lambda row, hbar: (
                 row["epsilon"], 0.0,
-                max(1.0, hbar / (2.0 * row["sigma_p"]), row["sigma_p"])),
+                max(hbar / (2.0 * row["sigma_p"]), row["sigma_p"])),
              "eta_matches_sqrt2_sigma_p": lambda row, hbar: (
-                row["eta"], math.sqrt(2.0) * row["sigma_p"], 1.0),
+                row["eta"], math.sqrt(2.0) * row["sigma_p"], row["sigma_p"]),
              "sigma_x_post_matches_closed_form": lambda row, hbar: (
                 row["sigma_x_post"],
                 math.sqrt(2.0) * hbar / (2.0 * row["sigma_p"]),
-                max(1.0, row["sigma_x_post"]))}),
+                math.sqrt(2.0) * hbar / (2.0 * row["sigma_p"]))}),
         "sharpen_pointer": (
             "repeatability sharpens without limit while the readout stays "
             "exact; there is no residual floor",

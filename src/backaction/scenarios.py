@@ -74,10 +74,8 @@ DEFAULT_TOLERANCES = {
     "bound": 1e-12,
     # grid route vs moment route on epsilon and eta
     "grid_match": 1e-4,
-    # grid-route epsilon for the noiseless model, single-packet objects
+    # grid-route epsilon for the noiseless model, one bound for every object
     "grid_epsilon": 1e-8,
-    # same, superposition objects (interference raises the rounding floor)
-    "grid_epsilon_multi": 1e-6,
     # readout histogram vs object position marginal
     "tv": 1e-3,
     # significance level of the sampled-readout KS test

@@ -559,6 +559,20 @@ class TestRunCommand:
         err = _exits_two(capsys, ["run", "noiseless-violation", "--tol", "nope=1"])
         assert "unknown key" in err
 
+    @pytest.mark.parametrize("tolerances, tol", [
+        ("tolerances: {grid_epsilon_multi: 1.0e-6}\n", []),
+        ("", ["--tol", "grid_epsilon_multi=1e-6"]),
+    ], ids=["yaml", "tol"])
+    def test_grid_epsilon_multi_exits_two(self, tmp_path, capsys, tolerances,
+                                          tol):
+        # One grid epsilon bound holds every object, so the superposition
+        # objects' old key is unknown wherever it is set.
+        body = textwrap.dedent(GRID.format(
+            model="noiseless", n=64, half_width=10, obj=PACKET,
+            probe=PACKET)) + tolerances
+        err = _exits_two(capsys, ["run", _write(tmp_path, body), *tol])
+        assert "unknown key(s) 'grid_epsilon_multi'" in err
+
     def test_tol_value_validated(self, capsys):
         # --tol goes through the same validator as a scenario's tolerances.
         for pair in ("exact=zero", "exact=-1", "ks_alpha=1", "ks_alpha=2",
@@ -645,6 +659,42 @@ class TestRunCommand:
         monkeypatch.setitem(scenarios.SWEEPS, kind,
                             (swapped, *scenarios.SWEEPS[kind][1:]))
         _fails_one_condition(capsys, name, "limit_sweep", condition)
+
+    @pytest.mark.parametrize("model, hbar, change, condition", [
+        ("von_neumann", 1e-30, lambda point: point._replace(
+            report=dataclasses.replace(point.report,
+                                       product=2.0 * point.report.product)),
+         "product_at_bound"),
+        ("noiseless", 1e-30, lambda point: point._replace(
+            sigma_x_post=2.0 * point.sigma_x_post),
+         "sigma_x_post_matches_closed_form"),
+        ("noiseless", 1.0, lambda point: point._replace(
+            report=dataclasses.replace(point.report,
+                                       eta=point.report.eta + 1e-14)),
+         "eta_matches_sqrt2_sigma_p"),
+        ("noiseless", 1e-30, lambda point: point._replace(
+            report=dataclasses.replace(point.report,
+                                       epsilon=point.report.epsilon + 1e-14)),
+         "epsilon_zero"),
+    ], ids=["product-doubled", "sigma-x-post-doubled", "eta-offset",
+            "epsilon-offset"])
+    def test_sharpen_momentum_forms_scale_with_their_figures(
+            self, tmp_path, capsys, monkeypatch, model, hbar, change,
+            condition):
+        # At k = 10 each closed form is met within exact times its own
+        # size (hbar/2, sigma_p, the form, the larger packet spread), not
+        # an absolute 1e-12: that would pass a doubled product (a gap of
+        # 5e-31) or sigma_x_post (7e-31) at hbar = 1e-30, and offsets of
+        # 1e-14 on eta and epsilon where sigma_p is 2^-10.
+        points_of = scenarios.SWEEPS["sharpen_momentum"][0]
+        monkeypatch.setitem(scenarios.SWEEPS, "sharpen_momentum", (
+            lambda m, values: [change(p) for p in points_of(m, values)],
+            *scenarios.SWEEPS["sharpen_momentum"][1:]))
+        body = SWEEP.format(kind="sharpen_momentum", k_min=10, k_max=10)
+        body = body.replace("model: noiseless",
+                            f"model: {model}\n    hbar: {hbar!r}")
+        _fails_one_condition(capsys, _write(tmp_path, body), "limit_sweep",
+                             condition)
 
     def test_si_hbar_noiseless_product_misses_the_bound(self, tmp_path,
                                                        capsys):

@@ -14,7 +14,6 @@ from backaction.grid import (
     ShearStep,
     apply_steps,
     auto_half_width,
-    boundary_mass,
     grid_moments,
     grid_noise_disturbance,
     init_gaussian_grid,
@@ -101,7 +100,6 @@ class TestGridStateValidation:
         assert x_masses.tobytes() == density.sum(axis=1).tobytes()
         assert y_masses.tobytes() == density.sum(axis=0).tobytes()
         assert state.shell_mass == grid._shell_mass(density)
-        assert boundary_mass(state) == state.shell_mass
         for axis, masses in enumerate(state.marginals):
             assert position_marginal(state, axis)[1] is masses
             with pytest.raises(ValueError, match="read-only"):
@@ -260,7 +258,7 @@ class TestShears:
     def test_boundary_mass_small_for_contained_packet(self):
         rng = np.random.default_rng(25)
         state = _default_grid(rng)
-        assert boundary_mass(state) <= 1e-10
+        assert state.shell_mass <= 1e-10
 
 
 def _flat_grid(nx, ny, lx):
@@ -468,7 +466,7 @@ class TestWindowPass:
         passed = window_pass(state, steps)
         sheared = [apply_steps(state, steps[:k])
                    for k in range(1, len(steps) + 1)]
-        assert passed.boundary_mass_max == max(map(boundary_mass, sheared))
+        assert passed.boundary_mass_max == max(s.shell_mass for s in sheared)
         assert passed.boundary_mass_max <= grid.BOUNDARY_THRESHOLD
         out = sheared[-1].amplitudes
         norm = math.sqrt(grid._sq_norm(out) * state.cell_area)

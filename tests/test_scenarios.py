@@ -318,6 +318,22 @@ class TestCrossFieldRules:
         with pytest.raises(ConfigError, match="ks_alpha"):
             parse_scenario(_base(tolerances={"ks_alpha": 1.5}))
 
+    def test_grid_epsilon_multi_is_an_unknown_tolerance(self, tmp_path):
+        # grid_epsilon holds every object, superpositions included; the
+        # looser key they once had is refused like any unknown one.
+        path = tmp_path / "case.yaml"
+        path.write_text(textwrap.dedent("""\
+            name: case
+            model: noiseless
+            checks: [verdict]
+            object: {sigma_x: 1.0, sigma_p: 0.5}
+            probe: {sigma_x: 0.5, sigma_p: 1.0}
+            tolerances: {grid_epsilon_multi: 1.0e-6}
+            """), encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"tolerances: unknown key\(s\) "
+                                              r"'grid_epsilon_multi'"):
+            load_scenario(path)
+
 
 class TestBuiltAtLoad:
     def test_model_and_states_are_built_with_the_scenario(self):
