@@ -50,12 +50,12 @@ every public shear guards the box: mass in the outer 5 percent shell above
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .states import GaussianSpec, pure_packet
+from .states import pure_packet
 
 DEFAULT_POINTS = 512
 
@@ -118,9 +118,11 @@ MODEL_STEPS = {
 @dataclass(frozen=True, eq=False)
 class GridState:
     """Normalized two-mode wavefunction on the periodic box [-lx, lx)^2,
-    with (nx, ny) the shape of ``amplitudes``; ``marginals`` (along x, y)
-    and ``shell_mass`` (inside the guard shell along either axis) are
-    read-only masses of its density."""
+    with (nx, ny) the shape of ``amplitudes``.  The spacings ``dx``, ``dy``
+    and ``cell_area``, the coordinates ``x``, ``y`` and wavenumbers ``kx``,
+    ``ky`` (from ``_grid_axis``), and the ``marginals`` (along x, y) and
+    ``shell_mass`` (inside the guard shell along either axis) of its
+    density are computed once and read-only."""
 
     lx: float
     amplitudes: np.ndarray
@@ -139,40 +141,23 @@ class GridState:
         if arr.strides[1] != arr.itemsize:  # rows must have float views
             arr = arr.copy()
         object.__setattr__(self, "amplitudes", arr)
-        density = _density(arr, self.cell_area)
+        (dx, x, kx), (dy, y, ky) = (_grid_axis(n, self.lx) for n in arr.shape)
+        density = _density(arr, dx * dy)
         marginals = density.sum(axis=1), density.sum(axis=0)
         _check_norm(float(np.sum(marginals[0])), arr)
-        for array in (arr, *marginals):
+        for array in (arr, *marginals, x, y, kx, ky):
             array.setflags(write=False)
-        self.__dict__.update(marginals=marginals, shell_mass=_shell_mass(density))
+        self.__dict__.update(dx=dx, dy=dy, cell_area=dx * dy, x=x, y=y,
+                             kx=kx, ky=ky, marginals=marginals,
+                             shell_mass=_shell_mass(density))
 
-    @property
-    def dx(self):
-        return 2.0 * self.lx / self.nx
 
-    @property
-    def dy(self):
-        return 2.0 * self.lx / self.ny
-
-    @property
-    def cell_area(self):
-        return self.dx * self.dy
-
-    @property
-    def x(self):
-        return -self.lx + self.dx * np.arange(self.nx)
-
-    @property
-    def y(self):
-        return -self.lx + self.dy * np.arange(self.ny)
-
-    @property
-    def kx(self):
-        return 2.0 * math.pi * np.fft.fftfreq(self.nx, d=self.dx)
-
-    @property
-    def ky(self):
-        return 2.0 * math.pi * np.fft.fftfreq(self.ny, d=self.dy)
+def _grid_axis(n, half_width):
+    """(spacing, coordinates, wavenumbers) of n points on [-half_width,
+    half_width)."""
+    d = 2.0 * half_width / n
+    return (d, -half_width + d * np.arange(n),
+            2.0 * math.pi * np.fft.fftfreq(n, d=d))
 
 
 def _check_norm(norm_sq, raw):
@@ -187,12 +172,7 @@ def _check_norm(norm_sq, raw):
 
 def unit_hbar_spec(spec, hbar):
     """Rescale a Gaussian spec into the grid's hbar = 1 units (p -> p/hbar)."""
-    return GaussianSpec(
-        sigma_x=spec.sigma_x,
-        sigma_p=spec.sigma_p / hbar,
-        mean_x=spec.mean_x,
-        mean_p=spec.mean_p / hbar,
-        correlation=spec.correlation)
+    return replace(spec, sigma_p=spec.sigma_p / hbar, mean_p=spec.mean_p / hbar)
 
 
 def _pure_packet(coords, spec, name):
@@ -280,16 +260,15 @@ def init_grid(object_components, probe_spec, nx=DEFAULT_POINTS,
         check_momentum_ceiling(
             object_specs, probe_spec, min(nx, ny), half_width)
     half_width = float(half_width)
-    xs = -half_width + (2.0 * half_width / nx) * np.arange(nx)
-    ys = -half_width + (2.0 * half_width / ny) * np.arange(ny)
+    (dx, xs, _), (dy, ys, _) = (_grid_axis(n, half_width) for n in (nx, ny))
 
     object_wave = np.zeros(nx, dtype=complex)
     for k, (weight, spec) in enumerate(components):
         name = f"object component {k}" if len(components) > 1 else "object"
         object_wave += weight * _pure_packet(xs, spec, name)
     factors = object_wave, _pure_packet(ys, probe_spec, "probe")
-    for wave in factors:  # an outer product's norm is the factors' product
-        norm = math.sqrt(_density(wave, 2.0 * half_width / len(wave)).sum())
+    for wave, d in zip(factors, (dx, dy)):  # an outer product's norm is
+        norm = math.sqrt(_density(wave, d).sum())  # the factors' product
         if norm == 0.0:
             raise ValueError("wavefunction vanished on the grid")
         wave /= norm

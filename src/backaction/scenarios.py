@@ -17,7 +17,7 @@ import math
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from typing import Callable, NamedTuple
 
@@ -176,7 +176,7 @@ def _integer(mapping, key, context, default=None, minimum=None,
 
 
 def _gaussian_spec(mapping, context, hbar, saturate_sigma_p=False):
-    allowed = ("sigma_x", "sigma_p", "mean_x", "mean_p", "correlation", "kind")
+    allowed = [f.name for f in fields(GaussianSpec)] + ["kind"]
     _check_keys(mapping, allowed, context)
     if mapping.get("kind", "gaussian") != "gaussian":
         raise ConfigError(f"{context}: kind must be 'gaussian' here")

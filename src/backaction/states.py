@@ -17,7 +17,7 @@ the cascade's joint state is one) join checked blocks and skip the re-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -25,17 +25,14 @@ import numpy as np
 from . import canonical
 from .canonical import ModeSystem, _check_compatible, _frozen_vector
 
-# Slack allowed on the least eigenvalue of cov + i (hbar/2) Omega, and on
-# cov's asymmetry, relative to max(hbar/2, max|cov|): an absolute floor
-# would exceed hbar/2 itself at small hbar.
+# Slack allowed on the least eigenvalue of cov + i (hbar/2) Omega, on
+# cov's asymmetry, and on a variance below zero (rounding debris, clamped),
+# relative to max(hbar/2, max|cov|): an absolute floor would exceed hbar/2
+# itself at small hbar.
 PHYSICALITY_TOL = 1e-10
 
 # Pure packets force sigma_x sigma_p sqrt(1 - rho^2) = hbar/2 exactly.
 PURITY_TOL = 1e-9
-
-# Variances this far below zero (relative to scale) are rounding debris and
-# get clamped; anything worse is a real error.
-_VARIANCE_TOL = 1e-10
 
 # born_check's block of sorted samples; its slack covers math.erfc rounding.
 _KS_BLOCK = 32
@@ -57,7 +54,7 @@ class GaussianSpec:
     correlation: float = 0.0
 
     def __post_init__(self):
-        for name in ("sigma_x", "sigma_p", "mean_x", "mean_p", "correlation"):
+        for name in (f.name for f in fields(self)):
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
@@ -258,8 +255,8 @@ def variance(state, observable):
     _check_compatible(state.system, observable.system, "variance")
     value = _finite(
         float(observable.coeffs @ state.cov @ observable.coeffs), "variance")
-    scale = max(1.0, float(np.max(np.abs(state.cov))))
-    if value < -_VARIANCE_TOL * scale:
+    scale = max(0.5 * state.system.hbar, float(np.max(np.abs(state.cov))))
+    if value < -PHYSICALITY_TOL * scale:
         raise ValueError(f"covariance produced variance {value:.3e} < 0")
     return max(value, 0.0)
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -117,6 +118,26 @@ class TestGridStateValidation:
         assert state.y[-1] == pytest.approx(state.lx - state.dy)
         assert state.dx == 2.0 * state.dy
         assert state.cell_area == pytest.approx(state.dx * state.dy)
+        # Computed once: every read returns the same read-only array.
+        for name in ("x", "y", "kx", "ky"):
+            array = getattr(state, name)
+            assert getattr(state, name) is array
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+            with pytest.raises(AttributeError):
+                setattr(state, name, array.copy())
+
+    @pytest.mark.parametrize("shape", [(16, 16), (128, 256), (512, 512)])
+    @pytest.mark.parametrize("lx", [3.0, 10.0, 14.75])
+    def test_axes_are_the_box_formulas_to_the_bit(self, shape, lx):
+        state = GridState(lx, np.full(shape, 0.5 / lx, dtype=complex))
+        for n, d, coords, k in zip(shape, (state.dx, state.dy),
+                                   (state.x, state.y), (state.kx, state.ky)):
+            assert d == 2.0 * lx / n
+            assert coords.tobytes() == (-lx + d * np.arange(n)).tobytes()
+            assert k.tobytes() == (
+                2.0 * math.pi * np.fft.fftfreq(n, d)).tobytes()
+        assert state.cell_area == state.dx * state.dy
 
 
 class TestInitGrid:
@@ -209,6 +230,12 @@ class TestUnitConversion:
     def test_identity_at_unit_hbar(self):
         spec = GaussianSpec(1.2, 2.5, correlation=0.3)
         assert unit_hbar_spec(spec, 1.0) == spec
+
+    @pytest.mark.parametrize("hbar", [1e-30, 2.0, 1e30])
+    def test_every_field_rescaled_or_kept(self, hbar):
+        spec = GaussianSpec(1.2, 2.5, mean_x=0.4, mean_p=-1.0, correlation=0.3)
+        unit = unit_hbar_spec(spec, hbar)
+        assert astuple(unit) == (1.2, 2.5 / hbar, 0.4, -1.0 / hbar, 0.3)
 
 
 class TestShears:

@@ -232,7 +232,7 @@ class TestCrossFieldRules:
         checks = run_scenario(built_in)[0]["checks"]
         assert run_scenario(written)[0]["checks"] == checks
         assert checks["born"]["passed"] and checks["verdict"]["passed"]
-        assert checks["verdict"]["expected"]["epsilon"] == 0.0
+        assert checks["verdict"]["note"].startswith("readout is exact")
 
     def test_sweep_requires_limit_sweep_check(self):
         with pytest.raises(ConfigError, match="limit_sweep"):

@@ -195,6 +195,20 @@ class TestMomentQueries:
         with pytest.raises(OverflowError, match="second moment is inf"):
             second_moment(state, position(state.system))
 
+    def test_negative_variance_slack_is_relative_at_small_hbar(self):
+        # Var(x) = -1e-31 at hbar = 1e-30 is a tenth of the covariance's
+        # scale below zero, not rounding debris; an absolute floor of 1,
+        # times the 1e-10 slack, would clamp it to 0.  The constructor
+        # refuses this covariance, so it is assembled without it.
+        system = ModeSystem(1, hbar=1e-30)
+        cov = np.array([[-1e-31, 0.0], [0.0, 1e-30]])
+        state = states._block_diagonal(system, [(np.zeros(2), cov)], False)
+        with pytest.raises(ValueError, match="variance -1.000e-31 < 0"):
+            variance(state, position(system))
+        debris = np.array([[-1e-41, 0.0], [0.0, 1e-30]])
+        state = states._block_diagonal(system, [(np.zeros(2), debris)], False)
+        assert variance(state, position(system)) == 0.0
+
 
 @pytest.mark.parametrize("run", [
     lambda: measurement.heisenberg_verdict(
