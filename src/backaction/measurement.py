@@ -145,11 +145,10 @@ VON_NEUMANN_REFERENCE = Reference(
                 row["product"], hbar / 2.0, hbar / 2.0)}),
         "sharpen_pointer": (
             "deviation tracks sqrt(2) sigma(y) for the stretch coupling",
-            # Scale 1.0, as in the noiseless sharpen_pointer forms: the
-            # sweep object's fixed sigma_x = 1 (cascade.repeatability_sweep).
             {"deviation_matches_sqrt2_sigma_y": lambda row, hbar: (
                 row["deviation"],
-                VON_NEUMANN_REFERENCE.deviation(row["sigma_y"], 0.0), 1.0)}),
+                VON_NEUMANN_REFERENCE.deviation(row["sigma_y"], 0.0),
+                row["sigma_y"])}),
     })
 
 
@@ -187,6 +186,8 @@ NOISELESS_REFERENCE = Reference(
         "sharpen_pointer": (
             "repeatability sharpens without limit while the readout stays "
             "exact; there is no residual floor",
+            # Scale 1.0: the deviation's rounding is absolute, set by the
+            # sweep object's fixed sigma_x = 1 (cascade.repeatability_sweep).
             {"epsilon_zero": lambda row, hbar: (row["epsilon"], 0.0, 1.0),
              "deviation_matches_sigma_y": lambda row, hbar: (
                 row["deviation"],

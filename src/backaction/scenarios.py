@@ -76,7 +76,7 @@ DEFAULT_TOLERANCES = {
     "grid_match": 1e-4,
     # grid-route epsilon for the noiseless model, one bound for every object
     "grid_epsilon": 1e-8,
-    # readout histogram vs object position marginal
+    # grid readout vs its exact law at the grid's lattice points
     "tv": 1e-3,
     # significance level of the sampled-readout KS test
     "ks_alpha": 0.01,

@@ -617,7 +617,7 @@ class TestRunCommand:
         ("grid_crosscheck", GRID.format(model="noiseless", n=64,
                                         half_width=10, obj=PACKET,
                                         probe=PACKET), {"tv": 1e-300},
-         None, "readout_matches_position_marginal"),
+         None, "readout_matches_initial_law"),
     ], ids=["verdict", "born", "repeatability", "repeatability-halved",
             "realization", "limit-sweep", "grid-crosscheck"])
     def test_one_failing_condition_fails_the_check(
@@ -696,6 +696,32 @@ class TestRunCommand:
         _fails_one_condition(capsys, _write(tmp_path, body), "limit_sweep",
                              condition)
 
+    @pytest.mark.parametrize("hbar", [1e-30, 1.0, 1e30])
+    @pytest.mark.parametrize("doubled, k_min, k_max", [(False, 0, 60),
+                                                       (True, 45, 58)],
+                             ids=["honest", "doubled"])
+    def test_sharpen_pointer_deviation_scales_with_sigma_y(
+            self, tmp_path, capsys, monkeypatch, hbar, doubled, k_min, k_max):
+        # The von Neumann deviation is sqrt(2) sigma_y to the bit, so its
+        # form scales by sigma_y = 2^-k.  At an absolute scale of 1.0 a
+        # doubled deviation, off by sqrt(2) 2^-k, passed from k = 45.
+        points_of = scenarios.SWEEPS["sharpen_pointer"][0]
+        if doubled:
+            monkeypatch.setitem(scenarios.SWEEPS, "sharpen_pointer", (
+                lambda m, values: [p._replace(deviation=2.0 * p.deviation)
+                                   for p in points_of(m, values)],
+                *scenarios.SWEEPS["sharpen_pointer"][1:]))
+        body = SWEEP.format(kind="sharpen_pointer", k_min=k_min, k_max=k_max)
+        body = body.replace("model: noiseless",
+                            f"model: von_neumann\n    hbar: {hbar!r}")
+        path = _write(tmp_path, body)
+        if doubled:
+            _fails_one_condition(capsys, path, "limit_sweep",
+                                 "deviation_matches_sqrt2_sigma_y")
+        else:
+            assert main(["run", path]) == 0
+            assert "overall           PASS" in capsys.readouterr().out
+
     def test_si_hbar_noiseless_product_misses_the_bound(self, tmp_path,
                                                        capsys):
         # At hbar ~ 1e-34 an absolute slack of 1e-12 on >= hbar/2 would
@@ -756,7 +782,7 @@ class TestRunCommand:
                                   "grid-crosscheck-bimodal",
                                   "von-neumann-bound"])
 def test_grid_crosscheck_shears_once(monkeypatch, name):
-    # The noiseless readout histogram comes off the epsilon/eta pass.
+    # The readout held to its law comes off the epsilon/eta pass.
     scenario = scenarios.load_bundled(name)
     calls = []
     shear = grid._guarded_shear
@@ -773,12 +799,48 @@ def test_grid_crosscheck_shears_once(monkeypatch, name):
 
 def test_flipped_x_py_sign_fails_von_neumann_epsilon(monkeypatch):
     # epsilon of a y-only window is read off the sheared density, which a
-    # sign flip in SHEARS moves as it moved the sheared x psi.
+    # sign flip in SHEARS moves as it moved the sheared x psi.  The readout
+    # becomes y - x, which on this centred preparation has the law of
+    # x + y, so only epsilon can see the flip.
     monkeypatch.setitem(grid.SHEARS, "x_py", (1, -1.0))
     report, _ = run_scenario(scenarios.load_bundled("von-neumann-bound"))
     conditions = report["checks"]["grid_crosscheck"]["values"]["conditions"]
     assert conditions == {"epsilon_routes_agree": False,
-                          "eta_routes_agree": True}
+                          "eta_routes_agree": True,
+                          "readout_matches_initial_law": True}
+
+
+@pytest.mark.parametrize("name", ["grid-crosscheck-gaussian",
+                                  "grid-crosscheck-bimodal",
+                                  "von-neumann-bound"])
+def test_wrong_axis_readout_fails_the_readout_law(monkeypatch, name):
+    # A readout summed over y, not x, is the sheared x marginal: every grid
+    # model's readout law sees it, the von Neumann one included.
+    window_pass = grid.window_pass
+    monkeypatch.setattr(grid, "window_pass", lambda state, steps: (
+        window_pass(state, steps)._replace(
+            readout=grid.apply_steps(state, steps).marginals[0])))
+    report, _ = run_scenario(scenarios.load_bundled(name))
+    values = report["checks"]["grid_crosscheck"]["values"]
+    assert [c for c, held in values["conditions"].items() if not held] == [
+        "readout_matches_initial_law"]
+    assert values["tv_distance"] > 0.05
+
+
+@pytest.mark.parametrize("model", ["noiseless", "von_neumann"])
+@pytest.mark.parametrize("nx, ny", [(256, 128), (128, 256)])
+def test_rectangular_grid_readout_meets_its_law(tmp_path, capsys, model, nx,
+                                                ny):
+    # Both axes span one box, so the readout and the law are compared at
+    # the lattice points the two axes share, with no half-cell offset.  The
+    # box is the automatic one: a set half_width lets mass wrap.
+    body = (f"name: rect\nmodel: {model}\nchecks: [grid_crosscheck]\n"
+            f"grid: {{nx: {nx}, ny: {ny}}}\nobject: {PACKET}\n"
+            f"probe: {PACKET}\n")
+    assert main(["run", _write(tmp_path, body), "--format", "json"]) == 0
+    check = json.loads(capsys.readouterr().out)["checks"]["grid_crosscheck"]
+    assert check["passed"]
+    assert check["values"]["tv_distance"] <= 1e-14
 
 
 def test_runs_without_scipy():

@@ -70,6 +70,10 @@ EXTRA = {
     "von-neumann-superposition": (
         "model: von_neumann\n"
         "checks: [verdict, robertson, repeatability]\n" + SUPERPOSITION),
+    # The two axes hold different lattices on one box.
+    "noiseless-rectangular-grid": (
+        "model: noiseless\nchecks: [grid_crosscheck]\n"
+        "grid: {nx: 256, ny: 128}\n" + PREPS),
 }
 
 
