@@ -35,7 +35,7 @@ def _prep_size(sc):
 
 def _verdict_check(sc, tols):
     report = measurement.heisenberg_verdict(
-        sc.model, sc.object_state, sc.probe_state, tol=tols["bound"])
+        sc.model, sc.object_state, sc.probe_state, tol=tols["exact"])
     values = {**vars(report), "product_over_bound": states._finite(
         report.product / report.bound, "product_over_bound")}
     if sc.model.exact_readout:
@@ -61,7 +61,7 @@ def _verdict_check(sc, tols):
 def _robertson_check(sc, tols):
     values = {label: states.robertson_check(
         state, canonical.position(state.system, 0),
-        canonical.momentum(state.system, 0), tol=tols["bound"])._asdict()
+        canonical.momentum(state.system, 0), tol=tols["exact"])._asdict()
         for label, state in (("object", sc.object_state),
                              ("probe", sc.probe_state))}
     return {"conditions": {label: v["passed"] for label, v in values.items()},

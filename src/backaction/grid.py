@@ -530,13 +530,13 @@ def position_marginal(state, axis=0):
 
 
 def output_histogram(state, steps, edges):
-    """Histogram of psi alone sheared: the reference for ``window_pass``."""
+    """Histogram of psi alone sheared; only tests and the bench call it."""
     density = _guarded_shear(state, steps)[-1]
     return np.histogram(state.y, bins=edges, weights=density.sum(axis=0))[0]
 
 
 def total_variation(p, q):
-    """Total variation distance between two histograms on shared bins."""
+    """Total variation distance between two mass arrays on shared points."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:

@@ -68,10 +68,9 @@ SWEEPS = {
 }
 
 DEFAULT_TOLERANCES = {
-    # one-sided zero assertions and closed-form matches
+    # the one rounding slack: zero assertions, closed-form matches and >=
+    # bounds, each scaled by its figure's size or bound
     "exact": 1e-12,
-    # slack on >= bounds
-    "bound": 1e-12,
     # grid route vs moment route on epsilon and eta
     "grid_match": 1e-4,
     # grid-route epsilon for the noiseless model, one bound for every object

@@ -154,6 +154,49 @@ probe: {{sigma_x: 0.5, sigma_p: 1.0}}
 """
 
 
+def _scaled_deviation(factor):
+    """Model change: the noiseless cascade's closed form times factor."""
+    return lambda m: _with(m, "reference", m.reference._replace(
+        deviation=lambda sigma_y, mean_y: factor * math.hypot(
+            sigma_y, mean_y)))
+
+
+# Per case: a check, its scenario, the tolerances tightened, the change to
+# the built noiseless model, and the one condition that then fails.
+BORN = FAST_VERDICT.replace("verdict, robertson", "born")
+REPEATABILITY = FAST_VERDICT.replace("verdict, robertson", "repeatability")
+ONE_FAILING_CONDITION = {
+    "verdict": ("verdict", FAST_VERDICT, {}, lambda m: _with(
+        m, "disturbance_operator", LinearObservable(
+            m.system, 0.3 * m.disturbance_operator.coeffs)),
+        "tradeoff_meets_bound"),
+    "born": ("born", BORN, {}, lambda m: _with(m, "readout", LinearObservable(
+        m.system, 0.5 * m.readout.coeffs)), "ks_shape"),
+    "repeatability": ("repeatability", REPEATABILITY, {},
+                      _scaled_deviation(2.0), "deviation_matches_closed_form"),
+    # A closed form below the deviation: |deviation - closed| > exact
+    # also puts the deviation above alpha = closed + exact.
+    "repeatability-halved": ("repeatability", REPEATABILITY, {},
+                             _scaled_deviation(0.5),
+                             "deviation_matches_closed_form"),
+    "realization": ("realization", FAILING_REALIZATION, {"exact": 1e-300},
+                    None, "residual_zero"),
+    "limit-sweep": ("limit_sweep", SWEEP.format(
+        kind="sharpen_pointer", k_min=0, k_max=10), {"exact": 1e-300}, None,
+        "epsilon_zero"),
+    "grid-crosscheck": ("grid_crosscheck", GRID.format(
+        model="noiseless", n=64, half_width=10, obj=PACKET, probe=PACKET),
+        {"tv": 1e-300}, None, "readout_matches_initial_law"),
+    "grid-match": ("grid_crosscheck", GRID.format(
+        model="von_neumann", n=64, half_width=10, obj=PACKET, probe=PACKET),
+        {"grid_match": 1e-300}, None, "epsilon_routes_agree"),
+    "grid-epsilon": ("grid_crosscheck", GRID.format(
+        model="noiseless", n=64, half_width=10, obj=PACKET, probe=PACKET),
+        {"grid_epsilon": 1e-300}, None, "epsilon_grid_vanishes"),
+    "ks-alpha": ("born", BORN, {"ks_alpha": 0.9}, None, "ks_shape"),
+}
+
+
 class TestListCommand:
     def test_lists_bundled_names(self, capsys):
         assert main(["list"]) == 0
@@ -559,19 +602,25 @@ class TestRunCommand:
         err = _exits_two(capsys, ["run", "noiseless-violation", "--tol", "nope=1"])
         assert "unknown key" in err
 
-    @pytest.mark.parametrize("tolerances, tol", [
-        ("tolerances: {grid_epsilon_multi: 1.0e-6}\n", []),
-        ("", ["--tol", "grid_epsilon_multi=1e-6"]),
-    ], ids=["yaml", "tol"])
-    def test_grid_epsilon_multi_exits_two(self, tmp_path, capsys, tolerances,
-                                          tol):
-        # One grid epsilon bound holds every object, so the superposition
-        # objects' old key is unknown wherever it is set.
+    @pytest.mark.parametrize("key", ["grid_epsilon_multi", "bound"])
+    @pytest.mark.parametrize("where", ["yaml", "tol"])
+    def test_removed_tolerance_key_exits_two(self, tmp_path, capsys, key,
+                                             where):
+        # One grid epsilon bound holds every object, and exact is the one
+        # rounding slack, >= bounds included: the superposition objects'
+        # old key and bound are unknown wherever they are set.
         body = textwrap.dedent(GRID.format(
             model="noiseless", n=64, half_width=10, obj=PACKET,
-            probe=PACKET)) + tolerances
+            probe=PACKET))
+        tol = []
+        if where == "yaml":
+            body += f"tolerances: {{{key}: 1.0e-9}}\n"
+        else:
+            tol = ["--tol", f"{key}=1e-9"]
         err = _exits_two(capsys, ["run", _write(tmp_path, body), *tol])
-        assert "unknown key(s) 'grid_epsilon_multi'" in err
+        assert f"unknown key(s) '{key}'; " in err
+        assert err.endswith("allowed: exact, grid_epsilon, grid_match, "
+                            "ks_alpha, tv")
 
     def test_tol_value_validated(self, capsys):
         # --tol goes through the same validator as a scenario's tolerances.
@@ -589,37 +638,18 @@ class TestRunCommand:
         assert main(["run", path, "--tol", "exact=1e-300"]) == 1
         capsys.readouterr()
 
-    @pytest.mark.parametrize("check, body, tol, change, condition", [
-        ("verdict", FAST_VERDICT, {}, lambda m: _with(
-            m, "disturbance_operator", LinearObservable(
-                m.system, 0.3 * m.disturbance_operator.coeffs)),
-         "tradeoff_meets_bound"),
-        ("born", FAST_VERDICT.replace("verdict, robertson", "born"), {},
-         lambda m: _with(m, "readout", LinearObservable(
-             m.system, 0.5 * m.readout.coeffs)), "ks_shape"),
-        ("repeatability", FAST_VERDICT.replace("verdict, robertson",
-                                               "repeatability"), {},
-         lambda m: _with(m, "reference", m.reference._replace(
-             deviation=lambda sigma_y, mean_y: 2.0 * math.hypot(
-                 sigma_y, mean_y))), "deviation_matches_closed_form"),
-        # A closed form below the deviation: |deviation - closed| > exact
-        # also puts the deviation above alpha = closed + exact.
-        ("repeatability", FAST_VERDICT.replace("verdict, robertson",
-                                               "repeatability"), {},
-         lambda m: _with(m, "reference", m.reference._replace(
-             deviation=lambda sigma_y, mean_y: 0.5 * math.hypot(
-                 sigma_y, mean_y))), "deviation_matches_closed_form"),
-        ("realization", FAILING_REALIZATION, {"exact": 1e-300}, None,
-         "residual_zero"),
-        ("limit_sweep", SWEEP.format(kind="sharpen_pointer", k_min=0,
-                                     k_max=10), {"exact": 1e-300}, None,
-         "epsilon_zero"),
-        ("grid_crosscheck", GRID.format(model="noiseless", n=64,
-                                        half_width=10, obj=PACKET,
-                                        probe=PACKET), {"tv": 1e-300},
-         None, "readout_matches_initial_law"),
-    ], ids=["verdict", "born", "repeatability", "repeatability-halved",
-            "realization", "limit-sweep", "grid-crosscheck"])
+    def test_exact_slack_reaches_the_bound_flags(self, capsys):
+        # The floor of epsilon * eta >= hbar/2 is hbar/2 (1 - exact), here
+        # 0, so the noiseless product, zero up to rounding, meets it.
+        assert main(["run", "noiseless-violation", "--tol", "exact=1",
+                     "--format", "json"]) == 0
+        values = json.loads(capsys.readouterr().out)["checks"]["verdict"][
+            "values"]
+        assert values["product_meets_bound"] is True
+
+    @pytest.mark.parametrize("check, body, tol, change, condition",
+                             ONE_FAILING_CONDITION.values(),
+                             ids=list(ONE_FAILING_CONDITION))
     def test_one_failing_condition_fails_the_check(
             self, tmp_path, capsys, monkeypatch, check, body, tol, change,
             condition):
@@ -632,6 +662,11 @@ class TestRunCommand:
                                 lambda hbar: change(build(hbar=hbar)))
         _fails_one_condition(capsys, _write(tmp_path, body), check, condition,
                              tol)
+
+    def test_every_tolerance_can_fail_a_condition(self):
+        # A tolerance that no condition can fail decides nothing.
+        assert {key for case in ONE_FAILING_CONDITION.values()
+                for key in case[2]} == set(scenarios.DEFAULT_TOLERANCES)
 
     @pytest.mark.parametrize("name, kind, take, condition", [
         ("bk-refutation-sweep", "sharpen_pointer",

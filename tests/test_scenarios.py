@@ -1,5 +1,7 @@
 import math
+import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +335,14 @@ class TestCrossFieldRules:
         with pytest.raises(ConfigError, match=r"tolerances: unknown key\(s\) "
                                               r"'grid_epsilon_multi'"):
             load_scenario(path)
+
+    def test_readme_lists_every_tolerance_with_its_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        listed = re.findall(r"^- `(\w+)` = (\S+):", readme, re.MULTILINE)
+        assert {key: float(value) for key, value in listed} == \
+            scenarios.DEFAULT_TOLERANCES
+        assert len(listed) == len(scenarios.DEFAULT_TOLERANCES)
 
 
 class TestBuiltAtLoad:
