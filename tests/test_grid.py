@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from backaction import canonical, grid, measurement, states
+from backaction import canonical, cli, grid, measurement, scenarios, states
 from backaction.grid import (
     BoundaryMassError,
     GridState,
@@ -92,15 +92,23 @@ class TestGridStateValidation:
                              ids=["init_grid", "noiseless", "von-neumann"])
     def test_kept_density_figures_are_a_fresh_density_read_only(self, shape,
                                                                 steps):
+        # A sheared state keeps the figures of the density its last guard
+        # built, to the bit.  init_grid's product state takes them from its
+        # 1-D factors, within helpers.PRODUCT_FIGURES of each figure.
         rng = np.random.default_rng(2)
         state = _default_grid(rng, nx=shape[0], ny=shape[1])
         if steps:
             state = apply_steps(state, steps)
         density = grid._density(state.amplitudes, state.cell_area)
-        x_masses, y_masses = state.marginals
-        assert x_masses.tobytes() == density.sum(axis=1).tobytes()
-        assert y_masses.tobytes() == density.sum(axis=0).tobytes()
-        assert state.shell_mass == grid._shell_mass(density)
+        kept = (*state.marginals, state.shell_mass)
+        fresh = (density.sum(axis=1), density.sum(axis=0),
+                 grid._shell_mass(density))
+        for got, want in zip(kept, fresh):
+            if steps:
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            else:
+                assert np.all(np.abs(got - want)
+                              <= helpers.PRODUCT_FIGURES * want)
         for axis, masses in enumerate(state.marginals):
             assert position_marginal(state, axis)[1] is masses
             with pytest.raises(ValueError, match="read-only"):
@@ -509,6 +517,10 @@ class TestFactoredStates:
         phi, xi = state.factors
         assert (phi.shape, xi.shape) == ((shape[0],), (shape[1],))
         assert state.amplitudes.tobytes() == np.outer(phi, xi).tobytes()
+        # Built on each access, read-only, and not kept.
+        assert "amplitudes" not in vars(state)
+        assert state.amplitudes is not state.amplitudes
+        assert not state.amplitudes.flags.writeable
         for factor in (phi, xi):
             with pytest.raises(ValueError, match="read-only"):
                 factor[0] = 1.0
@@ -731,6 +743,25 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * self.FIELD, f"{peak / self.FIELD:.2f} fields"
+
+    @pytest.mark.parametrize("call, fields", [
+        ("init_grid", 0.05), ("run_scenario", 2.5)])
+    def test_product_state_keeps_no_field(self, call, fields):
+        # init_grid's state holds its 1-D factors and no n^2 array, so a
+        # gallery grid scenario's load adds nothing to its run's peak.
+        run = {
+            "init_grid": lambda: init_grid(_OBJECTS["two-packets"], _PURE,
+                                           nx=512, ny=512),
+            "run_scenario": lambda: cli.run_scenario(
+                scenarios.load_bundled("grid-crosscheck-gaussian")),
+        }[call]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= fields * self.FIELD, f"{peak / self.FIELD:.2f} fields"
 
 
 class TestHistogram:

@@ -5,9 +5,11 @@ quadratic Hamiltonians, minimum-uncertainty scenarios at every hbar,
 states assembled from checked blocks against the public constructor, and
 the closed-form moments of superpositions against the grid and under
 translation, the noiseless grid epsilon of superpositions against the one
-grid_epsilon bound, born's pruned KS scan against the full one, epsilon of
-y-only windows against x psi sheared whole, and grid states that keep
-their 1-D factors against the same amplitudes without them.
+grid_epsilon bound, the marginals and shell mass of product grid states
+against the density of their amplitudes, born's pruned KS scan against the
+full one, epsilon of y-only windows against x psi sheared whole, and grid
+states that keep their 1-D factors against the same amplitudes without
+them.
 
 Hypothesis draws the inputs; every identity is checked at the tolerance
 its fixed-seed counterpart uses, every inequality at 1e-12 of its scale.
@@ -22,6 +24,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from backaction import (canonical, cascade, cli, grid, measurement, scenarios,
                         states)
 from backaction.canonical import ModeSystem
@@ -393,6 +396,29 @@ def test_noiseless_superposition_epsilon_grid_meets_grid_epsilon(data, hbar,
         assume(False)
     epsilon = grid.window_pass(state, grid.NOISELESS_STEPS).epsilon
     assert epsilon <= scenarios.DEFAULT_TOLERANCES["grid_epsilon"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), hbar=st.sampled_from((0.5, 1.0, 2.0)),
+       probe=pure_packets(),
+       shape=st.sampled_from([(256, 256), (256, 512), (512, 256)]))
+def test_product_figures_match_the_density_of_the_amplitudes(data, hbar,
+                                                             probe, shape):
+    # init_grid's state takes its marginals and shell mass from its 1-D
+    # factors; each stays within helpers.PRODUCT_FIGURES of the figure
+    # summed over the 2-D density of its amplitudes, zeros included.
+    components = data.draw(superpositions(hbar))
+    try:
+        state = grid.init_grid(
+            [(w, grid.unit_hbar_spec(s, hbar)) for w, s in components],
+            probe, nx=shape[0], ny=shape[1])
+    except ValueError:  # the box cannot resolve the packets' momenta
+        assume(False)
+    density = grid._density(state.amplitudes, state.cell_area)
+    fresh = (density.sum(axis=1), density.sum(axis=0),
+             grid._shell_mass(density))
+    for got, want in zip((*state.marginals, state.shell_mass), fresh):
+        assert np.all(np.abs(got - want) <= helpers.PRODUCT_FIGURES * want)
 
 
 def _full_ks(samples, reference):
