@@ -21,20 +21,20 @@ over ~sqrt(n) coarse and fine parts of its row coordinate, x or k_x
 (O(n^1.5) complex exps, not n^2), and is applied one slab of ~sqrt(n) rows
 at a time.  The disturbance field is integrated along k_x by Parseval.
 
-The state ``init_grid`` returns is the product phi(x) xi(y), and it stores
-only those 1-D factors: its ``amplitudes`` are built on access, and its x
-and y marginals and shell mass come from the factors in O(n).  At 512^2
-``init_grid`` peaks at 0.013 complex fields, and a gallery cross-check,
-load included, at 2.33.  The first FFT of psi, x psi or p_x psi is taken
-on one factor and multiplied out against the other; with no steps the
-fields are multiplied out whole.  ``grid_moments`` forms each row block of
-a product state's psi from its factors, and sums each entry of its Gram
-matrix from the row dot products of two fields, one row block at a time.
-Any other ``GridState`` builds its density once, in its norm check, and
-keeps the same figures.  The guards build one density after each step,
-whose sum over x is the pointer readout, and ``apply_steps``' state keeps
-the last one's figures.  So a noiseless cross-check builds two n^2
-densities, none of them at load.
+Every window has at least one step; ``_guarded_shear`` refuses an empty
+one.  Each kind of state has one route.  ``init_grid``'s product
+phi(x) xi(y) stores only those 1-D factors, with ``amplitudes`` None: its
+x and y marginals and shell mass come from the factors in O(n), the first
+FFT of psi, x psi or p_x psi is taken on one factor and multiplied out
+against the other, and ``grid_moments`` takes its Gram matrix from the
+factors' 1-D inner products, also in O(n).  At 512^2 ``init_grid`` peaks
+at 0.013 complex fields, and a gallery cross-check, load included, at
+2.33.  Any other ``GridState`` (``apply_steps``' output, a user's array)
+keeps its amplitudes and builds its density once, in its norm check;
+``grid_moments`` sums each entry of its Gram matrix from the row dot
+products of two fields, one row block at a time.  The guards build one
+density after each step, whose sum over x is the pointer readout.  So a
+noiseless cross-check builds two n^2 densities, none of them at load.
 
 Every field that takes an FFT along x is made by ``_field``: a view of the
 first ny columns of an (nx, ny + 1) buffer whose pad column is zero.  With
@@ -127,18 +127,18 @@ MODEL_STEPS = {
 @dataclass(frozen=True, eq=False)
 class GridState:
     """Normalized two-mode wavefunction on the periodic box [-lx, lx)^2,
-    with (nx, ny) the shape of ``amplitudes``.  The spacings ``dx``, ``dy``
-    and ``cell_area``, the coordinates ``x``, ``y`` and wavenumbers ``kx``,
+    with (nx, ny) the shape of its grid.  The spacings ``dx``, ``dy`` and
+    ``cell_area``, the coordinates ``x``, ``y`` and wavenumbers ``kx``,
     ``ky`` (from ``_grid_axis``), and the ``marginals`` (along x, y) and
     ``shell_mass`` (inside the guard shell along either axis) of its
     density are computed once and read-only.
 
-    ``init_grid``'s product state phi(x) xi(y) keeps only its read-only 1-D
-    ``factors``; its ``amplitudes`` are their outer product, built read-only
-    on each access and not kept."""
+    ``init_grid``'s product state phi(x) xi(y) has ``amplitudes`` None and
+    keeps its read-only 1-D ``factors``; every other state keeps its
+    read-only ``amplitudes`` and no factors."""
 
     lx: float
-    amplitudes: np.ndarray
+    amplitudes: np.ndarray | None
     factors = None  # a product state's 1-D (object, probe) waves
 
     def __post_init__(self):
@@ -146,19 +146,13 @@ class GridState:
         self._box(self.lx, arr.shape)
         if arr.strides[1] != arr.itemsize:  # rows must have float views
             arr = arr.copy()
-        self._keep(_figures(_density(arr, self.cell_area)), amplitudes=arr)
-
-    def __getattr__(self, name):  # reached only when no field is kept
-        if name != "amplitudes" or "factors" not in self.__dict__:
-            raise AttributeError(name)
-        amplitudes = np.outer(*self.factors)
-        amplitudes.setflags(write=False)
-        return amplitudes
+        density = _density(arr, self.cell_area)
+        self._keep((density.sum(axis=1), density.sum(axis=0),
+                    _shell_mass(density)), amplitudes=arr)
 
     @classmethod
     def _on_box(cls, lx, shape):
-        """A state on a checked box, for ``_keep`` to fill without the
-        density ``__post_init__`` builds."""
+        """A state on a checked box, for ``_keep`` to fill."""
         return object.__new__(cls)._box(lx, shape)
 
     def _box(self, lx, shape):
@@ -175,18 +169,18 @@ class GridState:
                              cell_area=dx * dy, x=x, y=y, kx=kx, ky=ky)
         return self
 
-    def _keep(self, figures, **data):
+    def _keep(self, figures, amplitudes=None, factors=None):
         """Check the norm of the density ``figures`` (x marginal, y marginal,
-        shell mass) describe, then keep them and ``data``, the state's
-        ``amplitudes`` or its ``factors``, read-only."""
+        shell mass) describe, then keep them and the state's ``amplitudes``
+        or its ``factors``, read-only."""
         x_masses, y_masses, shell_mass = figures
-        arrays = data.get("factors") or (data["amplitudes"],)
+        arrays = factors or (amplitudes,)
         _check_norm(float(np.sum(x_masses)), *arrays)
         for array in (*arrays, x_masses, y_masses):
             array.setflags(write=False)
-        self.__dict__.update(data, marginals=(x_masses, y_masses),
+        self.__dict__.update(amplitudes=amplitudes, factors=factors,
+                             marginals=(x_masses, y_masses),
                              shell_mass=shell_mass)
-        return self
 
 
 def _grid_axis(n, half_width):
@@ -242,15 +236,10 @@ def _shell_mass(density):
                  + inner[:, :sy].sum() + inner[:, -sy:].sum())
 
 
-def _figures(density):
-    """(x marginal, y marginal, shell mass) of a density."""
-    return density.sum(axis=1), density.sum(axis=0), _shell_mass(density)
-
-
 def _product_figures(x_masses, y_masses):
-    """``_figures`` of the density x_masses[i] * y_masses[j], in O(n).  The
-    shell mass is summed as ``_shell_mass`` sums it, not as 1 - inner mass,
-    which would cancel."""
+    """(x marginal, y marginal, shell mass) of the density
+    x_masses[i] * y_masses[j], in O(n).  The shell mass is summed as
+    ``_shell_mass`` sums it, not as 1 - inner mass, which would cancel."""
     sx, sy = _shell_widths((x_masses.size, y_masses.size))
     x_total, y_total = x_masses.sum(), y_masses.sum()
     shell = ((x_masses[:sx].sum() + x_masses[-sx:].sum()) * y_total
@@ -413,32 +402,25 @@ def _shear_field(field, shears, transformed=False):
 
 def _first_transform(state, axis, weight=None, out=None):
     """A field (new, or ``out``'s) holding the FFT along ``axis`` (-2: x,
-    -1: y, None: no FFT) of psi, x psi (weight "x") or p_x psi (weight "p"),
-    taken on one 1-D factor of a product state.  Otherwise it is formed
-    whole, a product state's from its factors, p_x psi as k_x F_x psi
-    before an FFT along x; with no FFT, p_x psi then keeps psi's rounding,
-    which k_x would amplify in eta."""
-    if state.factors is None:
-        field = _field(state.amplitudes,
-                       state.x[:, None] if weight == "x" else None, out)
-    else:
+    -1: y) of psi, x psi (weight "x") or p_x psi (weight "p").  A product
+    state's is taken on one 1-D factor and multiplied out against the
+    other; any other state's is formed whole, p_x psi as k_x F_x psi."""
+    if state.factors is not None:
         a, b = state.factors
         a = state.x * a if weight == "x" else a
-        if axis is not None:
-            a = _spectral_p(a, state.kx, axis=0) if weight == "p" else a
-            a, b = (np.fft.fft(a), b) if axis == -2 else (a, np.fft.fft(b))
-            return _field(b, a[:, None], out)
-        field = _field(b, a[:, None], out)
-    whole = _whole(field)
+        a = _spectral_p(a, state.kx, axis=0) if weight == "p" else a
+        a, b = (np.fft.fft(a), b) if axis == -2 else (a, np.fft.fft(b))
+        return _field(b, a[:, None], out)
+    field = _field(state.amplitudes,
+                   state.x[:, None] if weight == "x" else None, out)
     if weight == "p":
+        whole = _whole(field)
         np.fft.fft(whole, axis=0, out=whole)
         whole *= state.kx[:, None]
         if axis == -2:
             return field
         np.fft.ifft(whole, axis=0, out=whole)
-    if axis is not None:
-        np.fft.fft(field, axis=axis, out=field)
-    return field
+    return np.fft.fft(field, axis=axis, out=field)
 
 
 def _wrap_guard(marginal, grid, step):
@@ -461,7 +443,9 @@ def _guarded_shear(grid, steps):
     step's ``_shear_ramp``, for ``_shear_field`` to replay on auxiliary
     fields, the largest shell mass after any step, and psi's last density.
     """
-    psi = _first_transform(grid, steps[0].axes[0] - 2 if steps else None)
+    if not steps:
+        raise ValueError("a window needs at least one shear step")
+    psi = _first_transform(grid, steps[0].axes[0] - 2)
     shears, peak_mass, density = [], 0.0, None
     for step in steps:
         shears.append(_shear_ramp(grid, step))
@@ -477,17 +461,12 @@ def _guarded_shear(grid, steps):
                 f"after shear {step.kind} theta={step.theta}: boundary mass "
                 f"{mass:.3e} exceeds {BOUNDARY_THRESHOLD:.3e}")
         peak_mass = max(peak_mass, mass)
-    if density is None:  # no steps
-        density = _density(_whole(psi), grid.cell_area)[:, :grid.ny]
     return psi, shears, peak_mass, density
 
 
 def apply_steps(state, steps):
-    """Apply a shear sequence with wrap and boundary guards at every step;
-    the state returned keeps the figures of the last guard's density."""
-    psi, _, _, density = _guarded_shear(state, steps)
-    return GridState._on_box(state.lx, psi.shape)._keep(_figures(density),
-                                                        amplitudes=psi)
+    """Apply a shear sequence with wrap and boundary guards at every step."""
+    return GridState(state.lx, _guarded_shear(state, steps)[0])
 
 
 def _spectral_p(raw, k, axis):
@@ -529,7 +508,7 @@ def window_pass(state, steps):
     u_psi, shears, peak_mass, density = _guarded_shear(state, steps)
     drift = _check_norm(_sq_norm(u_psi) * state.cell_area, u_psi)
     readout, block = density.sum(axis=0), _block(state.nx)
-    first, noise_field = shears[0][0] if shears else None, None
+    first, noise_field = shears[0][0], None
     if all(axis == -1 for axis, _, _ in shears):  # U x psi = x U psi
         gaps = np.concatenate([np.einsum(
             "ij,ij->i", np.square(state.y - state.x[a:a + block, None]),
@@ -562,33 +541,37 @@ def grid_noise_disturbance(state, steps):
 def grid_moments(state):
     """Mean vector and covariance over (x, p_x, y, p_y), hbar = 1.
 
-    psi, x psi, p_x psi, y psi and p_y psi (for a product state, from its
-    factors and their 1-D derivatives) are formed one row block at a time,
-    and each
-    entry of the real Gram matrix Re <f_i, f_j> sums their row dot products.
+    Entry G_ij of the real Gram matrix Re <f_i, f_j> of psi, x psi,
+    p_x psi, y psi and p_y psi, scaled by the cell area, is for a product
+    state Re(<a_i, a_j> <b_i, b_j>) over the 1-D triples (phi, x phi,
+    p_x phi) and (xi, y xi, p_y xi), in O(n).  For any other state it sums
+    the row dot products of f_i and f_j, formed one row block at a time.
     Centering is algebraic, row 0 giving the means: Re <f_i - m_i psi,
-    f_j - m_j psi> = G_ij - m_i m_j (2 - G_00), G scaled by the cell area.
+    f_j - m_j psi> = G_ij - m_i m_j (2 - G_00).
     """
     x, y, ky = state.x, state.y, state.ky
-    if state.factors is None:
-        raw, p_x = state.amplitudes, _first_transform(state, None, "p")
+    if state.factors is not None:
+        gram = np.ones((5, 5), dtype=complex)
+        for wave, q, k, pick in zip(state.factors, (x, y), (state.kx, ky),
+                                    ([0, 1, 2, 0, 0], [0, 0, 0, 1, 2])):
+            triple = wave, q * wave, _spectral_p(wave, k, 0)
+            # Summed pairwise, as np.sum does; a matmul rounds coarser.
+            gram *= np.array([[np.sum(u.conj() * v) for v in triple]
+                              for u in triple])[np.ix_(pick, pick)]
+        gram = gram.real
     else:
-        phi, xi = state.factors
-        p_phi, p_xi = _spectral_p(phi, state.kx, 0), _spectral_p(xi, ky, 0)
-    dots, block = np.zeros((5, 5, state.nx)), _block(state.nx)
-    for rows in (slice(a, a + block) for a in range(0, state.nx, block)):
-        if state.factors is None:
-            psi = raw[rows]
-            p_psi = p_x[rows], _spectral_p(psi, ky, 1)
-        else:
-            psi = phi[rows, None] * xi
-            p_psi = p_phi[rows, None] * xi, phi[rows, None] * p_xi
-        flat = [f.view(float) for f in (
-            psi, x[rows, None] * psi, p_psi[0], y * psi, p_psi[1])]
-        for i, j in zip(*np.triu_indices(5)):
-            np.einsum("ij,ij->i", flat[i], flat[j], out=dots[i, j, rows])
-    gram = dots.sum(axis=-1)
-    gram = (gram + np.triu(gram, 1).T) * state.cell_area
+        dots, block = np.zeros((5, 5, state.nx)), _block(state.nx)
+        p_x = _spectral_p(state.amplitudes, state.kx[:, None], 0)
+        for rows in (slice(a, a + block) for a in range(0, state.nx, block)):
+            psi = state.amplitudes[rows]
+            flat = [f.view(float) for f in (
+                psi, x[rows, None] * psi, p_x[rows], y * psi,
+                _spectral_p(psi, ky, 1))]
+            for i, j in zip(*np.triu_indices(5)):
+                np.einsum("ij,ij->i", flat[i], flat[j], out=dots[i, j, rows])
+        gram = dots.sum(axis=-1)
+        gram = gram + np.triu(gram, 1).T
+    gram = gram * state.cell_area
     mean = gram[0, 1:]
     cov = gram[1:, 1:] - (2.0 - gram[0, 0]) * np.outer(mean, mean)
     return mean, cov

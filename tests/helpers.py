@@ -18,6 +18,11 @@ from backaction.states import GaussianSpec
 PRODUCT_FIGURES = 6e-15
 
 
+def amplitudes(state):
+    """psi of a product grid state, phi(x) xi(y), from its 1-D factors."""
+    return np.outer(*state.factors)
+
+
 def random_admissible_spec(rng, hbar=1.0):
     """Gaussian spec anywhere in the physical region, mixed states included."""
     sigma_x = rng.uniform(0.3, 2.5)

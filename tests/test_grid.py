@@ -84,6 +84,7 @@ class TestGridStateValidation:
     def test_amplitudes_read_only(self):
         rng = np.random.default_rng(0)
         state = _default_grid(rng)
+        state = GridState(state.lx, helpers.amplitudes(state))
         with pytest.raises(ValueError):
             state.amplitudes[0, 0] = 1.0
 
@@ -92,14 +93,15 @@ class TestGridStateValidation:
                              ids=["init_grid", "noiseless", "von-neumann"])
     def test_kept_density_figures_are_a_fresh_density_read_only(self, shape,
                                                                 steps):
-        # A sheared state keeps the figures of the density its last guard
+        # A sheared state keeps the figures of the density its norm check
         # built, to the bit.  init_grid's product state takes them from its
         # 1-D factors, within helpers.PRODUCT_FIGURES of each figure.
         rng = np.random.default_rng(2)
         state = _default_grid(rng, nx=shape[0], ny=shape[1])
         if steps:
             state = apply_steps(state, steps)
-        density = grid._density(state.amplitudes, state.cell_area)
+        density = grid._density(state.amplitudes if steps else
+                                helpers.amplitudes(state), state.cell_area)
         kept = (*state.marginals, state.shell_mass)
         fresh = (density.sum(axis=1), density.sum(axis=0),
                  grid._shell_mass(density))
@@ -120,7 +122,8 @@ class TestGridStateValidation:
         # Both axes span [-lx, lx); each one's size is the array's.
         rng = np.random.default_rng(1)
         state = _default_grid(rng, ny=2 * N)
-        assert (state.nx, state.ny) == state.amplitudes.shape == (N, 2 * N)
+        assert ((state.nx, state.ny) == helpers.amplitudes(state).shape
+                == (N, 2 * N))
         assert state.x[0] == state.y[0] == -state.lx
         assert state.x[-1] == pytest.approx(state.lx - state.dx)
         assert state.y[-1] == pytest.approx(state.lx - state.dy)
@@ -261,7 +264,8 @@ class TestShears:
         for kind in ("x_py", "px_y"):
             back = apply_steps(
                 state, (ShearStep(kind, 0.7), ShearStep(kind, -0.7)))
-            assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12
+            assert np.max(np.abs(back.amplitudes - helpers.amplitudes(state))
+                          ) <= 1e-12
 
     def test_moment_transport_matches_symplectic_map(self):
         rng = np.random.default_rng(22)
@@ -337,15 +341,15 @@ class TestStackedEngine:
     def test_input_amplitudes_untouched(self):
         rng = np.random.default_rng(50)
         state = _default_grid(rng)
-        before = state.amplitudes.tobytes()
+        before = helpers.amplitudes(state).tobytes()
         edges = np.linspace(-state.lx, state.lx, 65)
         for steps in (VON_NEUMANN_STEPS, NOISELESS_STEPS):
             grid_noise_disturbance(state, steps)
             output_histogram(state, steps, edges)
             apply_steps(state, steps)
         grid_moments(state)
-        assert state.amplitudes.tobytes() == before
-        assert not state.amplitudes.flags.writeable
+        assert helpers.amplitudes(state).tobytes() == before
+        assert not any(factor.flags.writeable for factor in state.factors)
 
     @pytest.mark.parametrize("steps, message", [
         ((ShearStep("px_y", 1.0), ShearStep("x_py", 50.0)),
@@ -516,43 +520,38 @@ class TestFactoredStates:
         state = init_grid(_OBJECTS[obj], _PURE, nx=shape[0], ny=shape[1])
         phi, xi = state.factors
         assert (phi.shape, xi.shape) == ((shape[0],), (shape[1],))
-        assert state.amplitudes.tobytes() == np.outer(phi, xi).tobytes()
-        # Built on each access, read-only, and not kept.
-        assert "amplitudes" not in vars(state)
-        assert state.amplitudes is not state.amplitudes
-        assert not state.amplitudes.flags.writeable
+        # A product state keeps its factors and no amplitudes.
+        assert state.amplitudes is None
         for factor in (phi, xi):
             with pytest.raises(ValueError, match="read-only"):
                 factor[0] = 1.0
         # Only init_grid's own state is a product it can vouch for.
-        assert GridState(state.lx, state.amplitudes).factors is None
-        assert apply_steps(state, ()).factors is None
+        plain = GridState(state.lx, np.outer(phi, xi))
+        assert plain.factors is None
+        assert plain.amplitudes.tobytes() == np.outer(phi, xi).tobytes()
+        assert apply_steps(state, NOISELESS_STEPS).factors is None
         with pytest.raises(AttributeError):
             state.factors = None
 
     @pytest.mark.parametrize("factored", [True, False],
                              ids=["factored", "plain"])
-    @pytest.mark.parametrize("obj", sorted(_OBJECTS))
-    def test_empty_window_has_no_disturbance(self, factored, obj):
-        # eta is |p_x psi - p_x psi|, zero to rounding; epsilon is the rms
-        # of y - x over the initial density.
-        state = init_grid(_OBJECTS[obj], _PURE, nx=N, ny=N // 2)
+    def test_empty_window_is_refused(self, factored):
+        state = init_grid(_OBJECTS["two-packets"], _PURE, nx=N, ny=N // 2)
         if not factored:
-            state = GridState(state.lx, state.amplitudes)
-        passed = window_pass(state, ())
-        density = grid._density(state.amplitudes, state.cell_area)
-        epsilon = math.sqrt(float(np.sum(
-            (state.y - state.x[:, None]) ** 2 * density)))
-        assert passed.eta <= 1e-15
-        assert abs(passed.epsilon - epsilon) <= 1e-14 * epsilon
-        assert passed.boundary_mass_max == 0.0
-        assert passed.norm_drift <= 1e-12
-        assert np.max(np.abs(passed.readout - state.marginals[1])) <= 1e-16
+            state = GridState(state.lx, helpers.amplitudes(state))
+        edges = np.linspace(-state.lx, state.lx, 65)
+        messages = []
+        for call in (window_pass, grid_noise_disturbance, apply_steps,
+                     lambda s, steps: output_histogram(s, steps, edges)):
+            with pytest.raises(ValueError) as refused:
+                call(state, ())
+            messages.append(str(refused.value))
+        assert messages == ["a window needs at least one shear step"] * 4
 
 
 def _gram_moments(state):
     """``grid_moments`` from one whole (5, nx, ny) stack: its reference."""
-    raw = state.amplitudes
+    raw = helpers.amplitudes(state)
     fields = np.stack([raw, state.x[:, None] * raw,
                        grid._spectral_p(raw, state.kx[:, None], axis=0),
                        state.y * raw, grid._spectral_p(raw, state.ky, axis=1)])
@@ -578,17 +577,20 @@ class TestGridMoments:
             "256x512": lambda: init_grid(_OBJECTS["one-packet"], correlated,
                                          nx=256, ny=512),
         }[name]()
-        mean, cov = grid_moments(state)
+        # The product state's moments come from its 1-D factors, its plain
+        # twin's from row blocks of its amplitudes.
         ref_mean, ref_cov = _gram_moments(state)
         scale = max(1.0, np.max(np.abs(ref_mean)), np.max(np.abs(ref_cov)))
-        assert np.max(np.abs(mean - ref_mean)) <= 1e-14 * scale
-        assert np.max(np.abs(cov - ref_cov)) <= 1e-14 * scale
+        for route in (state, GridState(state.lx, helpers.amplitudes(state))):
+            mean, cov = grid_moments(route)
+            assert np.max(np.abs(mean - ref_mean)) <= 1e-14 * scale
+            assert np.max(np.abs(cov - ref_cov)) <= 1e-14 * scale
 
 
 def _explicit_eta(state, steps):
     """eta with p_x psi formed in position space and then sheared whole:
     the path ``window_pass`` shortens when the first shear runs along x."""
-    raw, kx = state.amplitudes, state.kx[:, None]
+    raw, kx = helpers.amplitudes(state), state.kx[:, None]
     shears = [grid._shear_ramp(state, step) for step in steps]
     u_psi = grid._shear_field(raw.copy(), shears)
     u_px_psi = grid._shear_field(grid._spectral_p(raw, kx, axis=0), shears)
@@ -613,7 +615,7 @@ class TestPaddedLayout:
     def test_compact_and_padded_states_agree_to_the_bit(self, shape, obj):
         nx, ny = shape
         padded = apply_steps(init_grid(_OBJECTS[obj], _PURE, nx=nx, ny=ny),
-                             ())
+                             NOISELESS_STEPS)
         compact = GridState(padded.lx, padded.amplitudes.copy())
         assert padded.amplitudes.strides[0] == 16 * (ny + 1)
         assert compact.amplitudes.strides[0] == 16 * ny
@@ -664,9 +666,9 @@ class TestPaddedLayout:
                           ny=shape[1])
         step = ShearStep(kind, 0.37)
         axis, ramp = TestStackedEngine._assembled(state, step)
-        want = np.fft.ifft(np.fft.fft(state.amplitudes, axis=axis) * ramp,
-                           axis=axis)
-        got = grid._shear_field(grid._field(state.amplitudes),
+        raw = helpers.amplitudes(state)
+        want = np.fft.ifft(np.fft.fft(raw, axis=axis) * ramp, axis=axis)
+        got = grid._shear_field(grid._field(raw),
                                 [grid._shear_ramp(state, step)])
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
@@ -712,56 +714,54 @@ class TestPaddedLayout:
 
 
 class TestMemoryBudget:
-    # One complex field at 512^2 is 4 MiB.  Each call may hold at most 2.5
+    # One complex field at 512^2 is 4 MiB.  No call may hold more than 2.5
     # of them beyond its input state; init_grid's count includes the state
-    # it returns.  tracemalloc sees numpy's array buffers, not the FFT's
-    # per-line scratch.
+    # it returns.  Rows named with a budget hold a call to less: a product
+    # state's 1-D routes need almost none.  tracemalloc sees numpy's array
+    # buffers, not the FFT's per-line scratch.
     FIELD = 16 * 512 * 512
 
-    @pytest.mark.parametrize("call", [
-        "init_grid", "grid_moments", "window_pass", "apply_steps",
-        "output_histogram", "position_marginal"])
-    def test_peak_stays_within_two_and_a_half_fields(self, call):
+    @pytest.mark.parametrize("call, fields", [
+        pytest.param("init_grid", 0.05, id="init_grid-0.05"),
+        pytest.param("grid_moments", 0.05, id="grid_moments-0.05"),
+        pytest.param("sheared_grid_moments", 2.5, id="grid_moments"),
+        *[pytest.param(call, 2.5, id=call) for call in (
+            "window_pass", "apply_steps", "output_histogram",
+            "position_marginal", "run_scenario")]])
+    def test_peak_stays_within_two_and_a_half_fields(self, call, fields):
         def build():
             return init_grid(_OBJECTS["two-packets"], _PURE, nx=512, ny=512)
 
         state = build()
+        if call == "sheared_grid_moments":  # a general state: row blocks
+            state = apply_steps(state, NOISELESS_STEPS)
         edges = np.linspace(-state.lx, state.lx, 129)
         run = {
             "init_grid": build,
             "grid_moments": lambda: grid_moments(state),
+            "sheared_grid_moments": lambda: grid_moments(state),
             "window_pass": lambda: window_pass(state, NOISELESS_STEPS),
             "apply_steps": lambda: apply_steps(state, NOISELESS_STEPS),
             "output_histogram": lambda: output_histogram(
                 state, NOISELESS_STEPS, edges),
             "position_marginal": lambda: position_marginal(state, axis=1),
-        }[call]
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * self.FIELD, f"{peak / self.FIELD:.2f} fields"
-
-    @pytest.mark.parametrize("call, fields", [
-        ("init_grid", 0.05), ("run_scenario", 2.5)])
-    def test_product_state_keeps_no_field(self, call, fields):
-        # init_grid's state holds its 1-D factors and no n^2 array, so a
-        # gallery grid scenario's load adds nothing to its run's peak.
-        run = {
-            "init_grid": lambda: init_grid(_OBJECTS["two-packets"], _PURE,
-                                           nx=512, ny=512),
+            # A gallery grid scenario, loaded and run: its load builds no
+            # n^2 array, so it adds nothing to the run's peak.
             "run_scenario": lambda: cli.run_scenario(
                 scenarios.load_bundled("grid-crosscheck-gaussian")),
         }[call]
+        peak = self._peak_fields(run)
+        assert peak <= fields, f"{peak:.3f} fields"
+
+    @classmethod
+    def _peak_fields(cls, run):
+        """The largest traced allocation while run() runs, in fields."""
         tracemalloc.start()
         try:
             run()
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1] / cls.FIELD
         finally:
             tracemalloc.stop()
-        assert peak <= fields * self.FIELD, f"{peak / self.FIELD:.2f} fields"
 
 
 class TestHistogram:
