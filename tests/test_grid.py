@@ -716,42 +716,47 @@ class TestPaddedLayout:
 class TestMemoryBudget:
     # One complex field at 512^2 is 4 MiB.  No call may hold more than 2.5
     # of them beyond its input state; init_grid's count includes the state
-    # it returns.  Rows named with a budget hold a call to less: a product
-    # state's 1-D routes need almost none.  tracemalloc sees numpy's array
-    # buffers, not the FFT's per-line scratch.
+    # it returns.  A product state's 1-D routes hold less, to the budget
+    # its row names.  tracemalloc sees numpy's array buffers, not the FFT's
+    # per-line scratch.
     FIELD = 16 * 512 * 512
 
-    @pytest.mark.parametrize("call, fields", [
-        pytest.param("init_grid", 0.05, id="init_grid-0.05"),
-        pytest.param("grid_moments", 0.05, id="grid_moments-0.05"),
-        pytest.param("sheared_grid_moments", 2.5, id="grid_moments"),
-        *[pytest.param(call, 2.5, id=call) for call in (
-            "window_pass", "apply_steps", "output_histogram",
-            "position_marginal", "run_scenario")]])
-    def test_peak_stays_within_two_and_a_half_fields(self, call, fields):
-        def build():
-            return init_grid(_OBJECTS["two-packets"], _PURE, nx=512, ny=512)
-
-        state = build()
-        if call == "sheared_grid_moments":  # a general state: row blocks
+    @pytest.mark.parametrize("call", [
+        "init_grid", "grid_moments", "window_pass", "apply_steps",
+        "output_histogram", "position_marginal"])
+    def test_peak_stays_within_two_and_a_half_fields(self, call):
+        state = self._build()
+        if call == "grid_moments":  # a general state: row blocks
             state = apply_steps(state, NOISELESS_STEPS)
+        peak = self._peak_fields(self._calls(state)[call])
+        assert peak <= 2.5, f"{peak:.3f} fields"
+
+    @pytest.mark.parametrize("call, fields", [
+        ("init_grid", 0.05), ("grid_moments", 0.05), ("run_scenario", 2.5)])
+    def test_product_state_keeps_no_field(self, call, fields):
+        # init_grid's state holds its 1-D factors and no n^2 array, so a
+        # gallery grid scenario's load adds nothing to its run's peak.
+        peak = self._peak_fields(self._calls(self._build())[call])
+        assert peak <= fields, f"{peak:.3f} fields"
+
+    @staticmethod
+    def _build():
+        return init_grid(_OBJECTS["two-packets"], _PURE, nx=512, ny=512)
+
+    @classmethod
+    def _calls(cls, state):
         edges = np.linspace(-state.lx, state.lx, 129)
-        run = {
-            "init_grid": build,
+        return {
+            "init_grid": cls._build,
             "grid_moments": lambda: grid_moments(state),
-            "sheared_grid_moments": lambda: grid_moments(state),
             "window_pass": lambda: window_pass(state, NOISELESS_STEPS),
             "apply_steps": lambda: apply_steps(state, NOISELESS_STEPS),
             "output_histogram": lambda: output_histogram(
                 state, NOISELESS_STEPS, edges),
             "position_marginal": lambda: position_marginal(state, axis=1),
-            # A gallery grid scenario, loaded and run: its load builds no
-            # n^2 array, so it adds nothing to the run's peak.
             "run_scenario": lambda: cli.run_scenario(
                 scenarios.load_bundled("grid-crosscheck-gaussian")),
-        }[call]
-        peak = self._peak_fields(run)
-        assert peak <= fields, f"{peak:.3f} fields"
+        }
 
     @classmethod
     def _peak_fields(cls, run):
