@@ -28,7 +28,10 @@ from . import numerics
 # tests pin those at 1e-12.
 SYMPLECTIC_TOL = 1e-9
 
-_COEFF_TOL = 1e-12
+# The one rounding slack, relative to each figure's size or bound, for zero
+# assertions, closed-form matches and >= bounds: exact quantities computed
+# in floating point reappear at the 1e-16 level.
+ROUNDING_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -189,9 +192,9 @@ def build_quadratic(system, terms):
         Each term contributes ``coefficient * r_i * r_j`` with r the
         coordinate vector.  Products of non-commuting coordinates are
         interpreted in the symmetrized (Weyl) order; the constant that
-        ordering discards must cancel across the whole list, within 1e-12 of
-        the largest coefficient at any hbar, otherwise the term list does
-        not describe a Hermitian combination and is rejected.
+        ordering discards must cancel across the whole list, within
+        ROUNDING_SLACK of the largest coefficient at any hbar, or the term
+        list does not describe a Hermitian combination and is rejected.
 
     Returns
     -------
@@ -218,7 +221,7 @@ def build_quadratic(system, terms):
         form[j, i] += c
         residual += c * omega[i, j]
         scale = max(scale, abs(c))
-    if abs(residual) > _COEFF_TOL * scale:
+    if abs(residual) > ROUNDING_SLACK * scale:
         raise ValueError(
             "term list leaves a non-zero ordering constant "
             f"({residual * system.hbar / 2.0:.3e}); pair each x_k p_k term "

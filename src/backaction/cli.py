@@ -184,7 +184,7 @@ def _grid_crosscheck(sc, tols):
     conditions = {f"{q}_routes_agree": values[f"{q}_gap"] <= tols["grid_match"]
                   for q in ("epsilon", "eta")}
     if model.exact_readout:
-        conditions["epsilon_grid_vanishes"] = eps_grid <= tols["grid_epsilon"]
+        conditions["epsilon_grid_vanishes"] = eps_grid <= tols["exact"] * state.lx
     # The readout is y(t + dt) = a x + b y, and init_grid's state is the
     # product phi(x) xi(y), so its law is the marginals' images convolved,
     # at the m lattice points both axes share on the box [-L, L).

@@ -36,12 +36,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import canonical, grid, states
-from .canonical import LinearObservable, ModeSystem, build_quadratic
-
-# One-sided slack for assertions that an exact quantity vanished; the
-# endpoint map comes from a floating-point exponential, so identically-zero
-# coefficients reappear at the 1e-16 level.
-ONE_SIDED_TOL = 1e-12
+from .canonical import (ROUNDING_SLACK, LinearObservable, ModeSystem,
+                        build_quadratic)
 
 OBJECT_MODE = 0
 PROBE_MODE = 1
@@ -75,7 +71,7 @@ class MeasurementModel:
     and closed forms, are empty for custom models.  The endpoint map, the
     ``readout`` M(t + dt) and the noise and disturbance operators are built
     with the model, so a window that is not symplectic fails construction.
-    ``exact_readout``: every noise coefficient is at most ``ONE_SIDED_TOL``,
+    ``exact_readout``: every noise coefficient is at most ``ROUNDING_SLACK``,
     so epsilon = 0 on every preparation.
     """
 
@@ -112,7 +108,7 @@ class MeasurementModel:
                 ("disturbance_operator",
                  canonical.heisenberg_apply(endpoint, px) - px),
                 ("exact_readout",
-                 bool(np.max(np.abs(noise.coeffs)) <= ONE_SIDED_TOL))):
+                 bool(np.max(np.abs(noise.coeffs)) <= ROUNDING_SLACK))):
             object.__setattr__(self, name, value)
 
     def propagation(self, tau):
@@ -278,7 +274,7 @@ class NoiseReport:
                 raise ValueError(f"{name} must be finite and non-negative")
 
 
-def heisenberg_verdict(model, object_state, probe_state, tol=ONE_SIDED_TOL):
+def heisenberg_verdict(model, object_state, probe_state, tol=ROUNDING_SLACK):
     """Score epsilon * eta against hbar/2, and the trade-off that replaces it.
 
     ``product_meets_bound`` reports epsilon * eta >= (hbar/2)(1 - tol), a
@@ -356,6 +352,6 @@ def limit_sweep(model, sigma_ps):
         joint = states.from_gaussian(
             (spec, spec), hbar=hbar, labels=("object", "probe"))
         points.append(SweepPoint(
-            sigma_p=sp, report=_joint_verdict(model, joint, ONE_SIDED_TOL),
+            sigma_p=sp, report=_joint_verdict(model, joint, ROUNDING_SLACK),
             sigma_x_post=states.std_dev(joint, x_post)))
     return points

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import yaml
 
-from . import cascade, grid, measurement, states
+from . import canonical, cascade, grid, measurement, states
 from .states import GaussianSpec
 
 # Model names; a custom model is built from the 'interaction' section.
@@ -69,12 +69,11 @@ SWEEPS = {
 
 DEFAULT_TOLERANCES = {
     # the one rounding slack: zero assertions, closed-form matches and >=
-    # bounds, each scaled by its figure's size or bound
-    "exact": 1e-12,
+    # bounds, each scaled by its figure's size or bound; the grid's epsilon
+    # on an exact readout by the box half-width
+    "exact": canonical.ROUNDING_SLACK,
     # grid route vs moment route on epsilon and eta
     "grid_match": 1e-4,
-    # grid-route epsilon for the noiseless model, one bound for every object
-    "grid_epsilon": 1e-8,
     # grid readout vs its exact law at the grid's lattice points
     "tv": 1e-3,
     # significance level of the sampled-readout KS test

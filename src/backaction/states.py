@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import canonical
-from .canonical import ModeSystem, _check_compatible, _frozen_vector
+from .canonical import (ROUNDING_SLACK, ModeSystem, _check_compatible,
+                        _frozen_vector)
 
 # Slack allowed on the least eigenvalue of cov + i (hbar/2) Omega, on
 # cov's asymmetry, and on a variance below zero (rounding debris, clamped),
@@ -69,8 +70,8 @@ class GaussianSpec:
         return self.sigma_x * self.sigma_p * math.sqrt(1.0 - self.correlation ** 2)
 
     def admissible(self, hbar=1.0):
-        """Whether the spec meets hbar/2 within a relative 1e-12 of it."""
-        return self.uncertainty_product() >= hbar / 2.0 * (1.0 - 1e-12)
+        """Whether the spec meets hbar/2 within a relative ROUNDING_SLACK."""
+        return self.uncertainty_product() >= hbar / 2.0 * (1.0 - ROUNDING_SLACK)
 
     def mean_block(self):
         return np.array([self.mean_x, self.mean_p])
@@ -279,7 +280,7 @@ class RobertsonResult(NamedTuple):
     passed: bool
 
 
-def robertson_check(state, a, b, tol=1e-12):
+def robertson_check(state, a, b, tol=ROUNDING_SLACK):
     """Test sigma(A) sigma(B) >= |<[A, B]>| / 2 on this state.
 
     For linear observables the commutator is a constant, so the bound is

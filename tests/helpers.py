@@ -14,7 +14,8 @@ from backaction.states import GaussianSpec
 # over the 2-D density of its amplitudes: over 4,404 seeded draws of two-
 # and three-packet objects at 128^2 to 512 x 256, the worst gap was 2.8e-15
 # (y marginal, summed over 512 rows), 1.1e-15 (x marginal) and 8.8e-16
-# (shell mass).
+# (shell mass).  A subnormal figure has no relative precision: its gap is
+# bounded by one subnormal spacing per cell summed on top of this share.
 PRODUCT_FIGURES = 6e-15
 
 

@@ -192,7 +192,7 @@ ONE_FAILING_CONDITION = {
         {"grid_match": 1e-300}, None, "epsilon_routes_agree"),
     "grid-epsilon": ("grid_crosscheck", GRID.format(
         model="noiseless", n=64, half_width=10, obj=PACKET, probe=PACKET),
-        {"grid_epsilon": 1e-300}, None, "epsilon_grid_vanishes"),
+        {"exact": 1e-300}, None, "epsilon_grid_vanishes"),
     "ks-alpha": ("born", BORN, {"ks_alpha": 0.9}, None, "ks_shape"),
 }
 
@@ -602,13 +602,14 @@ class TestRunCommand:
         err = _exits_two(capsys, ["run", "noiseless-violation", "--tol", "nope=1"])
         assert "unknown key" in err
 
-    @pytest.mark.parametrize("key", ["grid_epsilon_multi", "bound"])
+    @pytest.mark.parametrize("key", ["grid_epsilon_multi", "bound",
+                                     "grid_epsilon"])
     @pytest.mark.parametrize("where", ["yaml", "tol"])
     def test_removed_tolerance_key_exits_two(self, tmp_path, capsys, key,
                                              where):
-        # One grid epsilon bound holds every object, and exact is the one
-        # rounding slack, >= bounds included: the superposition objects'
-        # old key and bound are unknown wherever they are set.
+        # exact is the one rounding slack, >= bounds included, and exact
+        # times the box half-width holds every object's grid epsilon: the
+        # old bound and grid epsilon keys are unknown wherever they are set.
         body = textwrap.dedent(GRID.format(
             model="noiseless", n=64, half_width=10, obj=PACKET,
             probe=PACKET))
@@ -619,8 +620,7 @@ class TestRunCommand:
             tol = ["--tol", f"{key}=1e-9"]
         err = _exits_two(capsys, ["run", _write(tmp_path, body), *tol])
         assert f"unknown key(s) '{key}'; " in err
-        assert err.endswith("allowed: exact, grid_epsilon, grid_match, "
-                            "ks_alpha, tv")
+        assert err.endswith("allowed: exact, grid_match, ks_alpha, tv")
 
     def test_tol_value_validated(self, capsys):
         # --tol goes through the same validator as a scenario's tolerances.
@@ -830,6 +830,35 @@ def test_grid_crosscheck_shears_once(monkeypatch, name):
     report, _ = run_scenario(scenario)
     assert report["checks"]["grid_crosscheck"]["passed"]
     assert len(calls) == 1
+
+
+def _scaled_packets(node, lam, mu):
+    """An object or probe section with lengths times lam, momenta times mu."""
+    if "components" in node:
+        return {**node, "components": [_scaled_packets(c, lam, mu)
+                                       for c in node["components"]]}
+    factors = {"sigma_x": lam, "mean_x": lam, "sigma_p": mu, "mean_p": mu}
+    return {key: value * factors[key] if key in factors else value
+            for key, value in node.items()}
+
+
+@pytest.mark.parametrize("lam, mu", [(2.0 ** 20, 2.0 ** -20), (1e10, 1e-10)],
+                         ids=["2^20", "1e10"])
+@pytest.mark.parametrize("name", ["grid-crosscheck-gaussian",
+                                  "grid-crosscheck-bimodal",
+                                  "von-neumann-bound"])
+def test_grid_scenarios_pass_in_scaled_units(name, lam, mu):
+    # hbar is unchanged, and so is the physics.  The grid's rounding floor
+    # grows with the box: the noiseless epsilon_grid reads 2.6e-16 to
+    # 3.4e-16 of the half-width at every scale, 4.47e-5 and 4.77e-5 at
+    # lam = 1e10, where an absolute bound of 1e-8 failed both.
+    raw = yaml.safe_load((scenarios._gallery_root() / f"{name}.yaml")
+                         .read_text(encoding="utf-8"))
+    for section in ("object", "probe"):
+        raw[section] = _scaled_packets(raw[section], lam, mu)
+    report, _ = run_scenario(scenarios.parse_scenario(raw))
+    assert {check: body["passed"] for check, body in
+            report["checks"].items()} == dict.fromkeys(raw["checks"], True)
 
 
 def test_flipped_x_py_sign_fails_von_neumann_epsilon(monkeypatch):

@@ -475,6 +475,7 @@ class TestNoiseDisturbanceRoutes:
 
 
 _PURE = GaussianSpec(0.8, 0.625)
+_NARROW = [(1.0, GaussianSpec(0.65, 0.5 / 0.65, mean_x=0.25, mean_p=-0.3))]
 _OBJECTS = {
     "one-packet": [(1.0, GaussianSpec(0.8, 0.625, mean_x=0.5, mean_p=-0.3))],
     "two-packets": [(1.0, GaussianSpec(0.8, 0.625, mean_x=-2.5)),
@@ -495,17 +496,31 @@ class TestWindowPass:
         assert hist.tobytes() == reference.tobytes()
         assert grid_noise_disturbance(state, steps) == (epsilon, eta)
 
-    @pytest.mark.parametrize("steps", [NOISELESS_STEPS, VON_NEUMANN_STEPS],
-                             ids=["noiseless", "von-neumann"])
-    def test_diagnostics_match_the_sheared_states(self, steps):
+    @pytest.mark.parametrize("steps, n, obj, probe", [
+        (NOISELESS_STEPS, N, _OBJECTS["two-packets"], _PURE),
+        (VON_NEUMANN_STEPS, N, _OBJECTS["two-packets"], _PURE),
+        (NOISELESS_STEPS[::-1], N, _OBJECTS["two-packets"], _PURE),
+        (NOISELESS_STEPS, 512, _NARROW,
+         GaussianSpec(1.25, 0.4, mean_x=-0.75, mean_p=0.2)),
+        (NOISELESS_STEPS[::-1], 512, _NARROW,
+         GaussianSpec(0.6, 0.5 / 0.6, mean_x=0.5, mean_p=0.2)),
+    ], ids=["noiseless", "von-neumann", "reversed-noiseless", "noiseless-512",
+            "reversed-noiseless-512"])
+    def test_diagnostics_match_the_sheared_states(self, steps, n, obj, probe):
         # The largest shell mass over the steps is the boundary mass of
         # some prefix of the shears, and the norm drift is U psi's, summed
-        # as GridState sums it.
-        state = init_grid(_OBJECTS["two-packets"], _PURE, nx=N, ny=N)
+        # as GridState sums it.  The two shell sums run over densities in
+        # different memory layouts: on the 512^2 cases they differ by
+        # 1.4e-16 and 1.8e-16 of the mass.  Over 360 seeded draws of one-
+        # and two-packet objects at 256^2 and 512^2, on these three step
+        # lists, 16 differed, by at most 2.1e-16.
+        state = init_grid(obj, probe, nx=n, ny=n)
         passed = window_pass(state, steps)
         sheared = [apply_steps(state, steps[:k])
                    for k in range(1, len(steps) + 1)]
-        assert passed.boundary_mass_max == max(s.shell_mass for s in sheared)
+        worst = max(s.shell_mass for s in sheared)
+        assert abs(passed.boundary_mass_max - worst) <= (
+            4 * np.finfo(float).eps * worst)
         assert passed.boundary_mass_max <= grid.BOUNDARY_THRESHOLD
         out = sheared[-1].amplitudes
         norm = math.sqrt(grid._sq_norm(out) * state.cell_area)

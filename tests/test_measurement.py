@@ -350,3 +350,64 @@ class TestLimitSweep:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError, match="positive"):
             limit_sweep(von_neumann_model(), [0.5, -1.0])
+
+
+_ONE_MODE = ModeSystem(1)
+_REPORT = dict(epsilon=0.5, eta=1.0, product=0.5, bound=0.5,
+               product_meets_bound=True, sigma_x=1.0, tradeoff=1.0,
+               tradeoff_meets_bound=True)
+_REFUSALS = {
+    "observable-nan": (lambda: canonical.LinearObservable(
+        _ONE_MODE, [np.nan, 0.0]), "coeffs contains non-finite entries"),
+    "state-mean-inf": (lambda: states.MomentState(
+        _ONE_MODE, [np.inf, 0.0], np.eye(2)),
+        "mean contains non-finite entries"),
+    "form-shape": (lambda: canonical.QuadraticHamiltonian(
+        _ONE_MODE, np.eye(3)), "form must have shape (2, 2), got (3, 3)"),
+    "form-nan": (lambda: canonical.QuadraticHamiltonian(
+        _ONE_MODE, [[np.nan, 0.0], [0.0, 1.0]]),
+        "form contains non-finite entries"),
+    "term-inf": (lambda: canonical.build_quadratic(
+        _ONE_MODE, [(np.inf, 0, 0)]), "term 0 has non-finite coefficient"),
+    "matrix-shape": (lambda: canonical.SymplecticPropagation(
+        _ONE_MODE, np.eye(4)), "matrix must have shape (2, 2), got (4, 4)"),
+    "duration-nan": (lambda: canonical.propagate(
+        canonical.QuadraticHamiltonian(_ONE_MODE, np.eye(2)), np.nan),
+        "duration must be finite"),
+    "model-one-mode": (lambda: MeasurementModel(
+        "one-mode", canonical.QuadraticHamiltonian(_ONE_MODE, np.eye(2))),
+        "measurement models live on object + probe (2 modes)"),
+    "report-negative": (lambda: measurement.NoiseReport(
+        **{**_REPORT, "epsilon": -1.0}),
+        "epsilon must be finite and non-negative"),
+    "report-nan": (lambda: measurement.NoiseReport(
+        **{**_REPORT, "tradeoff": np.nan}),
+        "tradeoff must be finite and non-negative"),
+    "cov-shape": (lambda: states.MomentState(
+        _ONE_MODE, [0.0, 0.0], np.eye(3)),
+        "cov must have shape (2, 2), got (3, 3)"),
+    "no-specs": (lambda: from_gaussian([]), "need at least one mode spec"),
+    "distribution-inf": (lambda: states.ScalarDistribution(np.inf, 1.0),
+                         "distribution moments must be finite"),
+    "distribution-negative": (lambda: states.ScalarDistribution(0.0, -1.0),
+                              "variance must be non-negative"),
+    "count-zero": (lambda: states.sample_outcomes(
+        states.ScalarDistribution(0.0, 1.0), 0, seed=1),
+        "count must be a positive integer, got 0"),
+    "count-float": (lambda: states.sample_outcomes(
+        states.ScalarDistribution(0.0, 1.0), 10.0, seed=1),
+        "count must be a positive integer, got 10.0"),
+    "few-samples": (lambda: states.born_check(
+        np.zeros(9), states.ScalarDistribution(0.0, 1.0)),
+        "need at least 10 samples for a meaningful test"),
+}
+
+
+@pytest.mark.parametrize("build, message", _REFUSALS.values(),
+                         ids=list(_REFUSALS))
+def test_public_constructors_refuse_bad_input(build, message):
+    # Each refusal is a plain ValueError with its own message.
+    with pytest.raises(ValueError) as info:
+        build()
+    assert info.type is ValueError
+    assert str(info.value) == message

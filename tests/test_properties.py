@@ -4,12 +4,12 @@ relations that hold for every measurement, propagation under random
 quadratic Hamiltonians, minimum-uncertainty scenarios at every hbar,
 states assembled from checked blocks against the public constructor, and
 the closed-form moments of superpositions against the grid and under
-translation, the noiseless grid epsilon of superpositions against the one
-grid_epsilon bound, the marginals and shell mass of product grid states
-against the density of their amplitudes, born's pruned KS scan against the
-full one, epsilon of y-only windows against x psi sheared whole, grid
-states that keep their 1-D factors against the same amplitudes without
-them, and sheared amplitudes against the packets at the substituted
+translation, the noiseless grid epsilon of superpositions against exact
+times the box half-width, the marginals and shell mass of product grid
+states against the density of their amplitudes, born's pruned KS scan
+against the full one, epsilon of y-only windows against x psi sheared
+whole, grid states that keep their 1-D factors against the same amplitudes
+without them, and sheared amplitudes against the packets at the substituted
 coordinates.
 
 Hypothesis draws the inputs; every identity is checked at the tolerance
@@ -404,13 +404,14 @@ def test_superposition_moments_translate_with_the_packets(data, hbar, offset):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), hbar=st.sampled_from((0.5, 1.0, 2.0)),
        probe=pure_packets())
-def test_noiseless_superposition_epsilon_grid_meets_grid_epsilon(data, hbar,
-                                                                 probe):
-    # One grid epsilon bound holds every object: interference does not
-    # raise the rounding floor.  Over 398 seeded noiseless passes of 2-3
-    # packet objects at 128^2-1024^2 (this strategy, and the bench's grid
-    # ranges with packets overlapping or apart) epsilon_grid was at most
-    # 5.8e-14, 1.7e5 times below grid_epsilon.
+def test_noiseless_superposition_epsilon_grid_meets_exact_times_half_width(
+        data, hbar, probe):
+    # One grid epsilon bound holds every object: the rounding floor grows
+    # with the box, and interference does not raise it.  Over 335 seeded
+    # noiseless passes of one- to three-packet objects at 128^2-1024^2,
+    # 113 of them on user-set boxes with boundary mass up to 9.8e-9,
+    # epsilon_grid / half_width was at most 5.9e-16, 1,690 times below
+    # exact.
     components = data.draw(superpositions(hbar))
     try:
         state = grid.init_grid(
@@ -419,7 +420,7 @@ def test_noiseless_superposition_epsilon_grid_meets_grid_epsilon(data, hbar,
     except ValueError:  # the box cannot resolve the packets' momenta
         assume(False)
     epsilon = grid.window_pass(state, grid.NOISELESS_STEPS).epsilon
-    assert epsilon <= scenarios.DEFAULT_TOLERANCES["grid_epsilon"]
+    assert epsilon <= scenarios.DEFAULT_TOLERANCES["exact"] * state.lx
 
 
 @settings(max_examples=40, deadline=None)
@@ -428,9 +429,6 @@ def test_noiseless_superposition_epsilon_grid_meets_grid_epsilon(data, hbar,
        shape=st.sampled_from([(256, 256), (256, 512), (512, 256)]))
 def test_product_figures_match_the_density_of_the_amplitudes(data, hbar,
                                                              probe, shape):
-    # init_grid's state takes its marginals and shell mass from its 1-D
-    # factors; each stays within helpers.PRODUCT_FIGURES of the figure
-    # summed over the 2-D density of its amplitudes, zeros included.
     components = data.draw(superpositions(hbar))
     try:
         state = grid.init_grid(
@@ -438,11 +436,38 @@ def test_product_figures_match_the_density_of_the_amplitudes(data, hbar,
             probe, nx=shape[0], ny=shape[1])
     except ValueError:  # the box cannot resolve the packets' momenta
         assume(False)
+    _assert_product_figures_match(state)
+
+
+def test_product_figures_match_at_a_subnormal_density_entry():
+    # A y-marginal entry of 1.17e-312 differs from its density sum by
+    # 3.5e-323, 7 subnormal spacings, which PRODUCT_FIGURES * 1.17e-312
+    # rounds to zero.
+    hbar = 0.5
+    components = [(1.0, GaussianSpec(1.0, 0.25)),
+                  (1.0, GaussianSpec(1.375, 0.18181818181818182, mean_x=1.5))]
+    state = grid.init_grid(
+        [(w, grid.unit_hbar_spec(s, hbar)) for w, s in components],
+        GaussianSpec(0.6015625, 0.8311688311688312, mean_x=0.5),
+        nx=256, ny=256)
+    _assert_product_figures_match(state)
+
+
+def _assert_product_figures_match(state):
+    """init_grid's state takes its marginals and shell mass from its 1-D
+    factors; each stays within helpers.PRODUCT_FIGURES of the figure summed
+    over the 2-D density of its amplitudes, zeros included, plus one
+    subnormal spacing per cell summed."""
     density = grid._density(helpers.amplitudes(state), state.cell_area)
     fresh = (density.sum(axis=1), density.sum(axis=0),
              grid._shell_mass(density))
-    for got, want in zip((*state.marginals, state.shell_mass), fresh):
-        assert np.all(np.abs(got - want) <= helpers.PRODUCT_FIGURES * want)
+    # Cells summed into each figure: a row, a column, the shell.
+    cells = (state.ny, state.nx, grid._shell_mass(np.ones(density.shape)))
+    spacing = np.finfo(float).smallest_subnormal
+    for got, want, count in zip((*state.marginals, state.shell_mass), fresh,
+                                cells):
+        assert np.all(np.abs(got - want)
+                      <= helpers.PRODUCT_FIGURES * want + count * spacing)
 
 
 def _full_ks(samples, reference):

@@ -321,8 +321,9 @@ class TestCrossFieldRules:
             parse_scenario(_base(tolerances={"ks_alpha": 1.5}))
 
     def test_grid_epsilon_multi_is_an_unknown_tolerance(self, tmp_path):
-        # grid_epsilon holds every object, superpositions included; the
-        # looser key they once had is refused like any unknown one.
+        # One grid epsilon bound, exact times the box half-width, holds
+        # every object, superpositions included; the looser key they once
+        # had is refused like any unknown one.
         path = tmp_path / "case.yaml"
         path.write_text(textwrap.dedent("""\
             name: case
